@@ -8,9 +8,11 @@
 //! exit code) reflect that check.
 //!
 //! System construction (`setup_secs`, from the process-global counter
-//! fed by `Sim` constructors) and report rendering (`render_secs`)
-//! are reported separately and subtracted from the events/sec
-//! denominator, so the score measures the event loop, not setup or
+//! fed by `Sim` constructors), cold DRX cost measurement
+//! (`cost_model_secs`, from the counter fed by `Edge::drx_cost` cache
+//! misses) and report rendering (`render_secs`) are reported
+//! separately and subtracted from the events/sec denominator, so the
+//! score measures the event loop, not setup, cost measurement or
 //! formatting. Experiments with no event loop at all
 //! ([`NON_EVENT_EXPERIMENTS`]) carry an explanatory note in the JSON.
 
@@ -63,13 +65,18 @@ pub struct ExperimentBench {
     /// Seconds of the wall spent constructing simulations
     /// (`Sim` setup, sampled from the process-global counter).
     pub setup_secs: f64,
+    /// Seconds of the wall spent measuring DRX costs on a cache miss
+    /// (compiling and executing restructuring ops, sampled from
+    /// [`dmx_sim::cost_model_nanos`]).
+    pub cost_model_secs: f64,
     /// Seconds of the wall spent rendering the report.
     pub render_secs: f64,
     /// Simulated events delivered by the experiment's runs.
     pub events: u64,
-    /// Events per second of *event-loop* wall clock — setup and render
-    /// are subtracted from the denominator, so small experiments are
-    /// no longer distorted by construction/formatting cost.
+    /// Events per second of *event-loop* wall clock — setup, cold cost
+    /// measurement and render are subtracted from the denominator, so
+    /// small experiments are not distorted by construction, DRX
+    /// measurement or formatting cost.
     pub events_per_sec: f64,
     /// Process peak RSS (VmHWM, kB) sampled after the experiment; the
     /// kernel reports a lifetime high-water mark, so this is monotone
@@ -146,19 +153,23 @@ pub fn run(suite: &Suite, ids: &[&'static str], seed: Option<u64>, threads: usiz
     for &id in ids {
         let ev0 = events_delivered();
         let su0 = dmx_sim::setup_nanos();
+        let cm0 = dmx_sim::cost_model_nanos();
         let t0 = Instant::now();
         let out = run_experiment_checked(suite, id, seed);
         let wall_secs = t0.elapsed().as_secs_f64();
         let events = events_delivered() - ev0;
         let setup_secs = (dmx_sim::setup_nanos() - su0) as f64 / 1e9;
+        let cost_model_secs = (dmx_sim::cost_model_nanos() - cm0) as f64 / 1e9;
         // Score events/sec on the event-loop window alone: system
-        // construction and report rendering are real cost (still in
-        // wall_secs) but say nothing about the engine hot path.
-        let loop_secs = (wall_secs - setup_secs - out.render_secs).max(1e-9);
+        // construction, cold cost measurement and report rendering are
+        // real cost (still in wall_secs) but say nothing about the
+        // engine hot path.
+        let loop_secs = (wall_secs - setup_secs - cost_model_secs - out.render_secs).max(1e-9);
         experiments.push(ExperimentBench {
             id,
             wall_secs,
             setup_secs,
+            cost_model_secs,
             render_secs: out.render_secs,
             events,
             events_per_sec: events as f64 / loop_secs,
@@ -229,11 +240,13 @@ impl Bench {
                 };
                 format!(
                     "    {{\"id\": {id}, \"wall_secs\": {w:.6}, \"setup_secs\": {su:.6}, \
-                     \"render_secs\": {re:.6}, \"events\": {ev}, \
-                     \"events_per_sec\": {eps:.1}, \"peak_rss_kb\": {rss}{note}}}",
+                     \"cost_model_secs\": {cm:.6}, \"render_secs\": {re:.6}, \
+                     \"events\": {ev}, \"events_per_sec\": {eps:.1}, \
+                     \"peak_rss_kb\": {rss}{note}}}",
                     id = json_str(e.id),
                     w = e.wall_secs,
                     su = e.setup_secs,
+                    cm = e.cost_model_secs,
                     re = e.render_secs,
                     ev = e.events,
                     eps = e.events_per_sec,
@@ -267,8 +280,15 @@ impl Bench {
             if self.threads == 1 { "" } else { "s" },
         ));
         out.push_str(&format!(
-            "{:<12} {:>10} {:>10} {:>10} {:>12} {:>14} {:>12}\n",
-            "experiment", "wall (s)", "setup (s)", "render (s)", "events", "events/sec", "rss (kB)"
+            "{:<12} {:>10} {:>10} {:>10} {:>10} {:>12} {:>14} {:>12}\n",
+            "experiment",
+            "wall (s)",
+            "setup (s)",
+            "cost (s)",
+            "render (s)",
+            "events",
+            "events/sec",
+            "rss (kB)"
         ));
         for e in &self.experiments {
             let eps = if NON_EVENT_EXPERIMENTS.contains(&e.id) {
@@ -277,10 +297,11 @@ impl Bench {
                 format!("{:.0}", e.events_per_sec)
             };
             out.push_str(&format!(
-                "{:<12} {:>10.3} {:>10.3} {:>10.3} {:>12} {:>14} {:>12}\n",
+                "{:<12} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>12} {:>14} {:>12}\n",
                 e.id,
                 e.wall_secs,
                 e.setup_secs,
+                e.cost_model_secs,
                 e.render_secs,
                 e.events,
                 eps,
@@ -437,6 +458,7 @@ mod tests {
                     id,
                     wall_secs: 0.01,
                     setup_secs: 0.0,
+                    cost_model_secs: 0.0,
                     render_secs: 0.0,
                     events: (eps / 100.0) as u64,
                     events_per_sec: eps,
@@ -459,6 +481,29 @@ mod tests {
             assert_eq!(id, want);
             assert!((eps - 1.5e6).abs() < 1.0, "{id}: {eps}");
         }
+    }
+
+    #[test]
+    fn committed_baselines_still_parse_and_check() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut baselines = 0;
+        for entry in std::fs::read_dir(&root).expect("workspace root") {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let json = std::fs::read_to_string(&path).expect("readable baseline");
+            let rows = parse_eps(&json);
+            for id in HOT_EXPERIMENTS {
+                assert!(rows.iter().any(|(i, _)| i == id), "{name} lacks {id}");
+            }
+            synthetic(1.0e6)
+                .check(&json)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            baselines += 1;
+        }
+        assert!(baselines > 0, "no BENCH_*.json baseline is committed");
     }
 
     #[test]
@@ -496,6 +541,7 @@ mod tests {
         let j = b.to_json();
         assert!(j.contains("\"fig8\""));
         assert!(j.contains("\"setup_secs\""));
+        assert!(j.contains("\"cost_model_secs\""));
         assert!(j.contains("\"render_secs\""));
         assert!(j.contains("\"parallel_output_identical\": true"));
         // fig8 is functional-only: its zero events carry the explicit

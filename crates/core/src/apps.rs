@@ -10,7 +10,7 @@
 //! from the op profile via `dmx-cpu`'s cost model.
 
 use dmx_accel::AccelKind;
-use dmx_drx::{DrxConfig, DrxEnergyModel, Machine};
+use dmx_drx::{DrxConfig, DrxEnergyModel};
 use dmx_restructure::{
     BandPower, DbPivot, OpProfile, RestructureOp, SpectrogramMel, TokenizeGather, VecSum,
     YuvToTensor,
@@ -143,6 +143,7 @@ impl Edge {
 
     /// Measures (and caches) the edge's DRX cost for a configuration by
     /// compiling and executing each small op and scaling to full size.
+    /// A cache miss adds its wall time to [`dmx_sim::cost_model_nanos`].
     ///
     /// # Panics
     ///
@@ -160,6 +161,7 @@ impl Edge {
         {
             return *c;
         }
+        let t0 = std::time::Instant::now();
         let mut total = DrxCost {
             time: Time::ZERO,
             lane_ops: 0.0,
@@ -170,23 +172,16 @@ impl Edge {
             let lowered = op
                 .lower(config)
                 .unwrap_or_else(|e| panic!("{}: lowering failed: {e}", op.name()));
-            let mut cfg = *config;
-            cfg.dram.capacity_bytes = cfg.dram.capacity_bytes.max(lowered.dram_bytes + (1 << 20));
-            let mut machine = Machine::new(cfg);
-            for (addr, data) in &lowered.consts {
-                machine.write_dram(*addr, data);
-            }
-            let mut cursor = 0u64;
-            for &(addr, bytes) in &lowered.inputs {
-                let filler: Vec<u8> = (0..bytes).map(|i| ((cursor + i) % 251) as u8).collect();
-                machine.write_dram(addr, &filler);
-                cursor += bytes;
-            }
+            // Synthetic input: the byte stream 0, 1, ..., 250, 0, 1, ...
+            let n = lowered.input_bytes() as usize;
+            let mut input = (0..=250u8).collect::<Vec<u8>>().repeat(n.div_ceil(251));
+            input.truncate(n);
+            let mut machine = lowered.stage(config, &input);
             let stats = machine
                 .run(&lowered.program)
                 .unwrap_or_else(|e| panic!("{}: DRX run failed: {e}", op.name()));
             let scale = *full_bytes as f64 / lowered.input_bytes() as f64;
-            total.time += stats.time(&cfg).scale(scale);
+            total.time += stats.time(machine.config()).scale(scale);
             total.lane_ops += stats.lane_ops as f64 * scale;
             total.dram_bytes += stats.dram_bytes as f64 * scale;
             total.spad_bytes += stats.spad_bytes as f64 * scale;
@@ -195,6 +190,9 @@ impl Edge {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .insert(*config, total);
+        dmx_sim::record_cost_model_nanos(
+            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        );
         total
     }
 }
@@ -490,7 +488,9 @@ mod tests {
     fn drx_cost_measured_and_cached() {
         let b = BenchmarkId::SoundDetection.build();
         let cfg = DrxConfig::default();
+        let before = dmx_sim::cost_model_nanos();
         let c1 = b.edges[0].drx_cost(&cfg);
+        assert!(dmx_sim::cost_model_nanos() > before, "a miss is timed");
         let c2 = b.edges[0].drx_cost(&cfg);
         assert_eq!(c1, c2);
         assert!(c1.time > Time::ZERO);

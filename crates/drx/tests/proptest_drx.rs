@@ -424,6 +424,59 @@ mod machine_edges {
         drop(m);
     }
 
+    /// Row-gather sizes and addresses come from the program, so huge
+    /// ones fault like any other out-of-range access instead of
+    /// overflowing or allocating past memory.
+    #[test]
+    fn gather_rows_with_overflowing_sizes_faults() {
+        let run = |gather: Instr| {
+            // Load the row index table [1, 0, 0, 0] from DRAM.
+            let mut m = Machine::new(small());
+            m.write_dram(0, &1u32.to_le_bytes());
+            let prog: Program = [
+                Instr::Dma {
+                    dir: DmaDir::Load,
+                    dram: DramAddr::Imm(0),
+                    spad: 0,
+                    bytes: 16,
+                },
+                Instr::Sync(SyncKind::WaitMemAll),
+                gather,
+            ]
+            .into_iter()
+            .collect();
+            m.run(&prog)
+        };
+        // rows * row_bytes overflows.
+        let total = run(Instr::DmaGatherRows {
+            dram_base: 0,
+            row_bytes: 1 << 62,
+            rows: 4,
+            idx_spad: 0,
+            spad: 64,
+        });
+        assert_eq!(total, Err(ExecError::OobScratchpad { addr: 64 }));
+        // dram_base + index * row_bytes overflows.
+        let src = run(Instr::DmaGatherRows {
+            dram_base: u64::MAX - 4,
+            row_bytes: 8,
+            rows: 1,
+            idx_spad: 0,
+            spad: 64,
+        });
+        assert_eq!(src, Err(ExecError::OobDram { addr: u64::MAX }));
+        // The index table runs off the scratchpad long before u32::MAX
+        // rows.
+        let rows = run(Instr::DmaGatherRows {
+            dram_base: 0,
+            row_bytes: 1,
+            rows: u32::MAX,
+            idx_spad: 0,
+            spad: 64,
+        });
+        assert_eq!(rows, Err(ExecError::OobScratchpad { addr: 64 << 10 }));
+    }
+
     #[test]
     fn transpose_out_of_scratchpad_faults() {
         let mut m = Machine::new(small());

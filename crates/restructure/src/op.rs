@@ -77,6 +77,28 @@ impl Lowered {
     pub fn output_bytes(&self) -> u64 {
         self.outputs.iter().map(|(_, b)| b).sum()
     }
+
+    /// A machine ready to run the program: `config` with DRAM raised to
+    /// hold the footprint, the constants written, and `input` written
+    /// across the input segments back to back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` is shorter than [`Lowered::input_bytes`].
+    pub fn stage(&self, config: &DrxConfig, input: &[u8]) -> Machine {
+        let mut cfg = *config;
+        cfg.dram.capacity_bytes = cfg.dram.capacity_bytes.max(self.dram_bytes + (1 << 20));
+        let mut machine = Machine::new(cfg);
+        for (addr, data) in &self.consts {
+            machine.write_dram(*addr, data);
+        }
+        let mut cursor = 0usize;
+        for &(addr, bytes) in &self.inputs {
+            machine.write_dram(addr, &input[cursor..cursor + bytes as usize]);
+            cursor += bytes as usize;
+        }
+        machine
+    }
 }
 
 /// Errors from lowering or executing an op on DRX.
@@ -191,17 +213,7 @@ pub fn run_on_drx_with_flips(
             got: input.len() as u64,
         });
     }
-    let mut cfg = *config;
-    cfg.dram.capacity_bytes = cfg.dram.capacity_bytes.max(lowered.dram_bytes + (1 << 20));
-    let mut machine = Machine::new(cfg);
-    for (addr, data) in &lowered.consts {
-        machine.write_dram(*addr, data);
-    }
-    let mut cursor = 0usize;
-    for &(addr, bytes) in &lowered.inputs {
-        machine.write_dram(addr, &input[cursor..cursor + bytes as usize]);
-        cursor += bytes as usize;
-    }
+    let mut machine = lowered.stage(config, input);
     // Map logical-input offsets onto the staged DRAM regions. Input
     // regions are staged back to back, so a logical offset lands in
     // the region whose cumulative range covers it.

@@ -47,6 +47,26 @@ pub fn record_setup_nanos(nanos: u64) {
     SETUP_NANOS.fetch_add(nanos, AtomicOrdering::Relaxed);
 }
 
+/// Process-global nanoseconds spent in cold DRX cost measurement:
+/// `Edge::drx_cost` compiling and executing an edge's ops on a cache
+/// miss, accumulated by [`record_cost_model_nanos`]. It runs lazily
+/// inside event loops and sweeps, not in system construction, so it
+/// is kept apart from [`setup_nanos`]; the `repro bench` harness
+/// subtracts both from the event-loop window.
+static COST_MODEL_NANOS: AtomicU64 = AtomicU64::new(0);
+
+/// Total nanoseconds recorded as cold cost measurement so far,
+/// process-wide. Sample before and after a run and subtract.
+pub fn cost_model_nanos() -> u64 {
+    COST_MODEL_NANOS.load(AtomicOrdering::Relaxed)
+}
+
+/// Adds `nanos` to the process-global cost-measurement counter (one
+/// add per cache miss).
+pub fn record_cost_model_nanos(nanos: u64) {
+    COST_MODEL_NANOS.fetch_add(nanos, AtomicOrdering::Relaxed);
+}
+
 /// Process-global default for the no-progress watchdog, read once by
 /// each [`EventQueue::new`]. 0 = disabled (the library default).
 static DEFAULT_STALL_LIMIT: AtomicU64 = AtomicU64::new(0);
