@@ -53,8 +53,8 @@ impl Partition for BenchRing {
         self.q.peek_time()
     }
 
-    fn advance(&mut self, horizon: Time, inbox: Vec<XMsg<u64>>, out: &mut Outbox<u64>) {
-        for m in inbox {
+    fn advance(&mut self, horizon: Time, inbox: &mut Vec<XMsg<u64>>, out: &mut Outbox<u64>) {
+        for m in inbox.drain(..) {
             self.q.schedule_at(m.time, m.payload);
         }
         while self.q.peek_time().is_some_and(|t| t < horizon) {
@@ -174,6 +174,37 @@ fn main() {
             let links = [LinkId::from_index((id % 8) as usize)];
             net.insert(now, id, 40_000_000, &links);
             id += 1;
+        }
+        acc
+    });
+
+    // The shape `robust` and `fleet` re-solve: one or two flows over a
+    // 32-link server topology (8 root ports, 8 switch links, 16 device
+    // links), re-solved after every insert and retirement. Most links
+    // carry nothing, so this row times the per-solve set-up.
+    bench("flow_solver_sparse", || {
+        let mut net = FlowNet::new(vec![4_000_000_000; 32]);
+        let mut now = Time::ZERO;
+        let mut acc = 0.0f64;
+        for id in 0..200u64 {
+            let device = LinkId::from_index(16 + (id * 5 % 16) as usize);
+            let switch = LinkId::from_index(8 + (id % 8) as usize);
+            let root = LinkId::from_index((id * 3 % 8) as usize);
+            let bytes = 4_000_000 + (id % 5) * 1_000_000;
+            if id % 3 == 0 {
+                net.insert(now, id, bytes, &[device, switch]);
+            } else {
+                net.insert(now, id, bytes, &[device, switch, root]);
+            }
+            acc += net.rates().iter().sum::<f64>();
+            if net.active_flows() >= 2 {
+                if let Some(t) = net.next_event(now) {
+                    now = t;
+                    net.advance(now);
+                    net.take_finished();
+                    acc += net.rates().iter().sum::<f64>();
+                }
+            }
         }
         acc
     });

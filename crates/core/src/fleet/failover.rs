@@ -850,8 +850,13 @@ impl Partition for FoLbPart {
         self.q.peek_time()
     }
 
-    fn advance(&mut self, horizon: Time, inbox: Vec<XMsg<FleetMsg>>, out: &mut Outbox<FleetMsg>) {
-        for m in inbox {
+    fn advance(
+        &mut self,
+        horizon: Time,
+        inbox: &mut Vec<XMsg<FleetMsg>>,
+        out: &mut Outbox<FleetMsg>,
+    ) {
+        for m in inbox.drain(..) {
             let FleetMsg::Done { tag, outcome, .. } = m.payload else {
                 unreachable!("the LB only receives resolutions");
             };

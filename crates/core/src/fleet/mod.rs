@@ -291,10 +291,15 @@ impl Partition for LbPart {
         self.q.peek_time()
     }
 
-    fn advance(&mut self, horizon: Time, inbox: Vec<XMsg<FleetMsg>>, out: &mut Outbox<FleetMsg>) {
+    fn advance(
+        &mut self,
+        horizon: Time,
+        inbox: &mut Vec<XMsg<FleetMsg>>,
+        out: &mut Outbox<FleetMsg>,
+    ) {
         // Returning resolutions join the local queue so they interleave
         // with arrivals in timestamp order.
-        for m in inbox {
+        for m in inbox.drain(..) {
             let FleetMsg::Done {
                 tenant, outcome, ..
             } = m.payload
@@ -342,8 +347,19 @@ impl Partition for ServerPart<'_> {
         self.sim.next_time()
     }
 
-    fn advance(&mut self, horizon: Time, inbox: Vec<XMsg<FleetMsg>>, out: &mut Outbox<FleetMsg>) {
-        for m in inbox {
+    /// The raw queue head: an idle server still runs its crash,
+    /// recovery and degrade events when a window's horizon passes them.
+    fn earliest_pending(&self) -> Option<Time> {
+        self.sim.earliest_pending()
+    }
+
+    fn advance(
+        &mut self,
+        horizon: Time,
+        inbox: &mut Vec<XMsg<FleetMsg>>,
+        out: &mut Outbox<FleetMsg>,
+    ) {
+        for m in inbox.drain(..) {
             let FleetMsg::Dispatch { tenant, tag } = m.payload else {
                 unreachable!("servers only receive dispatches");
             };
@@ -352,7 +368,7 @@ impl Partition for ServerPart<'_> {
         self.sim
             .pump_until(horizon)
             .expect("fleet server simulation failed");
-        for r in self.sim.drain_resolutions() {
+        for r in self.sim.resolutions_drain() {
             if self.outages.iter().any(|o| o.covers(r.at)) {
                 self.resolutions_dropped += 1;
                 continue;
@@ -389,7 +405,20 @@ impl Partition for FleetPart<'_> {
         }
     }
 
-    fn advance(&mut self, horizon: Time, inbox: Vec<XMsg<FleetMsg>>, out: &mut Outbox<FleetMsg>) {
+    fn earliest_pending(&self) -> Option<Time> {
+        match self {
+            FleetPart::Server(s) => s.earliest_pending(),
+            FleetPart::Lb(l) => l.earliest_pending(),
+            FleetPart::FoLb(l) => l.earliest_pending(),
+        }
+    }
+
+    fn advance(
+        &mut self,
+        horizon: Time,
+        inbox: &mut Vec<XMsg<FleetMsg>>,
+        out: &mut Outbox<FleetMsg>,
+    ) {
         match self {
             FleetPart::Server(s) => s.advance(horizon, inbox, out),
             FleetPart::Lb(l) => l.advance(horizon, inbox, out),
@@ -786,6 +815,38 @@ mod tests {
         assert_eq!(f.retries, 0);
         assert_eq!(f.darks, 0);
         assert!(r.goodput > 0);
+    }
+
+    #[test]
+    fn idle_server_still_runs_its_scheduled_kill() {
+        // Affinity pins tenant 1, a short burst, to server 1, and the
+        // slow tenants 0 and 2 keep server 0 busy long after. Server
+        // 1's kill falls in between, while it holds no work, so
+        // `Stepped::next_time` hides it; the window loop must still
+        // advance server 1 when a horizon passes the kill, as it does
+        // through `earliest_pending`. Skipping on `next_time` alone
+        // never runs the kill.
+        let mut cfg = small_fleet(2, LbPolicy::TenantAffinity, 200.0);
+        cfg.arrivals = vec![
+            ArrivalProcess::Poisson { rate_rps: 200.0 },
+            ArrivalProcess::Poisson { rate_rps: 20_000.0 },
+        ];
+        let kill_at = Time::from_ms(120);
+        cfg.fault_plan = Some(FleetFaultPlan {
+            kills: vec![ServerKill {
+                server: 1,
+                at: kill_at,
+                down_for: Some(Time::from_ms(1)),
+            }],
+            ..FleetFaultPlan::none()
+        });
+        let r = run_fleet(&cfg, 1);
+        assert!(r.conserved());
+        assert_eq!(r.dispatched, vec![16, 8]);
+        assert!(r.servers[1].makespan < kill_at, "server 1 idle at the kill");
+        assert!(r.servers[0].makespan > kill_at, "the run outlives the kill");
+        assert_eq!(r.servers[1].crashes.crashes, 1);
+        assert_eq!(format!("{:?}", run_fleet(&cfg, 3)), format!("{r:?}"));
     }
 
     #[test]

@@ -3442,6 +3442,15 @@ impl<'a> Stepped<'a> {
         }
     }
 
+    /// Timestamp of the earliest pending event of any kind, or `None`
+    /// when the queue is empty. Unlike [`next_time`](Stepped::next_time)
+    /// it includes the bookkeeping events (crashes, recoveries,
+    /// degrades) that still run while no work is outstanding whenever
+    /// a pump passes them.
+    pub(crate) fn earliest_pending(&self) -> Option<Time> {
+        self.sim.q.peek_time()
+    }
+
     /// Current local simulation time.
     pub fn now(&self) -> Time {
         self.sim.q.now()
@@ -3484,6 +3493,13 @@ impl<'a> Stepped<'a> {
     /// resolution (time) order.
     pub fn drain_resolutions(&mut self) -> Vec<Resolution> {
         std::mem::take(&mut self.sim.resolutions)
+    }
+
+    /// [`drain_resolutions`](Stepped::drain_resolutions) in place: the
+    /// buffer keeps its capacity, so a caller that forwards each
+    /// resolution allocates nothing in steady state.
+    pub(crate) fn resolutions_drain(&mut self) -> std::vec::Drain<'_, Resolution> {
+        self.sim.resolutions.drain(..)
     }
 
     /// Engine events this server has processed so far.

@@ -47,6 +47,9 @@ struct RateScratch {
     /// Links with unfrozen flows, ascending; compacted as counts hit
     /// zero so the per-round bottleneck scan touches only live links.
     active: Vec<u32>,
+    /// Bitmap of the links some flow crosses, one bit per link; read
+    /// word by word it lists them in ascending order without a sort.
+    crossed: Vec<u64>,
 }
 
 /// Max-min fair fluid flow network over a set of capacitated links.
@@ -200,6 +203,12 @@ impl FlowNet {
     /// [`FlowNet::solve_rates_reference`], so the two agree bit-for-bit.
     /// Works entirely inside `s`'s buffers — no allocation once they
     /// have grown to the network's size.
+    ///
+    /// Sparse: a solve sets up cap, count, share and member state only
+    /// for the links some flow crosses, so its cost follows the active
+    /// flows, not the topology. The other links' entries keep stale
+    /// values from earlier solves and are never read: every link the
+    /// water-fill visits is on some flow's route.
     fn solve_rates_into(&self, s: &mut RateScratch) {
         let nf = self.flows.len();
         let nl = self.link_bw.len();
@@ -207,10 +216,6 @@ impl FlowNet {
         s.rates.resize(nf, f64::INFINITY);
         s.frozen.clear();
         s.frozen.resize(nf, false);
-        s.cap.clear();
-        s.cap.extend_from_slice(&self.link_bw);
-        s.counts.clear();
-        s.counts.extend_from_slice(&self.link_flows);
         let RateScratch {
             rates,
             frozen,
@@ -220,33 +225,46 @@ impl FlowNet {
             shares,
             dirty,
             active,
+            crossed,
             ..
         } = s;
-        // Per-link flow lists, ascending flow index (freeze order within
-        // a round is the reference's iteration order; the float result
-        // is order-independent within a round anyway, since every freeze
-        // subtracts the same share).
-        for list in link_members.iter_mut() {
-            list.clear();
-        }
+        cap.resize(nl, 0.0);
+        counts.resize(nl, 0);
+        shares.resize(nl, f64::INFINITY);
         link_members.resize_with(nl, Vec::new);
+        crossed.clear();
+        crossed.resize(nl.div_ceil(64), 0);
+        // Set up each crossed link when a route first reaches it, and
+        // build the per-link flow lists in ascending flow index (freeze
+        // order within a round is the reference's iteration order; the
+        // float result is order-independent within a round anyway,
+        // since every freeze subtracts the same share). The cached fair
+        // share per link is recomputed only for links whose cap/count
+        // changed last round; the shares a round observes are exactly
+        // `cap[l] / counts[l]` with the same operands as the reference,
+        // so the bottleneck choice and rates match bit-for-bit.
         for (fi, f) in self.flows.iter().enumerate() {
             for &l in &f.links {
+                let bit = 1 << (l % 64);
+                if crossed[l / 64] & bit == 0 {
+                    crossed[l / 64] |= bit;
+                    cap[l] = self.link_bw[l];
+                    counts[l] = self.link_flows[l];
+                    shares[l] = cap[l] / counts[l] as f64;
+                    link_members[l].clear();
+                }
                 link_members[l].push(fi as u32);
             }
         }
-        // Cached fair share per link; recomputed only for links whose
-        // cap/count changed last round. The shares a round observes are
-        // exactly `cap[l] / counts[l]` with the same operands as the
-        // reference, so the bottleneck choice and rates match bit-
-        // for-bit.
-        shares.clear();
-        shares.resize(nl, f64::INFINITY);
+        // The crossed links in ascending order, the order the
+        // reference's full scan visits them, so the bottleneck
+        // tie-break (lowest index) matches.
         active.clear();
-        for l in 0..nl {
-            if counts[l] > 0 {
-                shares[l] = cap[l] / counts[l] as f64;
-                active.push(l as u32);
+        for (word, &bits) in crossed.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                active.push((word * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
             }
         }
         dirty.clear();
@@ -901,6 +919,85 @@ mod tests {
                     assert_eq!(fast, reference, "solvers diverged");
                     assert_eq!(net.rates(), fast, "memoized rates stale");
                 }
+            }
+        });
+    }
+
+    #[test]
+    fn sparse_solver_matches_reference_on_large_networks() {
+        use dmx_sim::{cases, run_cases};
+        // The shape a server topology runs: tens of links, one or a few
+        // flows of 1-4 links each, so most links are crossed by nothing
+        // and the sparse solve leaves their scratch entries stale. A
+        // fifth of the cases span more than one 64-link bitmap word.
+        // Degrades and restores hit uncrossed links half the time.
+        // After every mutation the memoized rates (reused scratch) and
+        // a fresh solve must equal the reference bit for bit.
+        fn bits(rates: &[f64]) -> Vec<u64> {
+            rates.iter().map(|r| r.to_bits()).collect()
+        }
+        run_cases("flow::sparse_vs_reference", cases(40), |g| {
+            let nl = if g.chance(0.8) {
+                g.usize_in(1, 41)
+            } else {
+                g.usize_in(65, 131)
+            };
+            let bw: Vec<u64> = (0..nl).map(|_| g.u64_in(1, 11) * 100_000_000).collect();
+            let mut net = FlowNet::new(bw);
+            let mut now = Time::ZERO;
+            let mut next_id = 0u64;
+            for _ in 0..g.usize_in(5, 60) {
+                let uncrossed: Vec<usize> = (0..nl).filter(|&l| net.link_flows[l] == 0).collect();
+                let pick_link = |g: &mut dmx_sim::check::Gen| {
+                    if !uncrossed.is_empty() && g.chance(0.5) {
+                        *g.pick(&uncrossed)
+                    } else {
+                        g.usize_in(0, nl)
+                    }
+                };
+                match g.usize_in(0, 12) {
+                    // Arrivals while fewer than four flows are up;
+                    // past that the arm falls through to a departure.
+                    0..=3 if net.active_flows() < 4 => {
+                        let hops = g.usize_in(1, 5).min(nl);
+                        let mut links: Vec<LinkId> = Vec::with_capacity(hops);
+                        while links.len() < hops {
+                            let l = lid(g.usize_in(0, nl));
+                            if !links.contains(&l) {
+                                links.push(l);
+                            }
+                        }
+                        net.insert(now, next_id, g.u64_in(1, 2_000_000_000), &links);
+                        next_id += 1;
+                    }
+                    0..=5 => {
+                        if let Some(t) = net.next_event(now) {
+                            now = t;
+                            net.advance(now);
+                            net.take_finished();
+                        }
+                    }
+                    6 => {
+                        now += Time::from_ps(g.u64_in(1, 1_000_000));
+                        net.advance(now);
+                        net.take_finished();
+                    }
+                    7..=8 => {
+                        let l = pick_link(g);
+                        net.degrade_link(now, lid(l), g.f64_in(0.1, 1.0));
+                    }
+                    9..=10 => {
+                        let l = pick_link(g);
+                        net.restore_link(now, lid(l));
+                    }
+                    _ => {
+                        let l = pick_link(g);
+                        net.abort_flows(now, &[lid(l)]);
+                    }
+                }
+                let reference = bits(&net.solve_rates_reference());
+                assert_eq!(bits(&net.rates()), reference, "memoized rates diverged");
+                assert_eq!(bits(&net.solve_rates()), reference, "fresh solve diverged");
             }
         });
     }

@@ -19,10 +19,16 @@
 //!    undelivered channel message (`None` everywhere → the run is done);
 //! 2. deliver all messages with `time < t_min + lookahead` to their
 //!    destination partitions, sorted by `(time, src, seq)`;
-//! 3. advance every partition — possibly in parallel, one shard of
-//!    partitions per worker — up to the exclusive horizon
-//!    `t_min + lookahead`;
+//! 3. advance every partition with work — an inbox, or a pending event
+//!    before the horizon — up to the exclusive horizon
+//!    `t_min + lookahead`, possibly in parallel, one shard of
+//!    partitions per worker. The others are skipped: advancing them
+//!    would be a no-op (the three rules on [`Partition`]);
 //! 4. barrier: collect newly sent messages into the channels.
+//!
+//! Each partition's times and each channel's earliest message are
+//! cached and refreshed only when they can change, so a window costs
+//! a comparison per idle partition and real work only for active ones.
 //!
 //! ## Determinism contract
 //!
@@ -45,7 +51,7 @@
 
 use crate::time::Time;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 /// Process-global default shard count used by fleet runs (the
 /// `--partitions` knob); 1 = serial execution of the window loop.
@@ -128,23 +134,57 @@ impl<M> Outbox<M> {
 /// One logical partition of a conservative run: a sequential
 /// deterministic simulation that can advance to a horizon and exchange
 /// timestamped messages with its peers.
+///
+/// The window loop advances only the partitions that have work in a
+/// window, so every implementation keeps three rules:
+///
+/// 1. [`next_time`](Partition::next_time) drives `t_min`, and so every
+///    window's horizon. It may leave out bookkeeping events (a
+///    scheduled crash, a link restore) that must not keep the run
+///    alive on their own.
+/// 2. [`earliest_pending`](Partition::earliest_pending) must include
+///    them: it is the earliest local event of any kind. The loop skips
+///    a partition with an empty inbox when this is not before the
+///    horizon, so an event it leaves out would not run in the window
+///    whose horizon passes it.
+/// 3. [`advance`](Partition::advance) with an empty inbox and nothing
+///    pending before the horizon is a no-op: it changes no state and
+///    sends nothing, so skipping the call cannot be observed.
+///
+/// The loop caches both times and refreshes them only after the
+/// partition advances; nothing else may change them.
 pub trait Partition: Send {
     /// Cross-partition message payload.
     type Msg: Send;
 
     /// Timestamp of this partition's next pending local event, or
     /// `None` when it is quiescent (it may still be woken by an
-    /// inbound message).
+    /// inbound message). May leave out bookkeeping events (rule 1).
     fn next_time(&self) -> Option<Time>;
+
+    /// Timestamp of the earliest pending local event of any kind,
+    /// bookkeeping included (rule 2). Defaults to
+    /// [`next_time`](Partition::next_time), which is right for every
+    /// partition that hides nothing from it.
+    fn earliest_pending(&self) -> Option<Time> {
+        self.next_time()
+    }
 
     /// Advances local simulation strictly below `horizon`. `inbox`
     /// holds every message addressed here with `time < horizon`,
-    /// sorted by `(time, src, seq)`; implementations must interleave
-    /// them with local events in timestamp order (scheduling them into
-    /// the local event queue before popping does exactly that).
-    /// Messages to peers go through `out`; each must be timestamped at
-    /// or after `horizon` — local now plus at least the lookahead.
-    fn advance(&mut self, horizon: Time, inbox: Vec<XMsg<Self::Msg>>, out: &mut Outbox<Self::Msg>);
+    /// sorted by `(time, src, seq)`; implementations drain it and must
+    /// interleave the messages with local events in timestamp order
+    /// (scheduling them into the local event queue before popping does
+    /// exactly that). Messages to peers go through `out`; each must be
+    /// timestamped at or after `horizon` — local now plus at least the
+    /// lookahead. With an empty inbox and no event before `horizon`
+    /// the call must be a no-op (rule 3).
+    fn advance(
+        &mut self,
+        horizon: Time,
+        inbox: &mut Vec<XMsg<Self::Msg>>,
+        out: &mut Outbox<Self::Msg>,
+    );
 }
 
 /// Counters from one conservative run.
@@ -161,7 +201,9 @@ pub struct WindowStats {
 /// Runs `parts` to quiescence under conservative synchronization with
 /// the given `lookahead`, executing each window's partitions on
 /// `shards` worker threads (partition `i` belongs to shard
-/// `i % shards`). Output is byte-identical for any `shards`.
+/// `i % shards`). Each window advances only the partitions with an
+/// inbox or a pending event before its horizon (see [`Partition`]).
+/// Output is byte-identical for any `shards`.
 ///
 /// # Panics
 ///
@@ -178,9 +220,8 @@ pub fn run_conservative<P: Partition>(
         "conservative execution needs a positive lookahead"
     );
     let n = parts.len();
-    let mut stats = WindowStats::default();
     if n == 0 {
-        return stats;
+        return WindowStats::default();
     }
     // Nested inside a par_map fan-out the pool is already saturated;
     // collapse to the serial window loop, mirroring par_map's own
@@ -190,41 +231,37 @@ pub fn run_conservative<P: Partition>(
     } else {
         shards.clamp(1, n)
     };
-
-    // Undelivered messages per destination partition.
-    let mut chan: Vec<Vec<XMsg<P::Msg>>> = (0..n).map(|_| Vec::new()).collect();
+    let mut w = Windows::new(parts, lookahead);
 
     if shards <= 1 {
         let mut outboxes: Vec<Outbox<P::Msg>> = (0..n).map(Outbox::new).collect();
-        while let Some(t_min) = global_min(parts.iter().map(|p| p.next_time()), &chan) {
-            let horizon = safe_horizon(t_min, lookahead);
+        let mut inbox = Vec::new();
+        while let Some(horizon) = w.horizon() {
             for (i, p) in parts.iter_mut().enumerate() {
-                let inbox = take_inbox(&mut chan[i], horizon);
-                stats.messages += inbox.len() as u64;
-                stats.max_inbox = stats.max_inbox.max(inbox.len());
-                p.advance(horizon, inbox, &mut outboxes[i]);
+                if !w.is_active(i, horizon) {
+                    continue;
+                }
+                w.deliver(i, horizon, &mut inbox);
+                p.advance(horizon, &mut inbox, &mut outboxes[i]);
+                inbox.clear();
+                w.advanced(i, times(p), &mut outboxes[i], horizon);
             }
-            for ob in &mut outboxes {
-                collect_outbox(ob, horizon, &mut chan);
-            }
-            stats.windows += 1;
+            w.stats.windows += 1;
         }
-        return stats;
+        return w.stats;
     }
 
     // Parallel path: persistent shard workers under std::thread::scope,
     // two barrier crossings per window (release + join). The main
-    // thread computes horizons and owns the channels; workers own their
-    // partitions for the whole run and publish next-event times at
-    // every join.
+    // thread computes horizons, owns the channels and marks each
+    // window's active slots; workers own their partitions for the
+    // whole run, advance the marked ones and publish their new times.
     let barrier = Barrier::new(shards + 1);
     let done = AtomicBool::new(false);
     // Horizon in ps, published before the release barrier.
     let horizon_ps = AtomicU64::new(0);
-    let next_times: Vec<Mutex<Option<Time>>> =
-        parts.iter().map(|p| Mutex::new(p.next_time())).collect();
-    let inboxes: Vec<Mutex<Vec<XMsg<P::Msg>>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-    let outboxes: Vec<Mutex<Outbox<P::Msg>>> = (0..n).map(|i| Mutex::new(Outbox::new(i))).collect();
+    let slots: Vec<Mutex<Slot<P::Msg>>> = (0..n).map(|i| Mutex::new(Slot::new(i))).collect();
+    let mut active: Vec<usize> = Vec::with_capacity(n);
 
     // Hand each shard its partitions. Round-robin keeps heterogeneous
     // partitions (one hot LB, many servers) spread across workers.
@@ -238,9 +275,7 @@ pub fn run_conservative<P: Partition>(
             let barrier = &barrier;
             let done = &done;
             let horizon_ps = &horizon_ps;
-            let next_times = &next_times;
-            let inboxes = &inboxes;
-            let outboxes = &outboxes;
+            let slots = &slots;
             let mut mine = mine;
             scope.spawn(move || loop {
                 barrier.wait(); // release: horizon + inboxes are ready
@@ -249,66 +284,188 @@ pub fn run_conservative<P: Partition>(
                 }
                 let horizon = Time::from_ps(horizon_ps.load(Ordering::Acquire));
                 for (i, p) in &mut mine {
-                    let inbox = std::mem::take(
-                        &mut *inboxes[*i]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner),
-                    );
-                    {
-                        let mut ob = outboxes[*i]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        p.advance(horizon, inbox, &mut ob);
+                    let mut slot = lock(&slots[*i]);
+                    if !slot.active {
+                        continue;
                     }
-                    *next_times[*i]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner) = p.next_time();
+                    let Slot { inbox, out, .. } = &mut *slot;
+                    p.advance(horizon, inbox, out);
+                    inbox.clear();
+                    slot.times = times(*p);
                 }
                 barrier.wait(); // join: window complete
             });
         }
 
         loop {
-            let nexts = next_times
-                .iter()
-                .map(|m| *m.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
-            let Some(t_min) = global_min(nexts, &chan) else {
+            let Some(horizon) = w.horizon() else {
                 done.store(true, Ordering::Release);
                 barrier.wait(); // release workers into their exit path
                 break;
             };
-            let horizon = safe_horizon(t_min, lookahead);
             horizon_ps.store(horizon.as_ps(), Ordering::Release);
-            for (i, pending) in chan.iter_mut().enumerate() {
-                let inbox = take_inbox(pending, horizon);
-                stats.messages += inbox.len() as u64;
-                stats.max_inbox = stats.max_inbox.max(inbox.len());
-                *inboxes[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = inbox;
+            active.clear();
+            for (i, slot) in slots.iter().enumerate() {
+                if w.is_active(i, horizon) {
+                    let mut slot = lock(slot);
+                    w.deliver(i, horizon, &mut slot.inbox);
+                    slot.active = true;
+                    active.push(i);
+                }
             }
             barrier.wait(); // release
             barrier.wait(); // join
-            for ob in &outboxes {
-                let mut ob = ob.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                collect_outbox(&mut ob, horizon, &mut chan);
+            for &i in &active {
+                let mut slot = lock(&slots[i]);
+                slot.active = false;
+                let Slot { out, times, .. } = &mut *slot;
+                w.advanced(i, *times, out, horizon);
             }
-            stats.windows += 1;
+            w.stats.windows += 1;
         }
     });
-    stats
+    w.stats
 }
 
-/// Earliest pending instant across local events and in-flight messages.
-fn global_min<M>(
-    next_times: impl Iterator<Item = Option<Time>>,
-    chan: &[Vec<XMsg<M>>],
-) -> Option<Time> {
-    let local = next_times.flatten().min();
-    let msgs = chan.iter().flatten().map(|m| m.time).min();
-    match (local, msgs) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
+/// One partition's hand-off point between the main thread and its
+/// shard worker in the parallel loop.
+struct Slot<M> {
+    /// Set by the main thread for the partitions this window advances.
+    active: bool,
+    inbox: Vec<XMsg<M>>,
+    out: Outbox<M>,
+    /// The partition's times after its last advance.
+    times: Times,
+}
+
+impl<M> Slot<M> {
+    fn new(i: usize) -> Slot<M> {
+        Slot {
+            active: false,
+            inbox: Vec::new(),
+            out: Outbox::new(i),
+            times: (None, None),
+        }
+    }
+}
+
+/// A partition's `(next_time, earliest_pending)`.
+type Times = (Option<Time>, Option<Time>);
+
+fn times<P: Partition>(p: &P) -> Times {
+    (p.next_time(), p.earliest_pending())
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The window loop's view of the run: the channels and each
+/// partition's cached times. A partition's times change only when it
+/// advances, so they are refreshed only then, and a window costs one
+/// comparison per idle partition.
+struct Windows<M> {
+    lookahead: Time,
+    /// Undelivered messages per destination partition.
+    chan: Vec<Channel<M>>,
+    /// Cached [`Partition::next_time`] per partition (drives `t_min`).
+    next: Vec<Option<Time>>,
+    /// Cached [`Partition::earliest_pending`] per partition (drives
+    /// the skip test).
+    pending: Vec<Option<Time>>,
+    stats: WindowStats,
+}
+
+impl<M> Windows<M> {
+    fn new<P: Partition<Msg = M>>(parts: &[P], lookahead: Time) -> Windows<M> {
+        Windows {
+            lookahead,
+            chan: parts.iter().map(|_| Channel::default()).collect(),
+            next: parts.iter().map(P::next_time).collect(),
+            pending: parts.iter().map(P::earliest_pending).collect(),
+            stats: WindowStats::default(),
+        }
+    }
+
+    /// The next window's exclusive horizon, `t_min + lookahead` over
+    /// every partition's next event and every undelivered message;
+    /// `None` when nothing is pending anywhere (the run is done).
+    fn horizon(&self) -> Option<Time> {
+        let local = self.next.iter().flatten();
+        let msgs = self.chan.iter().filter_map(|c| c.earliest.as_ref());
+        let t_min = local.chain(msgs).min()?;
+        Some(safe_horizon(*t_min, self.lookahead))
+    }
+
+    /// Whether partition `i` has an inbox or a pending event before
+    /// `horizon`. An inactive partition's advance would be a no-op.
+    fn is_active(&self, i: usize, horizon: Time) -> bool {
+        self.chan[i].due(horizon) || self.pending[i].is_some_and(|t| t < horizon)
+    }
+
+    /// Fills `inbox` with partition `i`'s messages for this window.
+    fn deliver(&mut self, i: usize, horizon: Time, inbox: &mut Vec<XMsg<M>>) {
+        self.chan[i].take_before(horizon, inbox);
+        self.stats.messages += inbox.len() as u64;
+        self.stats.max_inbox = self.stats.max_inbox.max(inbox.len());
+    }
+
+    /// Records partition `i`'s times after it advanced to `horizon`,
+    /// and moves its sends into the channels.
+    fn advanced(&mut self, i: usize, times: Times, out: &mut Outbox<M>, horizon: Time) {
+        (self.next[i], self.pending[i]) = times;
+        collect_outbox(out, horizon, &mut self.chan);
+    }
+}
+
+/// Undelivered messages for one destination partition, with the
+/// earliest one's time cached.
+struct Channel<M> {
+    msgs: Vec<XMsg<M>>,
+    earliest: Option<Time>,
+}
+
+impl<M> Default for Channel<M> {
+    fn default() -> Channel<M> {
+        Channel {
+            msgs: Vec::new(),
+            earliest: None,
+        }
+    }
+}
+
+impl<M> Channel<M> {
+    fn push(&mut self, msg: XMsg<M>) {
+        self.earliest = Some(self.earliest.map_or(msg.time, |t| t.min(msg.time)));
+        self.msgs.push(msg);
+    }
+
+    /// Whether a message is due before `horizon`.
+    fn due(&self, horizon: Time) -> bool {
+        self.earliest.is_some_and(|t| t < horizon)
+    }
+
+    /// Moves every message with `time < horizon` into `inbox`, sorted
+    /// by `(time, src, seq)` — the channel determinism rule.
+    fn take_before(&mut self, horizon: Time, inbox: &mut Vec<XMsg<M>>) {
+        if !self.due(horizon) {
+            return;
+        }
+        let mut earliest = None::<Time>;
+        let mut i = 0;
+        while i < self.msgs.len() {
+            if self.msgs[i].time < horizon {
+                inbox.push(self.msgs.swap_remove(i));
+            } else {
+                let t = self.msgs[i].time;
+                earliest = Some(earliest.map_or(t, |e| e.min(t)));
+                i += 1;
+            }
+        }
+        self.earliest = earliest;
+        // `(src, seq)` is unique per message, so the key is a total
+        // order and an unstable sort gives the one deterministic order.
+        inbox.sort_unstable_by_key(|m| (m.time, m.src, m.seq));
     }
 }
 
@@ -318,30 +475,9 @@ fn safe_horizon(t_min: Time, lookahead: Time) -> Time {
     t_min.checked_add(lookahead).unwrap_or(Time::MAX)
 }
 
-/// Splits off every pending message with `time < horizon`, sorted by
-/// `(time, src, seq)` — the channel determinism rule.
-fn take_inbox<M>(pending: &mut Vec<XMsg<M>>, horizon: Time) -> Vec<XMsg<M>> {
-    let mut inbox = Vec::new();
-    let mut i = 0;
-    while i < pending.len() {
-        if pending[i].time < horizon {
-            inbox.push(pending.swap_remove(i));
-        } else {
-            i += 1;
-        }
-    }
-    inbox.sort_by(|a, b| {
-        a.time
-            .cmp(&b.time)
-            .then(a.src.cmp(&b.src))
-            .then(a.seq.cmp(&b.seq))
-    });
-    inbox
-}
-
 /// Moves a barrier's sends into the channels, enforcing the lookahead
 /// promise.
-fn collect_outbox<M>(ob: &mut Outbox<M>, horizon: Time, chan: &mut [Vec<XMsg<M>>]) {
+fn collect_outbox<M>(ob: &mut Outbox<M>, horizon: Time, chan: &mut [Channel<M>]) {
     for (dst, msg) in ob.msgs.drain(..) {
         assert!(
             msg.time >= horizon,
@@ -398,8 +534,8 @@ mod tests {
             self.q.peek_time()
         }
 
-        fn advance(&mut self, horizon: Time, inbox: Vec<XMsg<u64>>, out: &mut Outbox<u64>) {
-            for m in inbox {
+        fn advance(&mut self, horizon: Time, inbox: &mut Vec<XMsg<u64>>, out: &mut Outbox<u64>) {
+            for m in inbox.drain(..) {
                 self.q.schedule_at(m.time, m.payload);
             }
             while self.q.peek_time().is_some_and(|t| t < horizon) {
@@ -412,16 +548,57 @@ mod tests {
         }
     }
 
-    fn run_ring(n: usize, bound: u64, shards: usize) -> (Vec<Vec<(Time, u64)>>, WindowStats) {
+    /// The window loop without skipping: every partition advances in
+    /// every window, with or without work. It is the reference the
+    /// active-set loop must match, window for window.
+    fn run_dense<P: Partition>(parts: &mut [P], lookahead: Time) -> WindowStats {
+        let n = parts.len();
+        let mut stats = WindowStats::default();
+        let mut chan: Vec<Vec<XMsg<P::Msg>>> = (0..n).map(|_| Vec::new()).collect();
+        let mut outboxes: Vec<Outbox<P::Msg>> = (0..n).map(Outbox::new).collect();
+        loop {
+            let local = parts.iter().filter_map(P::next_time);
+            let msgs = chan.iter().flatten().map(|m| m.time);
+            let Some(t_min) = local.chain(msgs).min() else {
+                return stats;
+            };
+            let horizon = safe_horizon(t_min, lookahead);
+            for (i, p) in parts.iter_mut().enumerate() {
+                let (mut inbox, later): (Vec<_>, Vec<_>) = std::mem::take(&mut chan[i])
+                    .into_iter()
+                    .partition(|m| m.time < horizon);
+                chan[i] = later;
+                inbox.sort_by_key(|m| (m.time, m.src, m.seq));
+                stats.messages += inbox.len() as u64;
+                stats.max_inbox = stats.max_inbox.max(inbox.len());
+                p.advance(horizon, &mut inbox, &mut outboxes[i]);
+            }
+            for ob in &mut outboxes {
+                for (dst, msg) in ob.msgs.drain(..) {
+                    chan[dst].push(msg);
+                }
+            }
+            stats.windows += 1;
+        }
+    }
+
+    type RingRun = (Vec<Vec<(Time, u64)>>, WindowStats);
+
+    /// Runs an `n`-partition ring on `shards` workers, or on the dense
+    /// reference loop when `shards` is `None`.
+    fn run_ring(n: usize, bound: u64, shards: Option<usize>) -> RingRun {
         let lat = Time::from_us(3);
         let mut parts: Vec<Ring> = (0..n).map(|i| Ring::new(i, n, bound, lat)).collect();
-        let stats = run_conservative(&mut parts, lat, shards);
+        let stats = match shards {
+            Some(shards) => run_conservative(&mut parts, lat, shards),
+            None => run_dense(&mut parts, lat),
+        };
         (parts.into_iter().map(|p| p.log).collect(), stats)
     }
 
     #[test]
     fn ring_token_visits_every_partition_in_order() {
-        let (logs, stats) = run_ring(4, 10, 1);
+        let (logs, stats) = run_ring(4, 10, Some(1));
         // Token 0..=10: partition i sees values i, i+4, ...
         assert_eq!(
             logs[0].iter().map(|(_, v)| *v).collect::<Vec<_>>(),
@@ -441,10 +618,11 @@ mod tests {
 
     #[test]
     fn shard_counts_are_byte_identical() {
-        let (serial, _) = run_ring(5, 40, 1);
+        // Logs and every `WindowStats` field, which fleet digests render.
+        let serial = run_ring(5, 40, Some(1));
+        assert_eq!(serial, run_ring(5, 40, None), "serial vs dense reference");
         for shards in [2, 3, 5, 8] {
-            let (par, _) = run_ring(5, 40, shards);
-            assert_eq!(par, serial, "shards={shards}");
+            assert_eq!(run_ring(5, 40, Some(shards)), serial, "shards={shards}");
         }
     }
 
@@ -485,7 +663,7 @@ mod tests {
             (!self.fired).then(|| Time::from_ns(5))
         }
 
-        fn advance(&mut self, _horizon: Time, _inbox: Vec<XMsg<()>>, out: &mut Outbox<()>) {
+        fn advance(&mut self, _horizon: Time, _inbox: &mut Vec<XMsg<()>>, out: &mut Outbox<()>) {
             self.fired = true;
             out.send(0, Time::from_ns(6), ()); // horizon is 5ns + 1us
         }
@@ -532,11 +710,23 @@ mod tests {
                 payload: 'z',
             },
         ];
-        let inbox = take_inbox(&mut pending, Time::from_ns(20));
+        let mut chan = Channel::default();
+        for m in pending.drain(..) {
+            chan.push(m);
+        }
+        assert_eq!(chan.earliest, Some(Time::from_ns(5)));
+        let mut inbox = Vec::new();
+        chan.take_before(Time::from_ns(20), &mut inbox);
         let order: Vec<char> = inbox.iter().map(|m| m.payload).collect();
         assert_eq!(order, vec!['a', 'd', 'b', 'c']);
-        assert_eq!(pending.len(), 1, "future messages stay queued");
-        assert_eq!(pending[0].payload, 'z');
+        assert_eq!(chan.msgs.len(), 1, "future messages stay queued");
+        assert_eq!(chan.msgs[0].payload, 'z');
+        assert_eq!(chan.earliest, Some(Time::from_ns(50)));
+        // Nothing due: the channel is untouched and the inbox stays empty.
+        inbox.clear();
+        chan.take_before(Time::from_ns(50), &mut inbox);
+        assert!(inbox.is_empty());
+        assert_eq!(chan.earliest, Some(Time::from_ns(50)));
     }
 
     #[test]
@@ -545,16 +735,17 @@ mod tests {
         ob.send(0, Time::from_ns(100), 11);
         ob.send(1, Time::from_ns(100), 22);
         assert_eq!(ob.len(), 2);
-        let mut chan: Vec<Vec<XMsg<u32>>> = vec![Vec::new(), Vec::new()];
+        let mut chan: Vec<Channel<u32>> = vec![Channel::default(), Channel::default()];
         collect_outbox(&mut ob, Time::from_ns(100), &mut chan);
         assert!(ob.is_empty());
-        assert_eq!(chan[0][0].seq, 0);
-        assert_eq!(chan[1][0].seq, 1);
-        assert_eq!(chan[1][0].src, 3);
+        assert_eq!(chan[0].msgs[0].seq, 0);
+        assert_eq!(chan[1].msgs[0].seq, 1);
+        assert_eq!(chan[1].msgs[0].src, 3);
         // Sequence numbers keep counting across barriers.
         ob.send(0, Time::from_ns(200), 33);
         collect_outbox(&mut ob, Time::from_ns(150), &mut chan);
-        assert_eq!(chan[0][1].seq, 2);
+        assert_eq!(chan[0].msgs[1].seq, 2);
+        assert_eq!(chan[0].earliest, Some(Time::from_ns(100)));
     }
 
     #[test]
@@ -572,9 +763,208 @@ mod tests {
             let n = g.usize_in(2, 6);
             let bound = g.u64_in(1, 60);
             let shards = g.usize_in(1, 8);
-            let (serial, _) = run_ring(n, bound, 1);
-            let (par, _) = run_ring(n, bound, shards);
+            let serial = run_ring(n, bound, Some(1));
+            assert_eq!(
+                serial,
+                run_ring(n, bound, None),
+                "n={n} bound={bound} dense"
+            );
+            let par = run_ring(n, bound, Some(shards));
             assert_eq!(par, serial, "n={n} bound={bound} shards={shards}");
         });
+    }
+
+    /// Wraps a partition and fails the run if the loop ever advances
+    /// it with an empty inbox and nothing pending before the horizon.
+    struct Counting<P> {
+        inner: P,
+        advances: u64,
+    }
+
+    impl<P: Partition> Partition for Counting<P> {
+        type Msg = P::Msg;
+
+        fn next_time(&self) -> Option<Time> {
+            self.inner.next_time()
+        }
+
+        fn earliest_pending(&self) -> Option<Time> {
+            self.inner.earliest_pending()
+        }
+
+        fn advance(
+            &mut self,
+            horizon: Time,
+            inbox: &mut Vec<XMsg<P::Msg>>,
+            out: &mut Outbox<P::Msg>,
+        ) {
+            let due = self.inner.earliest_pending().is_some_and(|t| t < horizon);
+            assert!(!inbox.is_empty() || due, "idle partition advanced");
+            self.advances += 1;
+            self.inner.advance(horizon, inbox, out);
+        }
+    }
+
+    #[test]
+    fn idle_partitions_are_never_advanced() {
+        let lat = Time::from_us(3);
+        for n in [2, 4, 8] {
+            let reference = run_ring(n, 50, None);
+            for shards in [1, 2, n] {
+                let mut parts: Vec<Counting<Ring>> = (0..n)
+                    .map(|i| Counting {
+                        inner: Ring::new(i, n, 50, lat),
+                        advances: 0,
+                    })
+                    .collect();
+                let stats = run_conservative(&mut parts, lat, shards);
+                // One token: exactly one partition has work per window.
+                let advances: u64 = parts.iter().map(|p| p.advances).sum();
+                assert_eq!(advances, stats.windows, "n={n} shards={shards}");
+                let logs: Vec<_> = parts.into_iter().map(|p| p.inner.log).collect();
+                assert_eq!((logs, stats), reference, "n={n} shards={shards}");
+            }
+        }
+        let mut hosts: Vec<Counting<Host>> = Host::script(true)
+            .into_iter()
+            .map(|inner| Counting { inner, advances: 0 })
+            .collect();
+        run_conservative(&mut hosts, Host::LAT, 2);
+        assert_eq!(hosts[1].inner.chores, 1);
+    }
+
+    /// A client (partition 0) and servers shaped like a fleet's. The
+    /// client sends scripted jobs; a server answers each after the link
+    /// latency with `10 * job + chores`. A server's queue also holds a
+    /// bookkeeping chore, and like `Stepped`, its `next_time()` hides
+    /// the queue while no job is outstanding, so a chore never keeps
+    /// the run alive. An `honest` server reports the chore from
+    /// `earliest_pending()`; the others leave the default.
+    struct Host {
+        id: usize,
+        q: EventQueue<Job>,
+        outstanding: u32,
+        honest: bool,
+        chores: u32,
+        /// `(window horizon, event time, event)` per event run.
+        log: Vec<(Time, Time, Job)>,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Job {
+        Send { to: usize, job: u64 },
+        Run(u64),
+        Reply(u64),
+        Chore,
+    }
+
+    impl Host {
+        const LAT: Time = Time::from_us(3);
+
+        /// Jobs to server 1 at 1 µs and to server 2 at 28 µs; server 1
+        /// has a chore at 30 µs, when it is idle, and server 2 one at
+        /// 1 s, past the end of the run.
+        fn script(honest: bool) -> Vec<Host> {
+            let events: [&[(Time, Job)]; 3] = [
+                &[
+                    (Time::from_us(1), Job::Send { to: 1, job: 1 }),
+                    (Time::from_us(28), Job::Send { to: 2, job: 2 }),
+                ],
+                &[(Time::from_us(30), Job::Chore)],
+                &[(Time::from_secs(1), Job::Chore)],
+            ];
+            events
+                .iter()
+                .enumerate()
+                .map(|(id, evs)| {
+                    let mut q = EventQueue::new();
+                    for &(t, ev) in *evs {
+                        q.schedule_at(t, ev);
+                    }
+                    Host {
+                        id,
+                        q,
+                        outstanding: 0,
+                        honest,
+                        chores: 0,
+                        log: Vec::new(),
+                    }
+                })
+                .collect()
+        }
+    }
+
+    impl Partition for Host {
+        type Msg = u64;
+
+        fn next_time(&self) -> Option<Time> {
+            if self.id == 0 || self.outstanding > 0 {
+                self.q.peek_time()
+            } else {
+                None
+            }
+        }
+
+        fn earliest_pending(&self) -> Option<Time> {
+            if self.honest {
+                self.q.peek_time()
+            } else {
+                self.next_time()
+            }
+        }
+
+        fn advance(&mut self, horizon: Time, inbox: &mut Vec<XMsg<u64>>, out: &mut Outbox<u64>) {
+            for m in inbox.drain(..) {
+                let ev = if self.id == 0 {
+                    Job::Reply(m.payload)
+                } else {
+                    self.outstanding += 1;
+                    Job::Run(m.payload)
+                };
+                self.q.schedule_at(m.time, ev);
+            }
+            while self.q.peek_time().is_some_and(|t| t < horizon) {
+                let ev = self.q.pop().expect("peeked");
+                let now = self.q.now();
+                self.log.push((horizon, now, ev));
+                match ev {
+                    Job::Send { to, job } => out.send(to, now + Host::LAT, job),
+                    Job::Run(job) => {
+                        self.outstanding -= 1;
+                        out.send(0, now + Host::LAT, 10 * job + u64::from(self.chores));
+                    }
+                    Job::Reply(_) => {}
+                    Job::Chore => self.chores += 1,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bookkeeping_hidden_from_next_time_still_runs_in_its_window() {
+        let mut dense = Host::script(true);
+        let dense_stats = run_dense(&mut dense, Host::LAT);
+        // The dense loop advances idle server 1 in the window the
+        // client's 28 µs send opens (horizon 31 µs), so its 30 µs chore
+        // runs there; server 2's 1 s chore never runs.
+        assert!(dense[1]
+            .log
+            .contains(&(Time::from_us(31), Time::from_us(30), Job::Chore)));
+        assert_eq!((dense[1].chores, dense[2].chores), (1, 0));
+        let replies: Vec<Job> = dense[0].log.iter().map(|e| e.2).collect();
+        assert!(replies.contains(&Job::Reply(10)) && replies.contains(&Job::Reply(20)));
+        for shards in [1, 2, 3] {
+            let mut hosts = Host::script(true);
+            let stats = run_conservative(&mut hosts, Host::LAT, shards);
+            assert_eq!(stats, dense_stats, "shards={shards}");
+            for (h, d) in hosts.iter().zip(&dense) {
+                assert_eq!(h.log, d.log, "partition {} shards={shards}", h.id);
+            }
+        }
+        // Skipping on `next_time()` alone loses the chore, as it would
+        // a fleet server's scheduled crash.
+        let mut hiding = Host::script(false);
+        run_conservative(&mut hiding, Host::LAT, 1);
+        assert_eq!(hiding[1].chores, 0);
     }
 }
