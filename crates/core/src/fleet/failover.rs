@@ -1,10 +1,22 @@
-//! The failover-aware load balancer: delayed-knowledge server health,
-//! cross-server re-dispatch, and per-class SLO retry/hedge.
+//! The fleet's load balancer and its failover layer: delayed-knowledge
+//! server health, cross-server re-dispatch, and per-class SLO
+//! retry/hedge.
 //!
-//! This is the sixth robustness layer, at fleet scope. The per-server
-//! layers (faults, overload, integrity, crash-stop, fail-slow) keep a
-//! *server* honest; this layer keeps the *fleet* honest when a whole
-//! server dies, grays out, or falls off the network:
+//! Every fleet runs one balancer, `LbPart`. It stamps each dispatch
+//! attempt with a unique tag, `(request << 6) | attempt`
+//! ([`Stepped::inject_arrival_tagged`](crate::system::Stepped::inject_arrival_tagged)),
+//! and matches each resolution to the attempt it answers by that tag,
+//! so an end-to-end sample always runs from its own request's arrival.
+//! With the failover layer off (no [`FailoverConfig`], or an inert
+//! one) that is all it adds to the dispatch policy: each request gets
+//! one attempt and closes on its one resolution, no health signal is
+//! fed, and no timer is armed.
+//!
+//! With the layer on it is the sixth robustness layer, at fleet
+//! scope. The per-server layers (faults, overload, integrity,
+//! crash-stop, fail-slow) keep a *server* honest; this layer keeps the
+//! *fleet* honest when a whole server dies, grays out, or falls off
+//! the network:
 //!
 //! * `ServerHealth` mirrors `failslow::HealthScorer`, but is fed
 //!   only what a real L7 balancer can see — resolution round-trip
@@ -12,10 +24,8 @@
 //!   consecutive failures. Servers move Healthy → Suspected → Dark,
 //!   sit out a probation, then take one half-open *probe* (a real
 //!   request) that either reinstates or re-demotes them.
-//! * Every dispatch attempt carries a unique tag
-//!   ([`Stepped::inject_arrival_tagged`](crate::system::Stepped::inject_arrival_tagged)),
-//!   so a late resolution of a superseded attempt is recognized
-//!   exactly and cancelled first-wins — never mis-paired FIFO.
+//! * The attempt tag recognizes a late resolution of a superseded
+//!   attempt exactly, and cancels it first-wins.
 //! * Attempts that time out at the LB re-dispatch to a healthy server
 //!   under a bounded retry budget with exponentially backed-off
 //!   per-attempt timeouts; requests past their class SLO are shed at
@@ -37,7 +47,7 @@
 //!
 //! `lb_shed` counts requests the LB closed on a timeout with no
 //! budget (or SLO headroom) left — the only closures with no winning
-//! resolution. Together the two laws are the issue-level ledger
+//! resolution. Together the two laws give the ledger
 //! "offered == goodput + late + shed + duplicates_cancelled": each
 //! duplicate appears once on each side. `stranded` (requests still
 //! open at the end) must always be zero — every attempt carries a
@@ -122,7 +132,7 @@ impl fmt::Display for RequestClass {
 
 /// Configuration of the failover layer. Inert by default: a fleet
 /// whose `failover` is `None` *or* [`FailoverConfig::none`] runs the
-/// exact legacy LB code path, bit-identical to the layer-absent fleet.
+/// same balancer with the layer off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailoverConfig {
     /// Health-scorer parameters.
@@ -393,9 +403,10 @@ struct LbReq {
     open: bool,
 }
 
-/// LB-local events of the failover balancer.
+/// LB-local events, time-ordered on the balancer's own queue so
+/// arrivals, returning resolutions and timers interleave correctly.
 #[derive(Debug)]
-enum FoEv {
+enum LbEv {
     /// One request of tenant `t` arrives.
     Arrival(usize),
     /// A server resolution came back.
@@ -412,76 +423,77 @@ enum FoEv {
 
 /// One LB-side tenant: its arrival stream and offer budget.
 #[derive(Debug)]
-struct FoTenant {
+struct LbTenant {
     gen: ArrivalGen,
     to_offer: usize,
 }
 
-/// The failover-aware load-balancer partition. Replaces the legacy
-/// `LbPart` when the fleet config carries a non-inert
-/// [`FailoverConfig`].
-pub(super) struct FoLbPart {
-    q: EventQueue<FoEv>,
-    tenants: Vec<FoTenant>,
+/// The fleet's load-balancer partition. With the failover layer off
+/// it dispatches each request once, by the plain policy over every
+/// server, and closes it on its one resolution.
+pub(super) struct LbPart {
+    q: EventQueue<LbEv>,
+    tenants: Vec<LbTenant>,
+    /// The failover layer; inert (no classes) when it is off.
     cfg: FailoverConfig,
     policy: LbPolicy,
     fabric: InterNodeFabric,
     request_bytes: u64,
     servers: usize,
     rr_next: usize,
-    outstanding: Vec<usize>,
+    /// The LB's view of per-server outstanding attempts (dispatched,
+    /// neither resolved nor timed out): the delayed least-loaded
+    /// signal.
+    pub(super) outstanding: Vec<usize>,
     /// Network-cut windows per server (from the fleet fault plan);
-    /// dispatches sent into a window are lost.
+    /// dispatches sent into a window are lost, and with the layer off
+    /// no timer recovers them.
     outages: Vec<Vec<LinkOutage>>,
     health: ServerHealth,
     /// The in-flight half-open probe per server, by attempt tag.
     probing_tag: Vec<Option<u64>>,
     reqs: Vec<LbReq>,
     // Accounting.
-    offered: u64,
-    dispatched: Vec<u64>,
-    goodput: u64,
-    late: u64,
-    shed: u64,
-    e2e: Percentiles,
+    pub(super) offered: u64,
+    pub(super) dispatched: Vec<u64>,
+    pub(super) goodput: u64,
+    pub(super) late: u64,
+    pub(super) shed: u64,
+    pub(super) e2e: Percentiles,
     rep: FailoverReport,
 }
 
-impl FoLbPart {
-    pub(super) fn new(
-        cfg: &FleetConfig,
-        fo: &FailoverConfig,
-        tenant_count: usize,
-        outages: Vec<Vec<LinkOutage>>,
-    ) -> FoLbPart {
+impl LbPart {
+    /// The balancer of `cfg`, one tenant per server app, with the
+    /// LB-side network-cut windows per server.
+    pub(super) fn new(cfg: &FleetConfig, outages: Vec<Vec<LinkOutage>>) -> LbPart {
+        let fo = cfg.failover.clone().unwrap_or_else(FailoverConfig::none);
         let mut root = SplitMix64::new(cfg.seed);
         let mut q = EventQueue::new();
-        let mut tenants: Vec<FoTenant> = (0..tenant_count)
-            .map(|i| {
-                let sub = root.next_u64();
-                FoTenant {
-                    gen: ArrivalGen::new(
-                        cfg.arrivals[i % cfg.arrivals.len()],
-                        SplitMix64::new(sub),
-                    ),
+        // Each tenant draws from its own sub-seed and is seeded with
+        // its first arrival, as the single-server open-loop mode does.
+        let tenants = (0..cfg.server.apps.len())
+            .map(|t| {
+                let arrivals = cfg.arrivals[t % cfg.arrivals.len()];
+                let mut gen = ArrivalGen::new(arrivals, SplitMix64::new(root.next_u64()));
+                if cfg.requests_per_tenant > 0 {
+                    q.schedule_at(gen.next_gap(), LbEv::Arrival(t));
+                }
+                LbTenant {
+                    gen,
                     to_offer: cfg.requests_per_tenant,
                 }
             })
             .collect();
-        for (t, ts) in tenants.iter_mut().enumerate() {
-            if ts.to_offer > 0 {
-                let gap = ts.gen.next_gap();
-                q.schedule_at(gap, FoEv::Arrival(t));
-            }
-        }
-        let rep = FailoverReport {
-            classes: vec![ClassTotals::default(); fo.classes.len()],
-            ..FailoverReport::default()
-        };
-        FoLbPart {
+        LbPart {
             q,
             tenants,
-            cfg: fo.clone(),
+            health: ServerHealth::new(fo.health, cfg.servers),
+            rep: FailoverReport {
+                classes: vec![ClassTotals::default(); fo.classes.len()],
+                ..FailoverReport::default()
+            },
+            cfg: fo,
             policy: cfg.policy,
             fabric: cfg.fabric,
             request_bytes: cfg.request_bytes,
@@ -489,7 +501,6 @@ impl FoLbPart {
             rr_next: 0,
             outstanding: vec![0; cfg.servers],
             outages,
-            health: ServerHealth::new(fo.health, cfg.servers),
             probing_tag: vec![None; cfg.servers],
             reqs: Vec::new(),
             offered: 0,
@@ -498,16 +509,24 @@ impl FoLbPart {
             late: 0,
             shed: 0,
             e2e: Percentiles::new(),
-            rep,
         }
     }
 
-    fn class_of(&self, tenant: usize) -> usize {
-        tenant % self.cfg.classes.len()
+    /// Whether the failover layer is on (a non-inert config).
+    pub(super) fn failover_on(&self) -> bool {
+        !self.cfg.is_inert()
     }
 
-    fn policy_of(&self, ri: usize) -> ClassPolicy {
-        self.cfg.classes[self.reqs[ri].class]
+    /// Request `ri`'s class policy; `None` with the layer off.
+    fn policy_of(&self, ri: usize) -> Option<ClassPolicy> {
+        self.cfg.classes.get(self.reqs[ri].class).copied()
+    }
+
+    /// Bumps request `ri`'s class totals; a no-op with the layer off.
+    fn count(&mut self, ri: usize, bump: impl FnOnce(&mut ClassTotals)) {
+        if let Some(c) = self.rep.classes.get_mut(self.reqs[ri].class) {
+            bump(c);
+        }
     }
 
     /// The dispatch target for one attempt: a probe-due server first
@@ -516,61 +535,54 @@ impl FoLbPart {
     /// retry goes to a *different* server) when any alternative
     /// exists. With nothing healthy the policy runs over every server:
     /// the LB must dispatch somewhere, and a wrong guess only costs a
-    /// timeout.
-    fn pick_target(&mut self, tenant: usize, avoid: Option<usize>, now: Time) -> (usize, bool) {
+    /// timeout. With the layer off every server is healthy and `avoid`
+    /// is `None`, so this is the plain policy. Allocates nothing.
+    pub(super) fn pick_target(
+        &mut self,
+        tenant: usize,
+        avoid: Option<usize>,
+        now: Time,
+    ) -> (usize, bool) {
         if let Some(s) = self.health.probe_due(now) {
             if avoid != Some(s) {
                 self.health.begin_probe(s);
                 return (s, true);
             }
         }
-        let healthy: Vec<usize> = (0..self.servers)
-            .filter(|&s| self.health.eligible(s))
-            .collect();
-        let mut cands: Vec<usize> = healthy
-            .iter()
-            .copied()
-            .filter(|&s| avoid != Some(s))
-            .collect();
-        if cands.is_empty() {
-            cands = healthy;
-        }
-        if cands.is_empty() {
-            cands = (0..self.servers).filter(|&s| avoid != Some(s)).collect();
-        }
-        if cands.is_empty() {
-            cands = (0..self.servers).collect();
-        }
-        let s = match self.policy {
-            LbPolicy::RoundRobin => {
-                let mut pick = cands[0];
-                for _ in 0..self.servers {
-                    let s = self.rr_next;
-                    self.rr_next = (self.rr_next + 1) % self.servers;
-                    if cands.contains(&s) {
-                        pick = s;
-                        break;
-                    }
-                }
-                pick
-            }
-            LbPolicy::LeastLoaded => cands
-                .iter()
-                .copied()
+        // The candidates are the first non-empty tier of: healthy and
+        // not `avoid`; healthy; not `avoid`; every server.
+        let health = &self.health;
+        let admits = |s: usize, (healthy, distinct): (bool, bool)| {
+            (!healthy || health.eligible(s)) && !(distinct && avoid == Some(s))
+        };
+        let tier = [(true, true), (true, false), (false, true), (false, false)]
+            .into_iter()
+            .find(|&t| (0..self.servers).any(|s| admits(s, t)))
+            .expect("the last tier admits every server");
+        let cand = |s: usize| admits(s, tier);
+        let least_loaded = || {
+            (0..self.servers)
+                .filter(|&s| cand(s))
                 .min_by_key(|&s| (self.outstanding[s], s))
-                .expect("candidates are non-empty"),
+                .expect("the tier is non-empty")
+        };
+        let s = match self.policy {
+            LbPolicy::RoundRobin => loop {
+                let s = self.rr_next;
+                self.rr_next = (self.rr_next + 1) % self.servers;
+                if cand(s) {
+                    break s;
+                }
+            },
+            LbPolicy::LeastLoaded => least_loaded(),
             LbPolicy::TenantAffinity => {
+                // A sick pinned server spills to the least loaded
+                // healthy alternative.
                 let pinned = tenant % self.servers;
-                if cands.contains(&pinned) {
+                if cand(pinned) {
                     pinned
                 } else {
-                    // The pinned server is sick: spill to the least
-                    // loaded healthy alternative.
-                    cands
-                        .iter()
-                        .copied()
-                        .min_by_key(|&s| (self.outstanding[s], s))
-                        .expect("candidates are non-empty")
+                    least_loaded()
                 }
             }
         };
@@ -578,10 +590,11 @@ impl FoLbPart {
     }
 
     /// Launches attempt `attempts.len()` of request `ri`: pick a
-    /// server, arm the per-attempt timer (exponentially backed off by
-    /// the retry count), arm the hedge timer on the first attempt of a
-    /// hedged class, and send — unless a network-cut window eats the
-    /// message, in which case the timer still fires and re-dispatches.
+    /// server and send — unless a network-cut window eats the message.
+    /// With the layer on it also arms the per-attempt timer
+    /// (exponentially backed off by the retry count), which fires and
+    /// re-dispatches even when the message was lost, and the hedge
+    /// timer on the first attempt of a hedged class.
     fn dispatch_attempt(
         &mut self,
         ri: usize,
@@ -590,7 +603,6 @@ impl FoLbPart {
         out: &mut Outbox<FleetMsg>,
     ) {
         let now = self.q.now();
-        let pol = self.policy_of(ri);
         let tenant = self.reqs[ri].tenant;
         let (server, probe) = self.pick_target(tenant, avoid, now);
         let k = self.reqs[ri].attempts.len();
@@ -599,12 +611,14 @@ impl FoLbPart {
         if probe {
             self.probing_tag[server] = Some(tag);
         }
-        let backoff = if hedge { 0 } else { self.reqs[ri].retries_used };
-        let timeout = pol.timeout * (1u64 << backoff.min(MAX_BACKOFF_SHIFT));
-        self.q.schedule_at(now + timeout, FoEv::Timeout(tag));
-        if k == 0 {
-            if let Some(h) = pol.hedge_after {
-                self.q.schedule_at(now + h, FoEv::Hedge(tag));
+        if let Some(pol) = self.policy_of(ri) {
+            let backoff = if hedge { 0 } else { self.reqs[ri].retries_used };
+            let timeout = pol.timeout * (1u64 << backoff.min(MAX_BACKOFF_SHIFT));
+            self.q.schedule_at(now + timeout, LbEv::Timeout(tag));
+            if k == 0 {
+                if let Some(h) = pol.hedge_after {
+                    self.q.schedule_at(now + h, LbEv::Hedge(tag));
+                }
             }
         }
         self.reqs[ri].attempts.push(Attempt {
@@ -629,23 +643,22 @@ impl FoLbPart {
     fn arrival(&mut self, tenant: usize, out: &mut Outbox<FleetMsg>) {
         let now = self.q.now();
         self.offered += 1;
-        let class = self.class_of(tenant);
-        self.rep.classes[class].offered += 1;
         let ts = &mut self.tenants[tenant];
         ts.to_offer -= 1;
         if ts.to_offer > 0 {
             let gap = ts.gen.next_gap();
-            self.q.schedule_at(now + gap, FoEv::Arrival(tenant));
+            self.q.schedule_at(now + gap, LbEv::Arrival(tenant));
         }
         let ri = self.reqs.len();
         self.reqs.push(LbReq {
             tenant,
-            class,
+            class: tenant % self.cfg.classes.len().max(1),
             arrived: now,
             attempts: Vec::new(),
             retries_used: 0,
             open: true,
         });
+        self.count(ri, |c| c.offered += 1);
         self.dispatch_attempt(ri, None, false, out);
     }
 
@@ -662,49 +675,50 @@ impl FoLbPart {
         true
     }
 
-    /// Closes request `ri` with a winning resolution's verdict.
+    /// Closes request `ri` with a winning resolution's verdict. The
+    /// end-to-end sample runs from the request's own arrival, and a
+    /// completion past the class SLO (layer on) counts late.
     fn close_with(&mut self, ri: usize, outcome: Outcome, via_hedge: bool) {
         let now = self.q.now();
-        let req = &mut self.reqs[ri];
-        req.open = false;
-        let class = req.class;
-        let arrived = req.arrived;
-        let pol = self.cfg.classes[class];
+        let arrived = self.reqs[ri].arrived;
+        let in_slo = self.policy_of(ri).is_none_or(|p| now <= arrived + p.slo);
+        self.reqs[ri].open = false;
         match outcome {
-            Outcome::Completed { within_deadline } => {
-                let in_slo = now <= arrived + pol.slo;
-                if within_deadline && in_slo {
-                    self.goodput += 1;
-                    self.rep.classes[class].goodput += 1;
-                    self.e2e.record((now - arrived).as_secs_f64());
-                    if via_hedge {
-                        self.rep.hedge_wins += 1;
-                    }
-                } else {
-                    self.late += 1;
-                    self.rep.classes[class].late += 1;
+            Outcome::Completed { within_deadline } if within_deadline && in_slo => {
+                self.goodput += 1;
+                self.count(ri, |c| c.goodput += 1);
+                self.e2e.record((now - arrived).as_secs_f64());
+                if via_hedge {
+                    self.rep.hedge_wins += 1;
                 }
+            }
+            Outcome::Completed { .. } => {
+                self.late += 1;
+                self.count(ri, |c| c.late += 1);
             }
             Outcome::Shed => {
                 self.shed += 1;
-                self.rep.classes[class].shed += 1;
+                self.count(ri, |c| c.shed += 1);
             }
         }
     }
 
-    /// Request `ri` has no live attempts left. Re-dispatch if budget
-    /// and SLO headroom remain; otherwise shed it at the LB.
-    /// `shed_resolution` carries a server Shed that triggered this —
-    /// when the budget is spent it becomes the winning resolution
-    /// (the request resolves as shed *by the server*); on a re-dispatch
-    /// it is superseded and counts as a cancelled duplicate.
+    /// Request `ri` has no live attempts left. Re-dispatch if the
+    /// layer is on and budget and SLO headroom remain; otherwise shed
+    /// it. `shed_resolution` carries a server Shed that triggered this
+    /// — when nothing re-dispatches it becomes the winning resolution
+    /// (the request resolves as shed *by the server*); on a
+    /// re-dispatch it is superseded and counts as a cancelled
+    /// duplicate.
     fn retry_or_shed(&mut self, ri: usize, shed_resolution: bool, out: &mut Outbox<FleetMsg>) {
         let now = self.q.now();
-        let pol = self.policy_of(ri);
         let req = &self.reqs[ri];
-        let in_slo = now <= req.arrived + pol.slo;
-        let budget = req.retries_used < pol.retries && req.attempts.len() < MAX_ATTEMPTS;
-        if budget && in_slo {
+        let retry = self.policy_of(ri).is_some_and(|pol| {
+            req.retries_used < pol.retries
+                && req.attempts.len() < MAX_ATTEMPTS
+                && now <= req.arrived + pol.slo
+        });
+        if retry {
             let last = req.attempts.last().map(|a| a.server);
             self.reqs[ri].retries_used += 1;
             self.rep.retries += 1;
@@ -720,8 +734,7 @@ impl FoLbPart {
             self.reqs[ri].open = false;
             self.shed += 1;
             self.rep.lb_shed += 1;
-            let class = self.reqs[ri].class;
-            self.rep.classes[class].shed += 1;
+            self.count(ri, |c| c.shed += 1);
         }
     }
 
@@ -729,21 +742,23 @@ impl FoLbPart {
         let now = self.q.now();
         self.rep.resolutions_received += 1;
         let (ri, k) = untag(tag);
-        // Health signals. A probe reinstates the server only when the
-        // probed request actually completed: a crashed server's shed
-        // layer answers probes instantly over a perfectly healthy
-        // network, and reinstating it would ping-pong traffic into a
-        // black hole. Otherwise a completion contributes an RTT
-        // sample, while a shed — however *fast* it came back —
-        // extends the server's failure streak: a crashed or saturated
-        // server rejecting instantly must lose traffic, not gain it.
+        // Health signals, fed only with the layer on, so off every
+        // server stays Healthy and no probe is ever in flight. A probe
+        // reinstates the server only when the probed request actually
+        // completed: a crashed server's shed layer answers probes
+        // instantly over a perfectly healthy network, and reinstating
+        // it would ping-pong traffic into a black hole. Otherwise a
+        // completion contributes an RTT sample, while a shed — however
+        // *fast* it came back — extends the server's failure streak: a
+        // crashed or saturated server rejecting instantly must lose
+        // traffic, not gain it.
         if self.probing_tag[server] == Some(tag) {
             self.probing_tag[server] = None;
             match outcome {
                 Outcome::Completed { .. } => self.health.probe_ok(server),
                 Outcome::Shed => self.health.probe_fail(server, now),
             }
-        } else {
+        } else if self.failover_on() {
             match outcome {
                 Outcome::Completed { .. } => {
                     let sent = self.reqs[ri].attempts[k].sent_at;
@@ -811,39 +826,27 @@ impl FoLbPart {
         self.dispatch_attempt(ri, Some(primary), true, out);
     }
 
-    /// Finishes the run: fold the health counters into the report and
-    /// count stranded (still-open) requests — structurally zero.
-    pub(super) fn finish(
-        mut self,
-    ) -> (
-        u64,
-        Vec<u64>,
-        u64,
-        u64,
-        u64,
-        Percentiles,
-        u64,
-        FailoverReport,
-    ) {
-        self.rep.demotions = self.health.demotions;
-        self.rep.darks = self.health.darks;
-        self.rep.probes = self.health.probes;
-        self.rep.recoveries = self.health.recoveries;
-        self.rep.stranded = self.reqs.iter().filter(|r| r.open).count() as u64;
-        (
-            self.offered,
-            self.dispatched,
-            self.goodput,
-            self.late,
-            self.shed,
-            self.e2e,
-            self.q.events_processed(),
-            self.rep,
-        )
+    /// Events the balancer's own queue processed.
+    pub(super) fn events_processed(&self) -> u64 {
+        self.q.events_processed()
+    }
+
+    /// The failover report: the ledger counters with the health
+    /// counters folded in, and the stranded (still-open) requests —
+    /// structurally zero with the layer on.
+    pub(super) fn report(&self) -> FailoverReport {
+        FailoverReport {
+            demotions: self.health.demotions,
+            darks: self.health.darks,
+            probes: self.health.probes,
+            recoveries: self.health.recoveries,
+            stranded: self.reqs.iter().filter(|r| r.open).count() as u64,
+            ..self.rep.clone()
+        }
     }
 }
 
-impl Partition for FoLbPart {
+impl Partition for LbPart {
     type Msg = FleetMsg;
 
     fn next_time(&self) -> Option<Time> {
@@ -857,12 +860,12 @@ impl Partition for FoLbPart {
         out: &mut Outbox<FleetMsg>,
     ) {
         for m in inbox.drain(..) {
-            let FleetMsg::Done { tag, outcome, .. } = m.payload else {
+            let FleetMsg::Done { tag, outcome } = m.payload else {
                 unreachable!("the LB only receives resolutions");
             };
             self.q.schedule_at(
                 m.time,
-                FoEv::Done {
+                LbEv::Done {
                     server: m.src,
                     tag,
                     outcome,
@@ -871,14 +874,14 @@ impl Partition for FoLbPart {
         }
         while self.q.peek_time().is_some_and(|t| t < horizon) {
             match self.q.pop().expect("peeked event") {
-                FoEv::Arrival(t) => self.arrival(t, out),
-                FoEv::Done {
+                LbEv::Arrival(t) => self.arrival(t, out),
+                LbEv::Done {
                     server,
                     tag,
                     outcome,
                 } => self.done(server, tag, outcome, out),
-                FoEv::Timeout(tag) => self.timeout(tag, out),
-                FoEv::Hedge(tag) => self.hedge(tag, out),
+                LbEv::Timeout(tag) => self.timeout(tag, out),
+                LbEv::Hedge(tag) => self.hedge(tag, out),
             }
         }
     }

@@ -33,13 +33,15 @@
 //!
 //! * [`FleetFaultPlan`] ([`plan`]) kills, grays out, or unplugs whole
 //!   servers mid-run, by folding into each server's own fault config;
-//! * [`FailoverConfig`] ([`failover`]) swaps the legacy FIFO balancer
-//!   for one with delayed-knowledge health scoring, per-request
-//!   timeouts with cross-server re-dispatch, attempt-tagged first-wins
-//!   dedup, and per-class SLO retry/hedge policies.
+//! * [`FailoverConfig`] ([`failover`]) turns on the balancer's
+//!   delayed-knowledge health scoring, per-request timeouts with
+//!   cross-server re-dispatch, first-wins dedup, and per-class SLO
+//!   retry/hedge policies.
 //!
-//! Both compose with partitioned execution unchanged: a failed-over
-//! fleet is still byte-identical for any `shards`.
+//! The balancer is the same with or without them: it tags every
+//! dispatch attempt and matches each resolution to its own dispatch by
+//! that tag. Both layers compose with partitioned execution unchanged:
+//! a failed-over fleet is still byte-identical for any `shards`.
 
 pub mod failover;
 pub mod plan;
@@ -53,9 +55,8 @@ use crate::overload::TenantOverload;
 use crate::system::{Outcome, RunResult, SimError, Stepped, SystemConfig};
 use dmx_pcie::{InterNodeFabric, LinkOutage};
 use dmx_sim::partition::{run_conservative, Outbox, Partition, WindowStats, XMsg};
-use dmx_sim::{ArrivalGen, ArrivalProcess, EventQueue, Percentiles, SplitMix64, Time};
-use failover::FoLbPart;
-use std::collections::VecDeque;
+use dmx_sim::{ArrivalProcess, Time};
+use failover::LbPart;
 use std::fmt;
 
 /// Configuration of one fleet run.
@@ -85,8 +86,8 @@ pub struct FleetConfig {
     /// Response body carried server→LB.
     pub response_bytes: u64,
     /// Fleet-level failover layer (health-aware dispatch, re-dispatch,
-    /// SLO classes). `None` — or an inert config — runs the exact
-    /// legacy balancer, bit-identical to the layer-absent fleet.
+    /// SLO classes). `None` — or an inert config — runs the same
+    /// balancer with the layer off.
     pub failover: Option<FailoverConfig>,
     /// Fleet-level fault schedule (server kills, gray-outs, network
     /// cuts). `None` — or an inert plan — changes nothing.
@@ -116,216 +117,15 @@ impl fmt::Display for LbPolicy {
 }
 
 /// Cross-partition traffic: requests out, resolutions back. Every
-/// message carries the dispatch-attempt tag; the legacy balancer
-/// stamps `0` everywhere and matches FIFO, the failover balancer
-/// encodes `(request << 6) | attempt` and matches exactly.
+/// message carries the balancer's dispatch-attempt tag,
+/// `(request << 6) | attempt`, by which the balancer matches each
+/// resolution to the attempt it answers.
 #[derive(Debug, Clone, Copy)]
 enum FleetMsg {
     /// LB → server: one request of `tenant` arrives.
     Dispatch { tenant: usize, tag: u64 },
-    /// Server → LB: one request of `tenant` resolved.
-    Done {
-        tenant: usize,
-        tag: u64,
-        outcome: Outcome,
-    },
-}
-
-/// Load-balancer local events, time-ordered on its own queue so
-/// arrivals and returning resolutions interleave correctly.
-#[derive(Debug)]
-enum LbEv {
-    Arrival(usize),
-    Done {
-        server: usize,
-        tenant: usize,
-        outcome: Outcome,
-    },
-}
-
-/// One LB-side tenant: its arrival stream and offer budget.
-#[derive(Debug)]
-struct LbTenant {
-    gen: ArrivalGen,
-    to_offer: usize,
-}
-
-/// The load-balancer partition.
-struct LbPart {
-    q: EventQueue<LbEv>,
-    tenants: Vec<LbTenant>,
-    policy: LbPolicy,
-    fabric: InterNodeFabric,
-    request_bytes: u64,
-    servers: usize,
-    rr_next: usize,
-    /// LB's view of per-server outstanding work (dispatch minus
-    /// received resolution) — the delayed least-loaded signal.
-    outstanding: Vec<usize>,
-    /// Dispatch times per (server, tenant), matched FIFO against
-    /// resolutions of the same pair to form end-to-end samples.
-    in_flight: Vec<Vec<VecDeque<Time>>>,
-    /// Network-cut windows per server (from the fleet fault plan;
-    /// all empty without one). A dispatch sent into a window is lost —
-    /// under the legacy balancer nothing recovers it, which is the
-    /// baseline the failover layer exists to fix.
-    outages: Vec<Vec<LinkOutage>>,
-    /// Accounting.
-    offered: u64,
-    dispatched: Vec<u64>,
-    goodput: u64,
-    late: u64,
-    shed: u64,
-    e2e: Percentiles,
-}
-
-impl LbPart {
-    fn new(cfg: &FleetConfig, tenant_count: usize, outages: Vec<Vec<LinkOutage>>) -> LbPart {
-        let mut root = SplitMix64::new(cfg.seed);
-        let mut q = EventQueue::new();
-        let mut tenants: Vec<LbTenant> = (0..tenant_count)
-            .map(|i| {
-                let sub = root.next_u64();
-                LbTenant {
-                    gen: ArrivalGen::new(
-                        cfg.arrivals[i % cfg.arrivals.len()],
-                        SplitMix64::new(sub),
-                    ),
-                    to_offer: cfg.requests_per_tenant,
-                }
-            })
-            .collect();
-        // Seed each tenant's first arrival, as the single-server
-        // open-loop mode does.
-        for (t, ts) in tenants.iter_mut().enumerate() {
-            if ts.to_offer > 0 {
-                let gap = ts.gen.next_gap();
-                q.schedule_at(gap, LbEv::Arrival(t));
-            }
-        }
-        LbPart {
-            q,
-            tenants,
-            policy: cfg.policy,
-            fabric: cfg.fabric,
-            request_bytes: cfg.request_bytes,
-            servers: cfg.servers,
-            rr_next: 0,
-            outstanding: vec![0; cfg.servers],
-            in_flight: vec![vec![VecDeque::new(); tenant_count]; cfg.servers],
-            outages,
-            offered: 0,
-            dispatched: vec![0; cfg.servers],
-            goodput: 0,
-            late: 0,
-            shed: 0,
-            e2e: Percentiles::new(),
-        }
-    }
-
-    fn pick_server(&mut self, tenant: usize) -> usize {
-        match self.policy {
-            LbPolicy::RoundRobin => {
-                let s = self.rr_next;
-                self.rr_next = (self.rr_next + 1) % self.servers;
-                s
-            }
-            LbPolicy::LeastLoaded => self
-                .outstanding
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, &o)| (o, *i))
-                .map(|(i, _)| i)
-                .expect("at least one server"),
-            LbPolicy::TenantAffinity => tenant % self.servers,
-        }
-    }
-
-    fn arrival(&mut self, tenant: usize, out: &mut Outbox<FleetMsg>) {
-        let now = self.q.now();
-        self.offered += 1;
-        let ts = &mut self.tenants[tenant];
-        ts.to_offer -= 1;
-        if ts.to_offer > 0 {
-            let gap = ts.gen.next_gap();
-            self.q.schedule_at(now + gap, LbEv::Arrival(tenant));
-        }
-        let s = self.pick_server(tenant);
-        self.outstanding[s] += 1;
-        self.dispatched[s] += 1;
-        self.in_flight[s][tenant].push_back(now);
-        if self.outages[s].iter().any(|o| o.covers(now)) {
-            return; // The hop is dark; the dispatch is lost.
-        }
-        out.send(
-            s,
-            now + self.fabric.delivery_time(self.request_bytes),
-            FleetMsg::Dispatch { tenant, tag: 0 },
-        );
-    }
-
-    fn done(&mut self, server: usize, tenant: usize, outcome: Outcome) {
-        let now = self.q.now();
-        self.outstanding[server] = self.outstanding[server].saturating_sub(1);
-        let started = self.in_flight[server][tenant]
-            .pop_front()
-            .expect("resolution without a matching dispatch");
-        match outcome {
-            Outcome::Completed { within_deadline } => {
-                if within_deadline {
-                    self.goodput += 1;
-                    self.e2e.record((now - started).as_secs_f64());
-                } else {
-                    self.late += 1;
-                }
-            }
-            Outcome::Shed => self.shed += 1,
-        }
-    }
-}
-
-impl Partition for LbPart {
-    type Msg = FleetMsg;
-
-    fn next_time(&self) -> Option<Time> {
-        self.q.peek_time()
-    }
-
-    fn advance(
-        &mut self,
-        horizon: Time,
-        inbox: &mut Vec<XMsg<FleetMsg>>,
-        out: &mut Outbox<FleetMsg>,
-    ) {
-        // Returning resolutions join the local queue so they interleave
-        // with arrivals in timestamp order.
-        for m in inbox.drain(..) {
-            let FleetMsg::Done {
-                tenant, outcome, ..
-            } = m.payload
-            else {
-                unreachable!("the LB only receives resolutions");
-            };
-            self.q.schedule_at(
-                m.time,
-                LbEv::Done {
-                    server: m.src,
-                    tenant,
-                    outcome,
-                },
-            );
-        }
-        while self.q.peek_time().is_some_and(|t| t < horizon) {
-            match self.q.pop().expect("peeked event") {
-                LbEv::Arrival(t) => self.arrival(t, out),
-                LbEv::Done {
-                    server,
-                    tenant,
-                    outcome,
-                } => self.done(server, tenant, outcome),
-            }
-        }
-    }
+    /// Server → LB: the attempt `tag` resolved.
+    Done { tag: u64, outcome: Outcome },
 }
 
 /// One server partition: a stepped engine plus its return path.
@@ -377,7 +177,6 @@ impl Partition for ServerPart<'_> {
                 self.lb,
                 r.at + self.fabric.delivery_time(self.response_bytes),
                 FleetMsg::Done {
-                    tenant: r.app,
                     tag: r.tag,
                     outcome: r.outcome,
                 },
@@ -387,21 +186,20 @@ impl Partition for ServerPart<'_> {
 }
 
 /// Fleet partitions are heterogeneous (servers + one LB); this enum
-/// gives `run_conservative` its homogeneous slice.
-enum FleetPart<'a> {
-    Server(Box<ServerPart<'a>>),
+/// gives `run_conservative` its homogeneous slice. It is generic over
+/// the server partition so that a test can script the servers.
+enum FleetPart<S> {
+    Server(Box<S>),
     Lb(Box<LbPart>),
-    FoLb(Box<FoLbPart>),
 }
 
-impl Partition for FleetPart<'_> {
+impl<S: Partition<Msg = FleetMsg>> Partition for FleetPart<S> {
     type Msg = FleetMsg;
 
     fn next_time(&self) -> Option<Time> {
         match self {
             FleetPart::Server(s) => s.next_time(),
             FleetPart::Lb(l) => l.next_time(),
-            FleetPart::FoLb(l) => l.next_time(),
         }
     }
 
@@ -409,7 +207,6 @@ impl Partition for FleetPart<'_> {
         match self {
             FleetPart::Server(s) => s.earliest_pending(),
             FleetPart::Lb(l) => l.earliest_pending(),
-            FleetPart::FoLb(l) => l.earliest_pending(),
         }
     }
 
@@ -422,7 +219,6 @@ impl Partition for FleetPart<'_> {
         match self {
             FleetPart::Server(s) => s.advance(horizon, inbox, out),
             FleetPart::Lb(l) => l.advance(horizon, inbox, out),
-            FleetPart::FoLb(l) => l.advance(horizon, inbox, out),
         }
     }
 }
@@ -434,8 +230,8 @@ impl Partition for FleetPart<'_> {
 pub struct FleetResult {
     /// Arrivals offered at the LB.
     pub offered: u64,
-    /// Dispatches per server (the balance of the policy). Under the
-    /// failover balancer this counts *attempts* — retries, hedges, and
+    /// Dispatches per server (the balance of the policy). With the
+    /// failover layer on this counts *attempts* — retries, hedges, and
     /// probes included — so the sum may exceed `offered`.
     pub dispatched: Vec<u64>,
     /// Completions within deadline.
@@ -458,8 +254,8 @@ pub struct FleetResult {
     /// Per-server run results (per-tenant overload accounting, energy,
     /// robustness reports).
     pub servers: Vec<RunResult>,
-    /// Failover-layer accounting; `None` when the fleet ran the legacy
-    /// balancer (no failover config, or an inert one).
+    /// Failover-layer accounting; `None` when the layer is off (no
+    /// failover config, or an inert one).
     pub failover: Option<FailoverReport>,
 }
 
@@ -474,21 +270,18 @@ impl FleetResult {
         self.offered == self.resolved()
     }
 
-    /// The duplicates-aware conservation ledger. On the legacy path
-    /// this is [`conserved`](FleetResult::conserved); under failover it
-    /// additionally demands zero stranded requests and that every
+    /// The duplicates-aware conservation ledger. With the failover
+    /// layer off this is [`conserved`](FleetResult::conserved); with it
+    /// on it additionally demands zero stranded requests and that every
     /// server resolution the LB received either won its request or was
     /// cancelled as a duplicate:
     /// `resolutions_received == (offered − lb_shed) + duplicates_cancelled`.
     pub fn conserved_with_duplicates(&self) -> bool {
-        let base = self.conserved();
-        match &self.failover {
-            None => base,
-            Some(f) => {
-                base && f.stranded == 0
+        self.conserved()
+            && self.failover.as_ref().is_none_or(|f| {
+                f.stranded == 0
                     && f.resolutions_received == (self.offered - f.lb_shed) + f.duplicates_cancelled
-            }
-        }
+            })
     }
 
     /// Dispatch balance: max/min per-server dispatches (1.0 = perfect).
@@ -552,11 +345,10 @@ pub fn try_run_fleet(cfg: &FleetConfig, shards: usize) -> Result<FleetResult, Si
     if cfg.servers == 0 || cfg.arrivals.is_empty() || cfg.requests_per_tenant == 0 {
         return Err(SimError::NoApps);
     }
-    let tenant_count = cfg.server.apps.len();
-    // Inert layers are filtered here so that `Some(inert)` and `None`
-    // run the exact same code path, bit for bit.
+    // An inert plan is filtered here, and the balancer treats an inert
+    // failover config as off, so `Some(inert)` and `None` run the exact
+    // same code path, bit for bit.
     let plan = cfg.fault_plan.as_ref().filter(|p| !p.is_inert());
-    let fo = cfg.failover.as_ref().filter(|f| !f.is_inert());
     // Per-server fault configs: `None` for servers the plan leaves
     // untouched (they borrow the shared config verbatim). Declared
     // before `parts`, whose engines borrow into it.
@@ -569,78 +361,55 @@ pub fn try_run_fleet(cfg: &FleetConfig, shards: usize) -> Result<FleetResult, Si
                 })
         })
         .collect();
-    let mut parts: Vec<FleetPart> = Vec::with_capacity(cfg.servers + 1);
+    // Network-cut windows per server; both ends of a hop drop traffic.
+    let outages: Vec<Vec<LinkOutage>> = (0..cfg.servers)
+        .map(|s| plan.map(|p| p.outages_for(s)).unwrap_or_default())
+        .collect();
+    let mut parts: Vec<FleetPart<ServerPart>> = Vec::with_capacity(cfg.servers + 1);
     for (s, server_cfg) in server_cfgs.iter().enumerate() {
         parts.push(FleetPart::Server(Box::new(ServerPart {
             sim: Stepped::new(server_cfg.as_ref().unwrap_or(&cfg.server))?,
             lb: cfg.servers,
             fabric: cfg.fabric,
             response_bytes: cfg.response_bytes,
-            outages: plan.map(|p| p.outages_for(s)).unwrap_or_default(),
+            outages: outages[s].clone(),
             resolutions_dropped: 0,
         })));
     }
-    let lb_outages: Vec<Vec<LinkOutage>> = (0..cfg.servers)
-        .map(|s| plan.map(|p| p.outages_for(s)).unwrap_or_default())
-        .collect();
-    parts.push(match fo {
-        Some(f) => FleetPart::FoLb(Box::new(FoLbPart::new(cfg, f, tenant_count, lb_outages))),
-        None => FleetPart::Lb(Box::new(LbPart::new(cfg, tenant_count, lb_outages))),
-    });
+    parts.push(FleetPart::Lb(Box::new(LbPart::new(cfg, outages))));
 
     let windows = run_conservative(&mut parts, cfg.fabric.lookahead(), shards);
 
+    let Some(FleetPart::Lb(mut lb)) = parts.pop() else {
+        unreachable!("the LB is the last partition");
+    };
+    let (mut events, mut resolutions_dropped) = (lb.events_processed(), 0);
     let mut servers = Vec::with_capacity(cfg.servers);
-    let mut lb = None;
-    let mut fo_lb = None;
-    let mut events = 0;
-    let mut resolutions_dropped = 0;
     for p in parts {
-        match p {
-            FleetPart::Server(s) => {
-                events += s.sim.events_processed();
-                resolutions_dropped += s.resolutions_dropped;
-                servers.push(s.sim.finish());
-            }
-            FleetPart::Lb(l) => lb = Some(l),
-            FleetPart::FoLb(l) => fo_lb = Some(l),
-        }
+        let FleetPart::Server(s) = p else {
+            unreachable!("only servers precede the LB");
+        };
+        events += s.sim.events_processed();
+        resolutions_dropped += s.resolutions_dropped;
+        servers.push(s.sim.finish());
     }
-    Ok(if let Some(l) = fo_lb {
-        let (offered, dispatched, goodput, late, shed, mut e2e, lb_events, mut rep) = l.finish();
-        rep.resolutions_dropped = resolutions_dropped;
-        events += lb_events;
-        FleetResult {
-            offered,
-            dispatched,
-            goodput,
-            late,
-            shed,
-            e2e_p50: Time::from_secs_f64(e2e.p50().unwrap_or(0.0)),
-            e2e_p99: Time::from_secs_f64(e2e.p99().unwrap_or(0.0)),
-            e2e_p999: Time::from_secs_f64(e2e.p999().unwrap_or(0.0)),
-            windows,
-            events,
-            servers,
-            failover: Some(rep),
-        }
-    } else {
-        let mut lb = *lb.expect("one LB partition");
-        events += lb.q.events_processed();
-        FleetResult {
-            offered: lb.offered,
-            dispatched: lb.dispatched.clone(),
-            goodput: lb.goodput,
-            late: lb.late,
-            shed: lb.shed,
-            e2e_p50: Time::from_secs_f64(lb.e2e.p50().unwrap_or(0.0)),
-            e2e_p99: Time::from_secs_f64(lb.e2e.p99().unwrap_or(0.0)),
-            e2e_p999: Time::from_secs_f64(lb.e2e.p999().unwrap_or(0.0)),
-            windows,
-            events,
-            servers,
-            failover: None,
-        }
+    let failover = lb.failover_on().then(|| FailoverReport {
+        resolutions_dropped,
+        ..lb.report()
+    });
+    Ok(FleetResult {
+        offered: lb.offered,
+        dispatched: lb.dispatched,
+        goodput: lb.goodput,
+        late: lb.late,
+        shed: lb.shed,
+        e2e_p50: Time::from_secs_f64(lb.e2e.p50().unwrap_or(0.0)),
+        e2e_p99: Time::from_secs_f64(lb.e2e.p99().unwrap_or(0.0)),
+        e2e_p999: Time::from_secs_f64(lb.e2e.p999().unwrap_or(0.0)),
+        windows,
+        events,
+        servers,
+        failover,
     })
 }
 
@@ -658,6 +427,7 @@ mod tests {
     use crate::apps::BenchmarkId;
     use crate::overload::{AdmissionParams, OverloadConfig, ShedPolicy};
     use crate::placement::{Mode, Placement};
+    use dmx_sim::EventQueue;
 
     fn small_fleet(servers: usize, policy: LbPolicy, rate: f64) -> FleetConfig {
         let apps: Vec<_> = (0..3).map(|i| BenchmarkId::FIVE[i].build()).collect();
@@ -779,13 +549,94 @@ mod tests {
         // signal directly: equal outstanding counts resolve to the
         // lowest server index, whatever the tenant.
         let cfg = small_fleet(3, LbPolicy::LeastLoaded, 10.0);
-        let mut lb = LbPart::new(&cfg, 3, vec![Vec::new(); 3]);
-        assert_eq!(lb.pick_server(0), 0, "all-zero tie goes to server 0");
-        assert_eq!(lb.pick_server(2), 0, "tie-break ignores the tenant");
+        let mut lb = LbPart::new(&cfg, vec![Vec::new(); 3]);
+        let pick = |lb: &mut LbPart, tenant| lb.pick_target(tenant, None, Time::ZERO).0;
+        assert_eq!(pick(&mut lb, 0), 0, "all-zero tie goes to server 0");
+        assert_eq!(pick(&mut lb, 2), 0, "tie-break ignores the tenant");
         lb.outstanding = vec![2, 1, 1];
-        assert_eq!(lb.pick_server(0), 1, "two-way tie goes to the lower index");
+        assert_eq!(pick(&mut lb, 0), 1, "two-way tie goes to the lower index");
         lb.outstanding = vec![2, 1, 0];
-        assert_eq!(lb.pick_server(0), 2, "a strict minimum wins outright");
+        assert_eq!(pick(&mut lb, 0), 2, "a strict minimum wins outright");
+    }
+
+    /// A scripted server partition: it completes the first dispatch it
+    /// receives `SLOW` after its arrival, sheds every later one on
+    /// arrival, and logs the outcomes in the order it sends them.
+    #[derive(Default)]
+    struct Script {
+        q: EventQueue<FleetMsg>,
+        received: usize,
+        sent: Vec<Outcome>,
+    }
+
+    impl Script {
+        const SLOW: Time = Time::from_secs(1);
+        const RESPONSE_BYTES: u64 = 4 << 10;
+        const OK: Outcome = Outcome::Completed {
+            within_deadline: true,
+        };
+    }
+
+    impl Partition for Script {
+        type Msg = FleetMsg;
+
+        fn next_time(&self) -> Option<Time> {
+            self.q.peek_time()
+        }
+
+        fn advance(
+            &mut self,
+            horizon: Time,
+            inbox: &mut Vec<XMsg<FleetMsg>>,
+            out: &mut Outbox<FleetMsg>,
+        ) {
+            for m in inbox.drain(..) {
+                let FleetMsg::Dispatch { tag, .. } = m.payload else {
+                    unreachable!("servers only receive dispatches");
+                };
+                let (at, outcome) = match self.received {
+                    0 => (m.time + Script::SLOW, Script::OK),
+                    _ => (m.time, Outcome::Shed),
+                };
+                self.q.schedule_at(at, FleetMsg::Done { tag, outcome });
+                self.received += 1;
+            }
+            while self.q.peek_time().is_some_and(|t| t < horizon) {
+                let done = self.q.pop().expect("peeked event");
+                if let FleetMsg::Done { outcome, .. } = done {
+                    self.sent.push(outcome);
+                }
+                let fabric = InterNodeFabric::default();
+                let at = self.q.now() + fabric.delivery_time(Script::RESPONSE_BYTES);
+                out.send(1, at, done);
+            }
+        }
+    }
+
+    #[test]
+    fn resolutions_match_their_own_dispatch_by_tag() {
+        // One server, one tenant, two requests. The server sheds
+        // dispatch 2 on arrival, ahead of dispatch 1, which completes
+        // later. The recorded end-to-end latency must be dispatch 1's
+        // own; pairing FIFO per (server, tenant) would give the shed
+        // dispatch 1's start and the completion dispatch 2's start.
+        let mut cfg = small_fleet(1, LbPolicy::LeastLoaded, 1000.0);
+        cfg.server.apps.truncate(1);
+        cfg.requests_per_tenant = 2;
+        let mut parts = vec![
+            FleetPart::Server(Box::default()),
+            FleetPart::Lb(Box::new(LbPart::new(&cfg, vec![Vec::new()]))),
+        ];
+        run_conservative(&mut parts, cfg.fabric.lookahead(), 1);
+        let [FleetPart::<Script>::Server(server), FleetPart::Lb(lb)] = &mut parts[..] else {
+            unreachable!("the slice was built as server, LB");
+        };
+        assert_eq!(server.sent, [Outcome::Shed, Script::OK], "shed first");
+        assert_eq!((lb.goodput, lb.shed, lb.e2e.count()), (1, 1, 1));
+        let own = cfg.fabric.delivery_time(cfg.request_bytes)
+            + Script::SLOW
+            + cfg.fabric.delivery_time(Script::RESPONSE_BYTES);
+        assert_eq!(lb.e2e.p50(), Some(own.as_secs_f64()));
     }
 
     #[test]
@@ -852,8 +703,8 @@ mod tests {
     #[test]
     fn permanent_kill_recovers_via_shed_triggered_redispatch() {
         // Server 0 dies for good almost immediately; its crash layer
-        // sheds everything it holds or later receives. Under the
-        // legacy balancer those sheds are final; under failover the LB
+        // sheds everything it holds or later receives. With the
+        // failover layer off those sheds are final; with it on the LB
         // re-dispatches each one onto the survivor, converting sheds
         // into (possibly late) completions. The offered load fits in
         // one server, so the survivor has the headroom to absorb it.
@@ -867,7 +718,7 @@ mod tests {
             }],
             ..FleetFaultPlan::none()
         });
-        let legacy = run_fleet(&cfg, 1);
+        let off = run_fleet(&cfg, 1);
         cfg.failover = Some(two_classes(false));
         let r = run_fleet(&cfg, 1);
         let f = r.failover.as_ref().expect("failover report");
@@ -875,16 +726,16 @@ mod tests {
         assert_eq!(f.stranded, 0);
         assert!(f.retries > 0, "sheds must re-dispatch: {f:?}");
         assert!(
-            legacy.shed > 0 && r.shed < legacy.shed,
-            "re-dispatch must recover sheds: legacy {} vs failover {}",
-            legacy.shed,
+            off.shed > 0 && r.shed < off.shed,
+            "re-dispatch must recover sheds: off {} vs on {}",
+            off.shed,
             r.shed,
         );
         assert!(
-            r.goodput + r.late > legacy.goodput + legacy.late,
-            "recovered requests must complete: legacy {}+{} vs failover {}+{}",
-            legacy.goodput,
-            legacy.late,
+            r.goodput + r.late > off.goodput + off.late,
+            "recovered requests must complete: off {}+{} vs on {}+{}",
+            off.goodput,
+            off.late,
             r.goodput,
             r.late,
         );

@@ -920,9 +920,9 @@ struct Sim<'a> {
     /// mutations cannot double-schedule the same boundary.
     chunk_sched: Option<(Time, u64)>,
     /// Externally-driven mode (fleet servers): arrivals come from
-    /// [`Stepped::inject_arrival`] instead of per-tenant generators,
-    /// and every request resolution is recorded in `resolutions` for
-    /// the caller to drain.
+    /// [`Stepped::inject_arrival_tagged`] instead of per-tenant
+    /// generators, and every request resolution is recorded in
+    /// `resolutions` for the caller to drain.
     external: bool,
     /// Resolutions recorded since the last drain; only populated in
     /// external mode.
@@ -939,9 +939,8 @@ pub struct Resolution {
     /// Tenant (app index) it belonged to.
     pub app: usize,
     /// The opaque tag the caller stamped on the injected arrival
-    /// ([`Stepped::inject_arrival_tagged`]); zero for untagged
-    /// arrivals. Lets a front end match this resolution to the exact
-    /// dispatch attempt it answers, instead of pairing FIFO.
+    /// ([`Stepped::inject_arrival_tagged`]). Lets a front end match
+    /// this resolution to the exact dispatch attempt it answers.
     pub tag: u64,
     /// What happened to it.
     pub outcome: Outcome,
@@ -3067,7 +3066,7 @@ impl<'a> Sim<'a> {
         }
         if self.external {
             // Arrivals come from the fleet front end via
-            // `Stepped::inject_arrival`; nothing to seed.
+            // `Stepped::inject_arrival_tagged`; nothing to seed.
         } else if self.ov.as_ref().is_some_and(|o| o.open_loop) {
             // Open loop: tenants submit on their own schedule — seed
             // each arrival stream instead of pre-launching requests.
@@ -3457,20 +3456,15 @@ impl<'a> Stepped<'a> {
     }
 
     /// Schedules one arrival of tenant `app` at absolute time `at`
-    /// (which must not precede any horizon already pumped past). The
-    /// arrival runs the full admission path and will resolve exactly
-    /// once — as a completion or a shed — in [`drain_resolutions`].
+    /// (which must not precede any horizon already pumped past),
+    /// stamped with an opaque caller `tag`. The arrival runs the full
+    /// admission path and will resolve exactly once — as a completion
+    /// or a shed — in [`drain_resolutions`], whose [`Resolution`]
+    /// echoes `tag` verbatim. The fleet's load balancer stamps each
+    /// dispatch attempt with a unique tag and matches every resolution
+    /// to its attempt by it.
     ///
     /// [`drain_resolutions`]: Stepped::drain_resolutions
-    pub fn inject_arrival(&mut self, app: usize, at: Time) {
-        self.inject_arrival_tagged(app, at, 0);
-    }
-
-    /// [`inject_arrival`](Stepped::inject_arrival) with an opaque
-    /// caller tag, echoed verbatim in the matching [`Resolution`]. A
-    /// failover-aware load balancer stamps each dispatch attempt with
-    /// a unique tag so late resolutions of superseded attempts are
-    /// recognized exactly, not paired FIFO.
     pub fn inject_arrival_tagged(&mut self, app: usize, at: Time, tag: u64) {
         self.sim.remaining += 1;
         self.sim.q.schedule_at(at, Ev::Arrival(app, tag));

@@ -50,6 +50,8 @@
 //! violation and panics rather than silently corrupting the run.
 
 use crate::time::Time;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
@@ -209,7 +211,9 @@ pub struct WindowStats {
 ///
 /// Panics if `lookahead` is zero (windows could not advance), or if a
 /// partition violates the lookahead promise by sending a message
-/// timestamped before the window horizon.
+/// timestamped before the window horizon. A panic inside a
+/// partition's `advance` propagates with its own payload. At any
+/// shard count these end the run; no worker is left waiting.
 pub fn run_conservative<P: Partition>(
     parts: &mut [P],
     lookahead: Time,
@@ -256,8 +260,17 @@ pub fn run_conservative<P: Partition>(
     // thread computes horizons, owns the channels and marks each
     // window's active slots; workers own their partitions for the
     // whole run, advance the marked ones and publish their new times.
+    //
+    // A panic on any thread must end the run, not strand the others on
+    // the barrier. A worker catches its partition's panic, keeps the
+    // first payload and still meets the join barrier; the main thread
+    // catches its own (a lookahead violation) the same way. Either
+    // way the main thread then leaves the window loop, releases every
+    // worker through the `done` path, and re-raises the panic once the
+    // scope has joined them.
     let barrier = Barrier::new(shards + 1);
     let done = AtomicBool::new(false);
+    let failure: Mutex<Option<Panic>> = Mutex::new(None);
     // Horizon in ps, published before the release barrier.
     let horizon_ps = AtomicU64::new(0);
     let slots: Vec<Mutex<Slot<P::Msg>>> = (0..n).map(|i| Mutex::new(Slot::new(i))).collect();
@@ -274,6 +287,7 @@ pub fn run_conservative<P: Partition>(
         for mine in shard_parts {
             let barrier = &barrier;
             let done = &done;
+            let failure = &failure;
             let horizon_ps = &horizon_ps;
             let slots = &slots;
             let mut mine = mine;
@@ -283,49 +297,65 @@ pub fn run_conservative<P: Partition>(
                     break;
                 }
                 let horizon = Time::from_ps(horizon_ps.load(Ordering::Acquire));
-                for (i, p) in &mut mine {
-                    let mut slot = lock(&slots[*i]);
-                    if !slot.active {
-                        continue;
+                let window = catch_unwind(AssertUnwindSafe(|| {
+                    for (i, p) in &mut mine {
+                        let mut slot = lock(&slots[*i]);
+                        if !slot.active {
+                            continue;
+                        }
+                        let Slot { inbox, out, .. } = &mut *slot;
+                        p.advance(horizon, inbox, out);
+                        inbox.clear();
+                        slot.times = times(*p);
                     }
-                    let Slot { inbox, out, .. } = &mut *slot;
-                    p.advance(horizon, inbox, out);
-                    inbox.clear();
-                    slot.times = times(*p);
+                }));
+                if let Err(e) = window {
+                    lock(failure).get_or_insert(e);
                 }
                 barrier.wait(); // join: window complete
             });
         }
 
-        loop {
-            let Some(horizon) = w.horizon() else {
-                done.store(true, Ordering::Release);
-                barrier.wait(); // release workers into their exit path
-                break;
-            };
-            horizon_ps.store(horizon.as_ps(), Ordering::Release);
-            active.clear();
-            for (i, slot) in slots.iter().enumerate() {
-                if w.is_active(i, horizon) {
-                    let mut slot = lock(slot);
-                    w.deliver(i, horizon, &mut slot.inbox);
-                    slot.active = true;
-                    active.push(i);
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            while let Some(horizon) = w.horizon() {
+                horizon_ps.store(horizon.as_ps(), Ordering::Release);
+                active.clear();
+                for (i, slot) in slots.iter().enumerate() {
+                    if w.is_active(i, horizon) {
+                        let mut slot = lock(slot);
+                        w.deliver(i, horizon, &mut slot.inbox);
+                        slot.active = true;
+                        active.push(i);
+                    }
                 }
+                barrier.wait(); // release
+                barrier.wait(); // join
+                if lock(&failure).is_some() {
+                    return; // A worker's partition panicked.
+                }
+                for &i in &active {
+                    let mut slot = lock(&slots[i]);
+                    slot.active = false;
+                    let Slot { out, times, .. } = &mut *slot;
+                    w.advanced(i, *times, out, horizon);
+                }
+                w.stats.windows += 1;
             }
-            barrier.wait(); // release
-            barrier.wait(); // join
-            for &i in &active {
-                let mut slot = lock(&slots[i]);
-                slot.active = false;
-                let Slot { out, times, .. } = &mut *slot;
-                w.advanced(i, *times, out, horizon);
-            }
-            w.stats.windows += 1;
+        }));
+        if let Err(e) = run {
+            lock(&failure).get_or_insert(e);
         }
+        done.store(true, Ordering::Release);
+        barrier.wait(); // release workers into their exit path
     });
+    if let Some(e) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        resume_unwind(e);
+    }
     w.stats
 }
+
+/// A caught panic's payload, carried to the end of the run.
+type Panic = Box<dyn Any + Send>;
 
 /// One partition's hand-off point between the main thread and its
 /// shard worker in the parallel loop.
@@ -650,6 +680,40 @@ mod tests {
         run_conservative(&mut parts, Time::ZERO, 1);
     }
 
+    /// Runs the partitions `make` builds at 1, 2 and 3 shards, each on
+    /// its own thread under a watchdog. Every run must panic — not
+    /// finish, and not hang with a thread parked on the barrier — and
+    /// with the same message; the first panic is then re-raised for
+    /// the caller's `should_panic`.
+    fn panics_at_every_shard_count<P: Partition + 'static>(make: fn() -> Vec<P>) {
+        let mut payloads = Vec::new();
+        for shards in [1, 2, 3] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    run_conservative(&mut make(), Time::from_us(1), shards)
+                }));
+                tx.send(run.err()).expect("the test is waiting");
+            });
+            // A hung runner cannot be joined; it is left parked.
+            let run = rx
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("shards={shards}: the run hung"));
+            runner.join().expect("the runner caught the run's panic");
+            payloads.push(run.unwrap_or_else(|| panic!("shards={shards}: the run finished")));
+        }
+        let message = |e: &Panic| {
+            e.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+        };
+        let first = message(&payloads[0]);
+        for (e, shards) in payloads.iter().zip([1, 2, 3]) {
+            assert_eq!(message(e), first, "shards={shards}");
+        }
+        resume_unwind(payloads.swap_remove(0));
+    }
+
     /// A partition that (incorrectly) sends with less latency than the
     /// lookahead it promised.
     struct Cheater {
@@ -672,8 +736,34 @@ mod tests {
     #[test]
     #[should_panic(expected = "lookahead violation")]
     fn lookahead_violations_are_caught() {
-        let mut parts = vec![Cheater { fired: false }];
-        run_conservative(&mut parts, Time::from_us(1), 1);
+        // Three cheaters, so two and three shards really run sharded:
+        // the main thread catches the violation at the barrier.
+        panics_at_every_shard_count(|| (0..3).map(|_| Cheater { fired: false }).collect());
+    }
+
+    /// A partition whose `advance` panics when it is `armed`.
+    struct Bomb {
+        armed: bool,
+    }
+
+    impl Partition for Bomb {
+        type Msg = ();
+
+        fn next_time(&self) -> Option<Time> {
+            self.armed.then(|| Time::from_ns(5))
+        }
+
+        fn advance(&mut self, _horizon: Time, _inbox: &mut Vec<XMsg<()>>, _out: &mut Outbox<()>) {
+            panic!("partition blew up");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "partition blew up")]
+    fn panicking_partitions_end_the_run() {
+        // The armed partition is 1, so at two and three shards it runs
+        // on a worker while the others wait on the barrier.
+        panics_at_every_shard_count(|| (0..3).map(|i| Bomb { armed: i == 1 }).collect());
     }
 
     #[test]
