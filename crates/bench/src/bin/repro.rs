@@ -24,7 +24,8 @@
 //! additionally compares the hot-experiment events/sec geomean against
 //! a committed baseline report and fails on a >15% regression. Exits
 //! nonzero if any experiment's embedded determinism/robustness checks
-//! fail, if the bench's parallel pass diverges from serial, or if the
+//! fail (for `summary`, if a paper claim drifts out of its band), if
+//! the bench's parallel pass diverges from serial, or if the
 //! regression gate trips.
 
 use dmx_bench::{bench, run_experiment_checked, EXPERIMENTS};

@@ -79,7 +79,7 @@ pub fn run_experiment(suite: &Suite, id: &str) -> String {
 /// that take one (`faults`, `overload`, `integrity`, `chaos`,
 /// `failslow`, `fleet`, `failover`; others ignore it), and reports
 /// whether the experiment's embedded determinism/robustness checks
-/// passed.
+/// passed (for `summary`: whether every paper claim is in its band).
 ///
 /// # Panics
 ///
@@ -130,6 +130,10 @@ pub fn run_experiment_checked(suite: &Suite, id: &str, seed: Option<u64>) -> Out
                 seed.unwrap_or(experiments::failover::SEED),
             );
             rendered(f.ok(), || f.render())
+        }
+        "summary" => {
+            let r = experiments::summary::run(suite);
+            rendered(r.all_ok(), || r.render())
         }
         other => run_unchecked(suite, other),
     }
@@ -189,10 +193,6 @@ fn run_unchecked(suite: &Suite, id: &str) -> Outcome {
         }
         "fig19" => {
             let r = experiments::fig19::run(suite);
-            rendered(true, || r.render())
-        }
-        "summary" => {
-            let r = experiments::summary::run(suite);
             rendered(true, || r.render())
         }
         "ablations" => {

@@ -1,7 +1,8 @@
-//! Smoke tests of the reproduction harness: every experiment id is
-//! wired, and the cheap ones render non-empty reports.
+//! Tests of the reproduction harness: every experiment id is wired,
+//! the cheap ones render non-empty reports, and `repro all` reproduces
+//! its committed golden output byte for byte.
 
-use dmx_bench::{run_experiment, EXPERIMENTS};
+use dmx_bench::{run_experiment, run_experiment_checked, EXPERIMENTS};
 use dmx_core::experiments::Suite;
 
 #[test]
@@ -51,4 +52,45 @@ fn checked_runner_is_vacuously_ok_without_embedded_checks() {
 fn unknown_experiment_panics() {
     let suite = Suite::new();
     run_experiment(&suite, "fig99");
+}
+
+/// Renders every id in [`EXPERIMENTS`] as `repro all` prints it (each
+/// report under a line of 72 `=`) and compares the result with the
+/// committed `golden/repro_all.txt`, reporting the first differing
+/// line. Also asserts that `repro summary` reports every paper claim in
+/// its band. After a change that moves the output on purpose,
+/// regenerate the file from the repository root and commit the diff:
+///
+/// ```text
+/// cargo run --release -p dmx-bench --bin repro -- all > crates/bench/tests/golden/repro_all.txt
+/// ```
+#[test]
+fn repro_all_matches_the_golden_output() {
+    let suite = Suite::new();
+    let mut out = String::new();
+    for id in EXPERIMENTS {
+        let o = run_experiment_checked(&suite, id, None);
+        if id == "summary" {
+            assert!(o.ok, "a paper claim drifted out of its band:\n{}", o.report);
+        }
+        out += &format!("{}\n{}\n", "=".repeat(72), o.report);
+    }
+    let golden = include_str!("golden/repro_all.txt");
+    if let Some((i, (got, want))) = out
+        .lines()
+        .zip(golden.lines())
+        .enumerate()
+        .find(|(_, (got, want))| got != want)
+    {
+        panic!(
+            "repro all differs from the golden output at line {}:\n  got:  {got}\n  want: {want}",
+            i + 1
+        );
+    }
+    assert!(
+        out == golden,
+        "repro all matches the golden output line by line but not in length: {} vs {} lines",
+        out.lines().count(),
+        golden.lines().count()
+    );
 }

@@ -33,16 +33,14 @@
 //!   ledger: requests, integrity flips with the crash discard account,
 //!   and hedges with their teardown cancellations.
 
-use super::Suite;
+use super::{Calibration, Checks, Suite, TENANTS};
 use crate::failslow::{FailSlowConfig, FailSlowReport, HealthParams};
 use crate::integrity::{ChecksumMode, IntegrityConfig, IntegrityReport};
-use crate::overload::{AdmissionParams, OverloadConfig, OverloadReport, ShedPolicy};
-use crate::placement::{Mode, Placement};
+use crate::overload::OverloadReport;
 use crate::report::{ms, Table};
 use crate::system::{simulate, units, CrashReport, SystemConfig};
 use dmx_sim::{
-    par_map, ArrivalProcess, CrashEvent, CrashTarget, DegradeEvent, DegradeTarget, FaultConfig,
-    SplitMix64, Time,
+    par_map, CrashEvent, CrashTarget, DegradeEvent, DegradeTarget, FaultConfig, SplitMix64, Time,
 };
 
 /// Default seed for every run in this experiment.
@@ -51,17 +49,11 @@ pub const SEED: u64 = 0xC4A05;
 /// Crash schedules sampled per sweep.
 pub const SCENARIOS: usize = 4;
 
-/// Concurrent open-loop tenants per run.
-const TENANTS: usize = 5;
-
 /// Arrivals each tenant offers per run.
 const ARRIVALS_PER_TENANT: usize = 16;
 
 /// Offered load as a multiple of measured capacity.
 const LOAD: f64 = 1.5;
-
-/// Pending-queue bound (requests).
-const QUEUE_CAPACITY: usize = 8;
 
 /// One sampled crash schedule and the composed run it produced.
 #[derive(Debug, Clone)]
@@ -76,47 +68,14 @@ pub struct Scenario {
     pub overload: OverloadReport,
     /// Integrity accounting.
     pub integrity: IntegrityReport,
-    /// Request conservation held: offered = completed + shed +
-    /// quarantined + crash-killed.
-    pub conserved: bool,
 }
 
-/// The embedded acceptance checks.
-#[derive(Debug, Clone)]
-pub struct Checks {
-    /// Request conservation held in every scenario.
-    pub conserved: bool,
-    /// Integrity ledger conserved (with the crash discard account) in
-    /// every scenario.
-    pub ledger_conserved: bool,
-    /// No flip escaped detection anywhere in the sweep.
-    pub zero_escaped: bool,
-    /// Some scenario actually exercised crash recovery (a migration,
-    /// stall, or kill) and some outage was re-admitted.
-    pub crash_effects: bool,
-    /// A composed run with an empty crash schedule reported an
-    /// all-zero crash layer.
-    pub no_crash_purity: bool,
-    /// An inert fault config reproduced the layer-absent run.
-    pub inert_identity: bool,
-    /// Two same-seed scenario runs rendered byte-identically.
-    pub deterministic: bool,
-    /// The degrade → crash → hot-plug composition balanced its full
-    /// conservation ledger: requests, integrity flips, and hedges.
-    pub composed_ledger: bool,
-}
-
-impl Checks {
-    /// True when every check passed.
-    pub fn all(&self) -> bool {
-        self.conserved
-            && self.ledger_conserved
-            && self.zero_escaped
-            && self.crash_effects
-            && self.no_crash_purity
-            && self.inert_identity
-            && self.deterministic
-            && self.composed_ledger
+impl Scenario {
+    /// Request conservation: offered = completed + shed + quarantined
+    /// + crash-killed.
+    fn conserved(&self) -> bool {
+        self.overload
+            .conserved_with(self.integrity.quarantine_shed + self.crashes.crash_killed)
     }
 }
 
@@ -139,33 +98,6 @@ pub struct Chaos {
     pub merged_summary: String,
     /// The embedded acceptance checks.
     pub checks: Checks,
-}
-
-/// Open-loop overload section offering [`LOAD`] times capacity: tenant
-/// 0 bursts (MMPP), the rest are Poisson — the same envelope as `repro
-/// overload`, so differences here are attributable to crashes and SDC.
-fn open_loop(seed: u64, mean: Time, slowest: Time) -> OverloadConfig {
-    let share_rps = 1.0 / mean.as_secs_f64();
-    let rate = LOAD * share_rps;
-    let mut arrivals = vec![ArrivalProcess::Mmpp {
-        low_rps: 0.2 * rate,
-        high_rps: 1.8 * rate,
-        mean_dwell: slowest * 6,
-    }];
-    arrivals.resize(TENANTS, ArrivalProcess::Poisson { rate_rps: rate });
-    OverloadConfig {
-        seed,
-        arrivals,
-        admission: AdmissionParams {
-            tokens_per_sec: 1.3 * rate,
-            burst: 4.0,
-            max_inflight: 8,
-        },
-        deadline: slowest * 4,
-        shed: ShedPolicy::Reject,
-        queue_capacity: QUEUE_CAPACITY,
-        ..OverloadConfig::none()
-    }
 }
 
 /// Silent-corruption rates for the sweep: high enough that every run
@@ -234,15 +166,11 @@ fn describe(sched: &[CrashEvent]) -> String {
     sched.iter().map(one).collect::<Vec<_>>().join(" ")
 }
 
-/// The fully-composed config: open-loop overload + SDC + per-hop
-/// checksums + the given crash schedule.
-fn composed(
-    suite: &Suite,
-    seed: u64,
-    mean: Time,
-    slowest: Time,
-    crashes: Vec<CrashEvent>,
-) -> SystemConfig {
+/// The fully-composed config: open-loop overload at [`LOAD`] (the
+/// same envelope as `repro overload`, so differences here are
+/// attributable to crashes and SDC) + SDC + per-hop checksums + the
+/// given crash schedule.
+fn composed(cal: &Calibration, seed: u64, crashes: Vec<CrashEvent>) -> SystemConfig {
     let mut faults = sdc_faults(seed);
     faults.crashes = crashes;
     let mut integ = IntegrityConfig::checked(ChecksumMode::PerHop);
@@ -250,23 +178,10 @@ fn composed(
     SystemConfig {
         requests_per_app: ARRIVALS_PER_TENANT,
         faults: Some(faults),
-        overload: Some(open_loop(seed, mean, slowest)),
+        overload: Some(cal.open_loop(seed, LOAD, cal.slowest * 4)),
         integrity: Some(integ),
-        ..SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), suite.mix(TENANTS))
+        ..cal.cfg.clone()
     }
-}
-
-/// Offered = completed + shed + quarantined + crash-killed, per run.
-fn request_conservation(o: &OverloadReport, i: &IntegrityReport, c: &CrashReport) -> bool {
-    let offered: u64 = o.tenants.iter().map(|t| t.offered).sum();
-    let resolved: u64 = o
-        .tenants
-        .iter()
-        .map(|t| {
-            t.goodput + t.late + t.rejected_admission + t.rejected_queue_full + t.shed_deadline
-        })
-        .sum();
-    offered == resolved + i.quarantine_shed + c.crash_killed
 }
 
 /// Runs the sweep under the default [`SEED`].
@@ -276,81 +191,34 @@ pub fn run(suite: &Suite) -> Chaos {
 
 /// Runs the sweep under an explicit seed.
 pub fn run_with_seed(suite: &Suite, seed: u64) -> Chaos {
-    // Capacity calibration — also the inert-identity baseline.
-    let clean_cfg = SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), suite.mix(TENANTS));
-    let clean = simulate(&clean_cfg);
-    let mean = clean.mean_latency();
-    let slowest = clean.apps.iter().map(|a| a.latency).max().expect("apps");
+    let cal = Calibration::new(suite);
+    let mean = cal.mean;
+    let scenario = |scen: usize| {
+        let sched = schedule(seed, scen, mean);
+        let r = simulate(&composed(&cal, seed, sched.clone()));
+        let merged = r.robustness_summary();
+        let scenario = Scenario {
+            index: scen,
+            schedule: describe(&sched),
+            crashes: r.crashes,
+            overload: r.overload.expect("open-loop run must report"),
+            integrity: r.integrity,
+        };
+        (scenario, merged)
+    };
 
     // Scenarios only depend on the calibration, so they fan out.
     let indices: Vec<usize> = (0..SCENARIOS).collect();
-    let scenarios: Vec<Scenario> = par_map(&indices, |_, &scen| {
-        let sched = schedule(seed, scen, mean);
-        let r = simulate(&composed(suite, seed, mean, slowest, sched.clone()));
-        let overload = r.overload.expect("open-loop run must report");
-        Scenario {
-            index: scen,
-            schedule: describe(&sched),
-            conserved: request_conservation(&overload, &r.integrity, &r.crashes),
-            crashes: r.crashes,
-            overload,
-            integrity: r.integrity,
-        }
-    });
-
-    let conserved = scenarios.iter().all(|s| s.conserved);
-    let ledger_conserved = scenarios.iter().all(|s| {
-        s.integrity
-            .conserved_with_discarded(s.crashes.flips_discarded)
-    });
-    let zero_escaped = scenarios.iter().all(|s| s.integrity.escaped == 0);
-    let crash_effects = scenarios.iter().any(|s| {
-        s.crashes.crashes > 0
-            && s.crashes.migrations + s.crashes.crash_stalls + s.crashes.crash_killed > 0
-    }) && scenarios.iter().any(|s| s.crashes.readmissions > 0);
-
-    // Empty crash schedule, everything else composed: the crash layer
-    // must be invisible (no checkpoints, no events, no accounting).
-    let pure = simulate(&composed(suite, seed, mean, slowest, Vec::new()));
-    let no_crash_purity = pure.crashes == CrashReport::default();
-
-    // The zero-overhead path: an inert fault config must be
-    // byte-identical to running with no fault layer at all.
-    let inert = simulate(&SystemConfig {
-        faults: Some(FaultConfig::none()),
-        ..clean_cfg.clone()
-    });
-    let inert_identity = format!("{clean:?}") == format!("{inert:?}");
+    let scenarios: Vec<Scenario> = par_map(&indices, |_, &scen| scenario(scen).0);
 
     // Same-seed determinism on the first scenario, re-simulated from
     // scratch; the Debug render covers every counter.
-    let again = simulate(&composed(
-        suite,
-        seed,
-        mean,
-        slowest,
-        schedule(seed, 0, mean),
-    ));
-    let again_overload = again.overload.expect("open-loop run must report");
-    let first = scenarios.first().expect("scenarios");
-    let deterministic = format!(
-        "{:?} {:?} {:?}",
-        again.crashes, again.integrity, again_overload
-    ) == format!(
-        "{:?} {:?} {:?}",
-        first.crashes, first.integrity, first.overload
-    );
+    let (again, merged_summary) = scenario(0);
+    let deterministic = format!("{again:?}") == format!("{:?}", scenarios[0]);
 
-    let merged_summary = {
-        let r = simulate(&composed(
-            suite,
-            seed,
-            mean,
-            slowest,
-            schedule(seed, 0, mean),
-        ));
-        r.robustness_summary()
-    };
+    // Empty crash schedule, everything else composed: the crash layer
+    // must be invisible (no checkpoints, no events, no accounting).
+    let pure = simulate(&composed(&cal, seed, Vec::new()));
 
     // Degrade → crash → hot-plug on one device: tenant 0's edge-0 DRX
     // goes gray early, is surprise-removed mid-run, and hot-plugs back
@@ -362,10 +230,8 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> Chaos {
     let horizon = mean * (ARRIVALS_PER_TENANT as u64);
     let gray_unit = units::bitw(0, 0);
     let mut gcfg = composed(
-        suite,
+        &cal,
         seed,
-        mean,
-        slowest,
         vec![CrashEvent {
             target: CrashTarget::Device(gray_unit),
             at: horizon.scale(0.25),
@@ -394,14 +260,51 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> Chaos {
         hedge_floor: Time::from_us(1),
     });
     let g = simulate(&gcfg);
-    let g_overload = g.overload.expect("open-loop run must report");
-    let composed_ledger = request_conservation(&g_overload, &g.integrity, &g.crashes)
-        && g.integrity
-            .conserved_with_discarded(g.crashes.flips_discarded)
-        && g.failslow.hedge_conserved()
-        && g.crashes.crashes > 0
-        && g.crashes.readmissions > 0
-        && g.failslow.slowed_batches > 0;
+    let g_overload = g.overload.as_ref().expect("open-loop run must report");
+
+    let checks = Checks(vec![
+        (
+            "request conservation in every scenario",
+            scenarios.iter().all(Scenario::conserved),
+        ),
+        (
+            "integrity ledger conserved incl. crash discard",
+            scenarios.iter().all(|s| {
+                s.integrity
+                    .conserved_with_discarded(s.crashes.flips_discarded)
+            }),
+        ),
+        (
+            "zero escaped flips under checking",
+            scenarios.iter().all(|s| s.integrity.escaped == 0),
+        ),
+        (
+            "crash recovery demonstrably exercised",
+            scenarios.iter().any(|s| {
+                s.crashes.crashes > 0
+                    && s.crashes.migrations + s.crashes.crash_stalls + s.crashes.crash_killed > 0
+            }) && scenarios.iter().any(|s| s.crashes.readmissions > 0),
+        ),
+        (
+            "empty crash schedule leaves no trace",
+            pure.crashes == CrashReport::default(),
+        ),
+        (
+            "inert config identical to no layer",
+            cal.inert_identical(|c| c.faults = Some(FaultConfig::none())),
+        ),
+        ("same-seed runs byte-identical", deterministic),
+        (
+            "degrade→crash→hot-plug ledger balances",
+            g_overload.conserved_with(g.integrity.quarantine_shed + g.crashes.crash_killed)
+                && g.integrity
+                    .conserved_with_discarded(g.crashes.flips_discarded)
+                && g.failslow.hedge_conserved()
+                && g.crashes.crashes > 0
+                && g.crashes.readmissions > 0
+                && g.failslow.slowed_batches > 0,
+        ),
+    ]);
 
     Chaos {
         seed,
@@ -410,16 +313,7 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> Chaos {
         composed_failslow: g.failslow,
         composed_crashes: g.crashes,
         merged_summary,
-        checks: Checks {
-            conserved,
-            ledger_conserved,
-            zero_escaped,
-            crash_effects,
-            no_crash_purity,
-            inert_identity,
-            deterministic,
-            composed_ledger,
-        },
+        checks,
     }
 }
 
@@ -450,13 +344,7 @@ impl Chaos {
             .to_vec(),
         );
         for s in &self.scenarios {
-            let shed: u64 = s
-                .overload
-                .tenants
-                .iter()
-                .map(|x| x.rejected_admission + x.rejected_queue_full + x.shed_deadline)
-                .sum::<u64>()
-                + s.integrity.quarantine_shed;
+            let shed = s.overload.shed() + s.integrity.quarantine_shed;
             t.row(vec![
                 format!("#{} {}", s.index, s.schedule),
                 s.crashes.crashes.to_string(),
@@ -472,8 +360,6 @@ impl Chaos {
                 s.crashes.flips_discarded.to_string(),
             ]);
         }
-        let yn = |b: bool| if b { "yes" } else { "NO (BUG)" };
-        let c = &self.checks;
         format!(
             "repro chaos — crash-stop sweep composed with overload + SDC (seed {seed:#x})\n\
              Five open-loop tenants at {load:.1}x capacity (clean mean\n\
@@ -487,34 +373,19 @@ impl Chaos {
              crash(es), {readmit} re-admission(s).\n\n\
              Merged robustness summary of scenario #0 (all layers, one\n\
              table):\n\n{merged}\n\
-             checks:\n\
-             request conservation in every scenario          {q1}\n\
-             integrity ledger conserved incl. crash discard  {q2}\n\
-             zero escaped flips under checking               {q3}\n\
-             crash recovery demonstrably exercised           {q4}\n\
-             empty crash schedule leaves no trace            {q5}\n\
-             inert config identical to no layer              {q6}\n\
-             same-seed runs byte-identical                   {q7}\n\
-             degrade→crash→hot-plug ledger balances          {q8}\n",
+             {checks}",
             seed = self.seed,
             load = LOAD,
             mean = ms(self.clean_mean),
             n = self.scenarios.len(),
             table = t.render(),
             merged = self.merged_summary,
-            q1 = yn(c.conserved),
-            q2 = yn(c.ledger_conserved),
-            q3 = yn(c.zero_escaped),
-            q4 = yn(c.crash_effects),
-            q5 = yn(c.no_crash_purity),
             slowed = self.composed_failslow.slowed_batches,
             hedged = self.composed_failslow.hedged,
             cancelled = self.composed_failslow.cancelled,
             crashes = self.composed_crashes.crashes,
             readmit = self.composed_crashes.readmissions,
-            q6 = yn(c.inert_identity),
-            q7 = yn(c.deterministic),
-            q8 = yn(c.composed_ledger),
+            checks = self.checks.render(48),
         )
     }
 }
@@ -524,19 +395,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_is_reproducible_and_checks_pass() {
-        let suite = Suite::new();
-        let a = run(&suite);
-        assert!(a.ok(), "embedded checks failed: {:?}", a.checks);
+    fn every_scenario_keeps_goodput() {
+        let a = run(&Suite::new());
         assert_eq!(a.scenarios.len(), SCENARIOS);
         for s in &a.scenarios {
             assert!(s.overload.goodput() > 0, "scenario {} starved", s.index);
         }
         assert!(!a.merged_summary.is_empty(), "merged summary missing");
-        let b = run(&suite);
-        assert_eq!(a.render(), b.render(), "same seed must be byte-identical");
-        let c = run_with_seed(&suite, SEED + 1);
-        assert!(c.ok(), "checks must hold under other seeds: {:?}", c.checks);
-        assert_ne!(a.render(), c.render());
     }
 }

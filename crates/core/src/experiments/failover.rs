@@ -35,17 +35,13 @@
 //! * a faulted, hedged cell renders byte-identically on 1, 2, and 4
 //!   shards, and a same-seed re-run reproduces it exactly.
 
-use super::Suite;
+use super::{shard_identity, Calibration, Checks, Suite};
 use crate::fleet::{
     run_fleet, ClassPolicy, FailoverConfig, FleetConfig, FleetFaultPlan, FleetResult,
-    LbHealthParams, LbPolicy, RequestClass, ServerGray, ServerKill, ServerOutage,
+    LbHealthParams, RequestClass, ServerGray, ServerKill, ServerOutage,
 };
-use crate::overload::{AdmissionParams, OverloadConfig, ShedPolicy};
-use crate::placement::{Mode, Placement};
 use crate::report::{ms, Table};
-use crate::system::{simulate, SystemConfig};
-use dmx_pcie::InterNodeFabric;
-use dmx_sim::{par_map, ArrivalProcess, Time};
+use dmx_sim::{par_map, Time};
 
 /// Default seed for every run in this experiment.
 pub const SEED: u64 = 0xFA11;
@@ -59,14 +55,8 @@ pub const SERVERS: [usize; 2] = [2, 4];
 /// (the `overload` experiment owns that regime).
 pub const LOAD: f64 = 0.5;
 
-/// Concurrent tenants (one per Table I benchmark).
-const TENANTS: usize = 5;
-
 /// Arrivals per tenant per server.
 const ARRIVALS_PER_TENANT_PER_SERVER: usize = 6;
-
-/// Per-server concurrent-admission bound.
-const MAX_INFLIGHT: usize = 8;
 
 /// The whole-server fault scenario of one sweep cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,40 +194,6 @@ pub struct Cell {
     pub result: FleetResult,
 }
 
-/// The embedded acceptance checks.
-#[derive(Debug, Clone)]
-pub struct Checks {
-    /// Every cell kept the duplicates-aware conservation ledger.
-    pub ledger: bool,
-    /// No cell stranded a request.
-    pub zero_stranded: bool,
-    /// Faulted cells with a retry budget actually re-dispatched,
-    /// cancelled duplicates, and demoted servers.
-    pub recovery_exercised: bool,
-    /// On the kill cell, re-dispatch recovered sheds that the no-retry
-    /// policy ate.
-    pub redispatch_recovers: bool,
-    /// Inert failover + inert plan are byte-identical to layer-absent.
-    pub inert_identity: bool,
-    /// A faulted, hedged cell is byte-identical on 1, 2, and 4 shards.
-    pub partitions_identical: bool,
-    /// An independent same-seed re-run is byte-identical.
-    pub deterministic: bool,
-}
-
-impl Checks {
-    /// True when every check passed.
-    pub fn all(&self) -> bool {
-        self.ledger
-            && self.zero_stranded
-            && self.recovery_exercised
-            && self.redispatch_recovers
-            && self.inert_identity
-            && self.partitions_identical
-            && self.deterministic
-    }
-}
-
 /// Full failover-sweep results.
 #[derive(Debug, Clone)]
 pub struct FailoverSweep {
@@ -251,52 +207,23 @@ pub struct FailoverSweep {
     pub checks: Checks,
 }
 
-/// The per-server system config (mirrors the `fleet` experiment).
-fn server_cfg(suite: &Suite, slowest: Time) -> SystemConfig {
-    SystemConfig {
-        overload: Some(OverloadConfig {
-            admission: AdmissionParams {
-                tokens_per_sec: f64::INFINITY,
-                burst: 1.0,
-                max_inflight: MAX_INFLIGHT,
-            },
-            deadline: slowest * 4,
-            shed: ShedPolicy::Reject,
-            queue_capacity: 8,
-            ..OverloadConfig::none()
-        }),
-        ..SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), suite.mix(TENANTS))
-    }
-}
-
 /// The fleet config of one cell; `fault`/`policy` as `None` build the
-/// layer-absent legacy config for the inert-identity check.
+/// layer-absent config for the inert-identity check. Every tenant is
+/// Poisson, and the arrival span of one tenant's stream anchors the
+/// fault times.
 fn cell_cfg(
-    suite: &Suite,
+    cal: &Calibration,
     seed: u64,
-    mean: Time,
-    slowest: Time,
     servers: usize,
     fault: Option<Fault>,
     policy: Option<Retry>,
 ) -> FleetConfig {
-    let share_rps = MAX_INFLIGHT as f64 / (mean.as_secs_f64() * TENANTS as f64);
-    let rate = LOAD * share_rps * servers as f64;
-    let per_tenant = ARRIVALS_PER_TENANT_PER_SERVER * servers;
-    // The arrival span of one tenant's stream anchors the fault times.
-    let span = Time::from_secs_f64(per_tenant as f64 / rate);
+    let cfg = cal.fleet_cell(seed, servers, LOAD, ARRIVALS_PER_TENANT_PER_SERVER, false);
+    let span = Time::from_secs_f64(cfg.requests_per_tenant as f64 / cal.fleet_rate(servers, LOAD));
     FleetConfig {
-        servers,
-        server: server_cfg(suite, slowest),
-        policy: LbPolicy::LeastLoaded,
-        fabric: InterNodeFabric::default(),
-        seed,
-        arrivals: vec![ArrivalProcess::Poisson { rate_rps: rate }; TENANTS],
-        requests_per_tenant: per_tenant,
-        request_bytes: 64 << 10,
-        response_bytes: 16 << 10,
         failover: policy.map(Retry::failover),
         fault_plan: fault.map(|f| f.plan(span)),
+        ..cfg
     }
 }
 
@@ -309,12 +236,7 @@ pub fn run(suite: &Suite) -> FailoverSweep {
 /// Runs the sweep under an explicit seed.
 pub fn run_with_seed(suite: &Suite, seed: u64) -> FailoverSweep {
     let shards = dmx_sim::partition::partitions();
-    let clean = simulate(&SystemConfig::latency(
-        Mode::Dmx(Placement::BumpInTheWire),
-        suite.mix(TENANTS),
-    ));
-    let mean = clean.mean_latency();
-    let slowest = clean.apps.iter().map(|a| a.latency).max().expect("apps");
+    let cal = Calibration::new(suite);
 
     let grid: Vec<(usize, Fault, Retry)> = SERVERS
         .iter()
@@ -324,30 +246,17 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FailoverSweep {
                 .flat_map(move |&f| Retry::ALL.iter().map(move |&p| (s, f, p)))
         })
         .collect();
-    let cells: Vec<Cell> = par_map(&grid, |_, &(servers, fault, policy)| {
-        let cfg = cell_cfg(
-            suite,
-            seed,
-            mean,
-            slowest,
-            servers,
-            Some(fault),
-            Some(policy),
-        );
-        Cell {
-            servers,
-            fault,
-            policy,
-            result: run_fleet(&cfg, shards),
-        }
+    let cells: Vec<Cell> = par_map(&grid, |_, &(servers, fault, policy)| Cell {
+        servers,
+        fault,
+        policy,
+        result: run_fleet(
+            &cell_cfg(&cal, seed, servers, Some(fault), Some(policy)),
+            shards,
+        ),
     });
 
     // ---- embedded checks ---------------------------------------------
-    let ledger = cells.iter().all(|c| c.result.conserved_with_duplicates());
-    let zero_stranded = cells
-        .iter()
-        .all(|c| c.result.failover.as_ref().is_some_and(|f| f.stranded == 0));
-
     // Recovery exercised: over the faulted cells with a retry budget,
     // re-dispatch fired, duplicates were cancelled somewhere, and the
     // health scorer demoted or darkened servers.
@@ -362,67 +271,80 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FailoverSweep {
             .map(f)
             .sum()
     };
-    let recovery_exercised = sum(&|f| f.retries) > 0
-        && sum(&|f| f.duplicates_cancelled) > 0
-        && sum(&|f| f.demotions + f.darks) > 0
-        && sum(&|f| f.probes) > 0;
 
     // Re-dispatch recovers: on the permanent kill at the largest
     // fleet, the no-retry policy sheds every crash-killed request;
     // with a budget those requests complete elsewhere.
     let kill_cell = |policy: Retry| {
-        cells
+        &cells
             .iter()
             .find(|c| c.servers == 4 && c.fault == Fault::Kill && c.policy == policy)
             .expect("kill cell")
+            .result
     };
     let no_retry = kill_cell(Retry::NoRetry);
     let retry = kill_cell(Retry::Retry);
-    let redispatch_recovers = no_retry.result.shed > retry.result.shed
-        && retry.result.goodput + retry.result.late
-            > no_retry.result.goodput + no_retry.result.late;
 
     // Inert identity: a fleet with `Some(inert)` layers is bit-identical
     // to the layer-absent fleet.
-    let absent = cell_cfg(suite, seed, mean, slowest, 2, None, None);
-    let mut inert = absent.clone();
-    inert.failover = Some(FailoverConfig::none());
-    inert.fault_plan = Some(FleetFaultPlan::none());
-    let inert_identity =
-        format!("{:?}", run_fleet(&absent, shards)) == format!("{:?}", run_fleet(&inert, shards));
+    let absent = cell_cfg(&cal, seed, 2, None, None);
+    let inert = FleetConfig {
+        failover: Some(FailoverConfig::none()),
+        fault_plan: Some(FleetFaultPlan::none()),
+        ..absent.clone()
+    };
 
-    // Partition identity on a faulted, hedged cell.
-    let ident_cfg = cell_cfg(
-        suite,
+    // Partition identity on a faulted, hedged cell. The serial run
+    // re-simulates the (4, kill, retry+hedge) grid cell, so it doubles
+    // as the same-seed determinism check.
+    let (serial, partitions_identical) = shard_identity(&cell_cfg(
+        &cal,
         seed,
-        mean,
-        slowest,
         4,
         Some(Fault::Kill),
         Some(Retry::RetryHedge),
-    );
-    let serial = format!("{:?}", run_fleet(&ident_cfg, 1));
-    let partitions_identical = [2, 4]
-        .iter()
-        .all(|&n| format!("{:?}", run_fleet(&ident_cfg, n)) == serial);
+    ));
 
-    // Same-seed determinism: the serial identity run re-simulates the
-    // (4, kill, retry+hedge) grid cell.
-    let deterministic = format!("{:?}", kill_cell(Retry::RetryHedge).result) == serial;
+    let checks = Checks(vec![
+        (
+            "duplicates-aware ledger on every cell",
+            cells.iter().all(|c| c.result.conserved_with_duplicates()),
+        ),
+        (
+            "zero stranded requests everywhere",
+            cells
+                .iter()
+                .all(|c| c.result.failover.as_ref().is_some_and(|f| f.stranded == 0)),
+        ),
+        (
+            "recovery machinery exercised",
+            sum(&|f| f.retries) > 0
+                && sum(&|f| f.duplicates_cancelled) > 0
+                && sum(&|f| f.demotions + f.darks) > 0
+                && sum(&|f| f.probes) > 0,
+        ),
+        (
+            "re-dispatch recovers kill sheds",
+            no_retry.shed > retry.shed
+                && retry.goodput + retry.late > no_retry.goodput + no_retry.late,
+        ),
+        (
+            "inert layers byte-identical to absent",
+            format!("{:?}", run_fleet(&absent, shards))
+                == format!("{:?}", run_fleet(&inert, shards)),
+        ),
+        ("partitions 1/2/4 byte-identical", partitions_identical),
+        (
+            "same-seed re-run byte-identical",
+            format!("{:?}", kill_cell(Retry::RetryHedge)) == serial,
+        ),
+    ]);
 
     FailoverSweep {
         seed,
-        clean_mean: mean,
+        clean_mean: cal.mean,
         cells,
-        checks: Checks {
-            ledger,
-            zero_stranded,
-            recovery_exercised,
-            redispatch_recovers,
-            inert_identity,
-            partitions_identical,
-            deterministic,
-        },
+        checks,
     }
 }
 
@@ -463,8 +385,6 @@ impl FailoverSweep {
                 ms(r.e2e_p50),
             ]);
         }
-        let yn = |b: bool| if b { "yes" } else { "NO (BUG)" };
-        let c = &self.checks;
         format!(
             "repro failover — whole-server faults vs LB failover (seed {seed:#x})\n\
              2/4 servers at {load}x per-server load; server 0 is killed,\n\
@@ -474,25 +394,12 @@ impl FailoverSweep {
              re-dispatch, attempt-tagged first-wins dedup, and per-class\n\
              SLO retry/hedge (clean mean {mean}).\n\n\
              {t}\n\
-             checks:\n\
-             duplicates-aware ledger on every cell   {lg}\n\
-             zero stranded requests everywhere       {st}\n\
-             recovery machinery exercised            {re}\n\
-             re-dispatch recovers kill sheds         {rd}\n\
-             inert layers byte-identical to absent   {ii}\n\
-             partitions 1/2/4 byte-identical         {pi}\n\
-             same-seed re-run byte-identical         {dt}\n",
+             {checks}",
             seed = self.seed,
             load = LOAD,
             mean = ms(self.clean_mean),
             t = t.render(),
-            lg = yn(c.ledger),
-            st = yn(c.zero_stranded),
-            re = yn(c.recovery_exercised),
-            rd = yn(c.redispatch_recovers),
-            ii = yn(c.inert_identity),
-            pi = yn(c.partitions_identical),
-            dt = yn(c.deterministic),
+            checks = self.checks.render(40),
         )
     }
 }
@@ -502,25 +409,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_is_reproducible_and_checks_pass() {
-        let suite = Suite::new();
-        let a = run(&suite);
-        assert!(a.ok(), "embedded checks failed: {:?}", a.checks);
+    fn kills_hurt_noretry_more_than_retry() {
+        let r = run(&Suite::new());
         assert_eq!(
-            a.cells.len(),
+            r.cells.len(),
             SERVERS.len() * Fault::ALL.len() * Retry::ALL.len()
         );
-        let b = run(&suite);
-        assert_eq!(a.render(), b.render(), "same seed must be byte-identical");
-        let c = run_with_seed(&suite, SEED + 1);
-        assert!(c.ok(), "checks must hold under other seeds: {:?}", c.checks);
-        assert_ne!(a.render(), c.render());
-    }
-
-    #[test]
-    fn kills_hurt_noretry_more_than_retry() {
-        let suite = Suite::new();
-        let r = run(&suite);
         // Aggregate across both fleet sizes: with a permanent kill, the
         // retry policies shed less than no-retry.
         let shed = |policy: Retry| -> u64 {

@@ -29,28 +29,20 @@
 //! * two same-seed runs are byte-identical (so `--threads N` cannot
 //!   change results — every cell is a pure function of the seed).
 
-use super::Suite;
+use super::{Calibration, Checks, Suite};
 use crate::failslow::{FailSlowConfig, FailSlowReport, HealthParams};
-use crate::overload::{AdmissionParams, OverloadConfig, OverloadReport, ShedPolicy};
-use crate::placement::{Mode, Placement};
 use crate::report::{ms, Table};
-use crate::system::{simulate, units, SystemConfig};
-use dmx_sim::{par_map, ArrivalProcess, DegradeEvent, DegradeTarget, DutyCycle, FaultConfig, Time};
+use crate::system::{simulate, units, RunResult, SystemConfig};
+use dmx_sim::{par_map, DegradeEvent, DegradeTarget, DutyCycle, FaultConfig, Time};
 
 /// Default seed for every run in this experiment.
 pub const SEED: u64 = 0xF510;
-
-/// Concurrent open-loop tenants per run.
-const TENANTS: usize = 5;
 
 /// Arrivals each tenant offers per run.
 const ARRIVALS_PER_TENANT: usize = 16;
 
 /// Offered load as a multiple of measured capacity.
 const LOAD: f64 = 1.5;
-
-/// Pending-queue bound (requests).
-const QUEUE_CAPACITY: usize = 8;
 
 /// The tenant whose edge-0 DRX goes gray.
 const GRAY_APP: usize = 0;
@@ -95,40 +87,6 @@ pub struct Cell {
     on_sig: String,
 }
 
-/// The embedded acceptance checks.
-#[derive(Debug, Clone)]
-pub struct Checks {
-    /// Request conservation held in every run.
-    pub conserved: bool,
-    /// `hedged == won_primary + won_hedge + cancelled` in every run.
-    pub hedges_conserved: bool,
-    /// Detection and mitigation fired somewhere: gray flags, demoted
-    /// batches, hedges, and probes all observed.
-    pub mitigation_fired: bool,
-    /// The link/subtree injection path applied bandwidth windows.
-    pub link_degrades_fired: bool,
-    /// The 4x continuous cell recovered at least half of the p99
-    /// degradation.
-    pub recovery: bool,
-    /// An inert fail-slow config reproduced the layer-absent run.
-    pub inert_identity: bool,
-    /// Two same-seed runs of a degraded cell were byte-identical.
-    pub deterministic: bool,
-}
-
-impl Checks {
-    /// True when every check passed.
-    pub fn all(&self) -> bool {
-        self.conserved
-            && self.hedges_conserved
-            && self.mitigation_fired
-            && self.link_degrades_fired
-            && self.recovery
-            && self.inert_identity
-            && self.deterministic
-    }
-}
-
 /// Full fail-slow sweep results.
 #[derive(Debug, Clone)]
 pub struct FailSlow {
@@ -145,35 +103,6 @@ pub struct FailSlow {
     pub merged_summary: String,
     /// The embedded acceptance checks.
     pub checks: Checks,
-}
-
-/// Open-loop overload section offering [`LOAD`] times capacity: tenant
-/// 0 bursts (MMPP), the rest are Poisson — the same envelope as `repro
-/// chaos`, so differences here are attributable to the gray device.
-fn open_loop(seed: u64, mean: Time, slowest: Time) -> OverloadConfig {
-    let share_rps = 1.0 / mean.as_secs_f64();
-    let rate = LOAD * share_rps;
-    let mut arrivals = vec![ArrivalProcess::Mmpp {
-        low_rps: 0.2 * rate,
-        high_rps: 1.8 * rate,
-        mean_dwell: slowest * 6,
-    }];
-    arrivals.resize(TENANTS, ArrivalProcess::Poisson { rate_rps: rate });
-    OverloadConfig {
-        seed,
-        arrivals,
-        admission: AdmissionParams {
-            tokens_per_sec: 1.3 * rate,
-            burst: 4.0,
-            max_inflight: 8,
-        },
-        // Generous deadline: gray-slowed requests should complete late
-        // rather than be shed, so p99 measures the slowness itself.
-        deadline: slowest * 12,
-        shed: ShedPolicy::Reject,
-        queue_capacity: QUEUE_CAPACITY,
-        ..OverloadConfig::none()
-    }
 }
 
 /// Mitigation tuning for the sweep: flag fast (small fleet, short
@@ -212,13 +141,15 @@ fn gray_device(slowdown: f64, duty: Option<f64>, jitter: f64, mean: Time) -> Vec
     }]
 }
 
-/// The composed config: open-loop overload + the given degrade
-/// schedule + the given fail-slow policy.
+/// The composed config: open-loop overload at [`LOAD`] (the same
+/// envelope as `repro chaos`, so differences here are attributable to
+/// the gray device) + the given degrade schedule + the given fail-slow
+/// policy. The deadline is generous: gray-slowed requests should
+/// complete late rather than be shed, so p99 measures the slowness
+/// itself.
 fn composed(
-    suite: &Suite,
+    cal: &Calibration,
     seed: u64,
-    mean: Time,
-    slowest: Time,
     degrades: Vec<DegradeEvent>,
     failslow: Option<FailSlowConfig>,
 ) -> SystemConfig {
@@ -228,23 +159,19 @@ fn composed(
     SystemConfig {
         requests_per_app: ARRIVALS_PER_TENANT,
         faults: Some(faults),
-        overload: Some(open_loop(seed, mean, slowest)),
+        overload: Some(cal.open_loop(seed, LOAD, cal.slowest * 12)),
         failslow,
-        ..SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), suite.mix(TENANTS))
+        ..cal.cfg.clone()
     }
 }
 
-/// Offered = completed (in or out of deadline) + shed, per run.
-fn request_conservation(o: &OverloadReport) -> bool {
-    let offered: u64 = o.tenants.iter().map(|t| t.offered).sum();
-    let resolved: u64 = o
-        .tenants
-        .iter()
-        .map(|t| {
-            t.goodput + t.late + t.rejected_admission + t.rejected_queue_full + t.shed_deadline
-        })
-        .sum();
-    offered == resolved
+/// Request conservation of one run: offered = completed (in or out of
+/// deadline) + shed.
+fn conserved(r: &RunResult) -> bool {
+    r.overload
+        .as_ref()
+        .expect("open-loop run")
+        .conserved_with(0)
 }
 
 /// Runs the sweep under the default [`SEED`].
@@ -254,30 +181,19 @@ pub fn run(suite: &Suite) -> FailSlow {
 
 /// Runs the sweep under an explicit seed.
 pub fn run_with_seed(suite: &Suite, seed: u64) -> FailSlow {
-    // Capacity calibration — also the inert-identity baseline.
-    let clean_cfg = SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), suite.mix(TENANTS));
-    let clean = simulate(&clean_cfg);
-    let mean = clean.mean_latency();
-    let slowest = clean.apps.iter().map(|a| a.latency).max().expect("apps");
+    let cal = Calibration::new(suite);
+    let mean = cal.mean;
 
     // The healthy baseline is shared by every cell (no degradation, no
     // fail-slow layer — same seed, same arrivals).
-    let healthy = simulate(&composed(suite, seed, mean, slowest, Vec::new(), None));
+    let healthy = simulate(&composed(&cal, seed, Vec::new(), None));
     let healthy_p99 = healthy.apps[GRAY_APP].latency_p99;
-    let healthy_conserved = request_conservation(healthy.overload.as_ref().expect("open-loop run"));
 
     // Cells only depend on the calibration, so they fan out.
     let cells: Vec<Cell> = par_map(&CELLS, |_, &(slowdown, duty, jitter)| {
         let sched = gray_device(slowdown, duty, jitter, mean);
-        let off = simulate(&composed(suite, seed, mean, slowest, sched.clone(), None));
-        let on = simulate(&composed(
-            suite,
-            seed,
-            mean,
-            slowest,
-            sched,
-            Some(mitigation(mean)),
-        ));
+        let off = simulate(&composed(&cal, seed, sched.clone(), None));
+        let on = simulate(&composed(&cal, seed, sched, Some(mitigation(mean))));
         let off_p99 = off.apps[GRAY_APP].latency_p99;
         let on_p99 = on.apps[GRAY_APP].latency_p99;
         let gap = off_p99.as_secs_f64() - healthy_p99.as_secs_f64();
@@ -295,8 +211,7 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FailSlow {
             recovered,
             off_report: off.failslow,
             on_report: on.failslow,
-            conserved: request_conservation(off.overload.as_ref().expect("open-loop run"))
-                && request_conservation(on.overload.as_ref().expect("open-loop run")),
+            conserved: conserved(&off) && conserved(&on),
             hedges_conserved: off.failslow.hedge_conserved() && on.failslow.hedge_conserved(),
             on_sig: format!("{:?} {:?}", on.failslow, on.apps),
         }
@@ -316,25 +231,7 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FailSlow {
             on_fraction: 0.5,
         }),
     }];
-    let link = simulate(&composed(
-        suite,
-        seed,
-        mean,
-        slowest,
-        link_sched,
-        Some(mitigation(mean)),
-    ));
-    let link_conserved = request_conservation(link.overload.as_ref().expect("open-loop run"))
-        && link.failslow.hedge_conserved();
-
-    // The zero-overhead path: an inert fail-slow config (and an inert
-    // fault layer) must be byte-identical to no layers at all.
-    let inert = simulate(&SystemConfig {
-        faults: Some(FaultConfig::none()),
-        failslow: Some(FailSlowConfig::none()),
-        ..clean_cfg.clone()
-    });
-    let inert_identity = format!("{clean:?}") == format!("{inert:?}");
+    let link = simulate(&composed(&cal, seed, link_sched, Some(mitigation(mean))));
 
     // Same-seed determinism on the 4x continuous mitigated run,
     // re-simulated from scratch. Every cell is a pure function of
@@ -342,40 +239,57 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FailSlow {
     // Debug render covers every counter.
     let four_x = &cells[1];
     let again = simulate(&composed(
-        suite,
+        &cal,
         seed,
-        mean,
-        slowest,
         gray_device(4.0, None, 0.0, mean),
         Some(mitigation(mean)),
     ));
-    let deterministic = format!("{:?} {:?}", again.failslow, again.apps) == four_x.on_sig;
-    let merged_summary = again.robustness_summary();
 
-    let conserved = healthy_conserved && link_conserved && cells.iter().all(|c| c.conserved);
-    let hedges_conserved = cells.iter().all(|c| c.hedges_conserved);
-    let mitigation_fired = cells.iter().any(|c| c.on_report.gray_flags > 0)
-        && cells.iter().any(|c| c.on_report.demoted_batches > 0)
-        && cells.iter().any(|c| c.on_report.hedged > 0)
-        && cells.iter().any(|c| c.on_report.probes > 0);
-    let link_degrades_fired = link.failslow.link_degrades > 0;
-    let recovery = four_x.recovered >= 0.5;
+    let fired = |f: fn(&FailSlowReport) -> u64| cells.iter().any(|c| f(&c.on_report) > 0);
+    let checks = Checks(vec![
+        (
+            "request conservation in every run",
+            conserved(&healthy)
+                && conserved(&link)
+                && link.failslow.hedge_conserved()
+                && cells.iter().all(|c| c.conserved),
+        ),
+        (
+            "hedge ledger conserved (no double completions)",
+            cells.iter().all(|c| c.hedges_conserved),
+        ),
+        (
+            "detection + mitigation demonstrably fired",
+            fired(|r| r.gray_flags)
+                && fired(|r| r.demoted_batches)
+                && fired(|r| r.hedged)
+                && fired(|r| r.probes),
+        ),
+        (
+            "link-bandwidth injection fired",
+            link.failslow.link_degrades > 0,
+        ),
+        ("4x cell p99 recovery >= 50%", four_x.recovered >= 0.5),
+        (
+            "inert config identical to no layer",
+            cal.inert_identical(|c| {
+                c.faults = Some(FaultConfig::none());
+                c.failslow = Some(FailSlowConfig::none());
+            }),
+        ),
+        (
+            "same-seed runs byte-identical",
+            format!("{:?} {:?}", again.failslow, again.apps) == four_x.on_sig,
+        ),
+    ]);
 
     FailSlow {
         seed,
         clean_mean: mean,
-        cells,
         link_report: link.failslow,
-        merged_summary,
-        checks: Checks {
-            conserved,
-            hedges_conserved,
-            mitigation_fired,
-            link_degrades_fired,
-            recovery,
-            inert_identity,
-            deterministic,
-        },
+        merged_summary: again.robustness_summary(),
+        cells,
+        checks,
     }
 }
 
@@ -424,8 +338,6 @@ impl FailSlow {
                 on.slowed_batches.to_string(),
             ]);
         }
-        let yn = |b: bool| if b { "yes" } else { "NO (BUG)" };
-        let c = &self.checks;
         format!(
             "repro failslow — gray-failure sweep composed with overload (seed {seed:#x})\n\
              Five open-loop tenants at {load:.1}x capacity (clean mean\n\
@@ -437,14 +349,7 @@ impl FailSlow {
              windows applied, {slow} batches slowed.\n\n\
              Merged robustness summary of the 4x mitigated run (all\n\
              five layers, one table):\n\n{merged}\n\
-             checks:\n\
-             request conservation in every run                {q1}\n\
-             hedge ledger conserved (no double completions)   {q2}\n\
-             detection + mitigation demonstrably fired        {q3}\n\
-             link-bandwidth injection fired                   {q4}\n\
-             4x cell p99 recovery >= 50%                      {q5}\n\
-             inert config identical to no layer               {q6}\n\
-             same-seed runs byte-identical                    {q7}\n",
+             {checks}",
             seed = self.seed,
             load = LOAD,
             mean = ms(self.clean_mean),
@@ -453,13 +358,7 @@ impl FailSlow {
             lnk = self.link_report.link_degrades,
             slow = self.link_report.slowed_batches,
             merged = self.merged_summary,
-            q1 = yn(c.conserved),
-            q2 = yn(c.hedges_conserved),
-            q3 = yn(c.mitigation_fired),
-            q4 = yn(c.link_degrades_fired),
-            q5 = yn(c.recovery),
-            q6 = yn(c.inert_identity),
-            q7 = yn(c.deterministic),
+            checks = self.checks.render(49),
         )
     }
 }
@@ -469,13 +368,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_is_reproducible_and_checks_pass() {
-        let suite = Suite::new();
-        let a = run(&suite);
-        assert!(a.ok(), "embedded checks failed: {:?}", a.checks);
+    fn every_cell_runs_and_the_merged_summary_renders() {
+        let a = run(&Suite::new());
         assert_eq!(a.cells.len(), CELLS.len());
         assert!(!a.merged_summary.is_empty(), "merged summary missing");
-        let b = run(&suite);
-        assert_eq!(a.render(), b.render(), "same seed must be byte-identical");
     }
 }

@@ -32,14 +32,10 @@
 //! rendered output stays byte-identical across machines and shard
 //! counts.
 
-use super::Suite;
+use super::{shard_identity, Calibration, Checks, Suite, TENANTS};
 use crate::fleet::{run_fleet, FleetConfig, FleetResult, LbPolicy};
-use crate::overload::{AdmissionParams, OverloadConfig, ShedPolicy};
-use crate::placement::{Mode, Placement};
 use crate::report::{ms, pct, Table};
-use crate::system::{simulate, SystemConfig};
-use dmx_pcie::InterNodeFabric;
-use dmx_sim::{par_map, ArrivalProcess, Time};
+use dmx_sim::{par_map, Time};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Default seed for every run in this experiment.
@@ -53,9 +49,6 @@ pub const SERVERS: [usize; 3] = [1, 2, 4];
 /// capacity well below the bound, so 3.0x is solidly saturating.
 pub const LOADS: [f64; 3] = [0.5, 1.5, 3.0];
 
-/// Concurrent tenants (one per Table I benchmark).
-const TENANTS: usize = 5;
-
 /// Arrivals each tenant offers per server in the fleet (total offered
 /// work scales with fleet size, keeping per-server work comparable).
 const ARRIVALS_PER_TENANT_PER_SERVER: usize = 10;
@@ -64,11 +57,6 @@ const ARRIVALS_PER_TENANT_PER_SERVER: usize = 10;
 /// speedup probe: the middle of [`LOADS`], where queues are busy
 /// enough for dispatch policy to matter but shedding is not dominant.
 pub const POLICY_LOAD: f64 = 1.5;
-
-/// Per-server concurrent-admission bound; also the capacity model's
-/// concurrency term (a server completes roughly `MAX_INFLIGHT / mean`
-/// requests per second when saturated).
-const MAX_INFLIGHT: usize = 8;
 
 /// One cell of the servers × load sweep.
 #[derive(Debug, Clone)]
@@ -111,33 +99,6 @@ impl SpeedupProbe {
     }
 }
 
-/// The embedded acceptance checks.
-#[derive(Debug, Clone)]
-pub struct Checks {
-    /// Every cell and policy row conserved its requests.
-    pub conserved: bool,
-    /// The 4-server cell is byte-identical on 1, 2, and 4 shards.
-    pub partitions_identical: bool,
-    /// An independent same-seed re-run is byte-identical.
-    pub deterministic: bool,
-    /// 4 servers deliver at least 3x the goodput of 1 at equal
-    /// per-server load.
-    pub scales: bool,
-    /// Tenant affinity dispatched tenant `t` only to server `t % n`.
-    pub affinity_pins: bool,
-}
-
-impl Checks {
-    /// True when every check passed.
-    pub fn all(&self) -> bool {
-        self.conserved
-            && self.partitions_identical
-            && self.deterministic
-            && self.scales
-            && self.affinity_pins
-    }
-}
-
 /// Full fleet-sweep results.
 #[derive(Debug, Clone)]
 pub struct FleetSweep {
@@ -154,63 +115,6 @@ pub struct FleetSweep {
     /// Wall-clock speedup probe; `None` on hosts without enough cores.
     /// Excluded from [`render`](FleetSweep::render).
     pub speedup: Option<SpeedupProbe>,
-}
-
-/// The per-server system config: five tenants, bounded inflight and
-/// EDF queue, deadline 4x the slowest clean latency, reject sheds.
-fn server_cfg(suite: &Suite, slowest: Time) -> SystemConfig {
-    SystemConfig {
-        overload: Some(OverloadConfig {
-            admission: AdmissionParams {
-                tokens_per_sec: f64::INFINITY,
-                burst: 1.0,
-                max_inflight: MAX_INFLIGHT,
-            },
-            deadline: slowest * 4,
-            shed: ShedPolicy::Reject,
-            queue_capacity: 8,
-            ..OverloadConfig::none()
-        }),
-        ..SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), suite.mix(TENANTS))
-    }
-}
-
-/// The fleet config for one cell: per-tenant rate `load` times each
-/// server's fair share, scaled by fleet size; tenant 0 bursts.
-#[allow(clippy::too_many_arguments)]
-pub fn fleet_cfg(
-    suite: &Suite,
-    seed: u64,
-    mean: Time,
-    slowest: Time,
-    servers: usize,
-    load: f64,
-    policy: LbPolicy,
-    arrivals_per_tenant_per_server: usize,
-) -> FleetConfig {
-    // One server completes ~MAX_INFLIGHT concurrent requests every
-    // `mean`, so per-tenant fair share is a 1/TENANTS slice of that.
-    let share_rps = MAX_INFLIGHT as f64 / (mean.as_secs_f64() * TENANTS as f64);
-    let rate = load * share_rps * servers as f64;
-    let mut arrivals = vec![ArrivalProcess::Mmpp {
-        low_rps: 0.2 * rate,
-        high_rps: 1.8 * rate,
-        mean_dwell: slowest * 6,
-    }];
-    arrivals.resize(TENANTS, ArrivalProcess::Poisson { rate_rps: rate });
-    FleetConfig {
-        servers,
-        server: server_cfg(suite, slowest),
-        policy,
-        fabric: InterNodeFabric::default(),
-        seed,
-        arrivals,
-        requests_per_tenant: arrivals_per_tenant_per_server * servers,
-        request_bytes: 64 << 10,
-        response_bytes: 16 << 10,
-        failover: None,
-        fault_plan: None,
-    }
 }
 
 /// When set, the wall-clock speedup probe runs even on hosts with
@@ -237,14 +141,11 @@ pub fn run(suite: &Suite) -> FleetSweep {
 /// Runs the sweep under an explicit seed.
 pub fn run_with_seed(suite: &Suite, seed: u64) -> FleetSweep {
     let shards = dmx_sim::partition::partitions();
-
-    // Capacity calibration: the clean closed-loop single-server run.
-    let clean = simulate(&SystemConfig::latency(
-        Mode::Dmx(Placement::BumpInTheWire),
-        suite.mix(TENANTS),
-    ));
-    let mean = clean.mean_latency();
-    let slowest = clean.apps.iter().map(|a| a.latency).max().expect("apps");
+    let cal = Calibration::new(suite);
+    let cell = |servers: usize, load: f64, policy: LbPolicy| FleetConfig {
+        policy,
+        ..cal.fleet_cell(seed, servers, load, ARRIVALS_PER_TENANT_PER_SERVER, true)
+    };
 
     // The servers × load grid under least-loaded dispatch. Cells are
     // independent, so they fan out across the worker pool; each cell's
@@ -254,22 +155,10 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FleetSweep {
         .iter()
         .flat_map(|&s| LOADS.iter().map(move |&l| (s, l)))
         .collect();
-    let cells: Vec<Cell> = par_map(&grid, |_, &(servers, load)| {
-        let cfg = fleet_cfg(
-            suite,
-            seed,
-            mean,
-            slowest,
-            servers,
-            load,
-            LbPolicy::LeastLoaded,
-            ARRIVALS_PER_TENANT_PER_SERVER,
-        );
-        Cell {
-            servers,
-            load,
-            result: run_fleet(&cfg, shards),
-        }
+    let cells: Vec<Cell> = par_map(&grid, |_, &(servers, load)| Cell {
+        servers,
+        load,
+        result: run_fleet(&cell(servers, load, LbPolicy::LeastLoaded), shards),
     });
 
     // Policy comparison at the largest fleet, POLICY_LOAD.
@@ -279,55 +168,25 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FleetSweep {
         LbPolicy::TenantAffinity,
     ];
     let max_servers = *SERVERS.last().expect("fleet sizes");
-    let policies: Vec<PolicyRow> = par_map(&policy_list, |_, &policy| {
-        let cfg = fleet_cfg(
-            suite,
-            seed,
-            mean,
-            slowest,
-            max_servers,
-            POLICY_LOAD,
-            policy,
-            ARRIVALS_PER_TENANT_PER_SERVER,
-        );
-        PolicyRow {
-            policy,
-            result: run_fleet(&cfg, shards),
-        }
+    let policies: Vec<PolicyRow> = par_map(&policy_list, |_, &policy| PolicyRow {
+        policy,
+        result: run_fleet(&cell(max_servers, POLICY_LOAD, policy), shards),
     });
 
     // ---- embedded checks ---------------------------------------------
-    let conserved = cells
-        .iter()
-        .map(|c| &c.result)
-        .chain(policies.iter().map(|p| &p.result))
-        .all(FleetResult::conserved);
-
-    // Partition-count identity: the tentpole contract. The same
-    // 4-server cell, executed serially and on 2 and 4 shards, must
-    // produce byte-identical results.
-    let ident_cfg = fleet_cfg(
-        suite,
-        seed,
-        mean,
-        slowest,
-        max_servers,
-        POLICY_LOAD,
-        LbPolicy::LeastLoaded,
-        ARRIVALS_PER_TENANT_PER_SERVER,
-    );
-    let serial = format!("{:?}", run_fleet(&ident_cfg, 1));
-    let partitions_identical = [2, 4]
-        .iter()
-        .all(|&n| format!("{:?}", run_fleet(&ident_cfg, n)) == serial);
-
-    // Same-seed determinism: the serial identity run doubles as an
-    // independent re-simulation of the least-loaded policy row.
-    let row = policies
-        .iter()
-        .find(|p| p.policy == LbPolicy::LeastLoaded)
-        .expect("least-loaded row");
-    let deterministic = format!("{:?}", row.result) == serial;
+    // Partition-count identity: the same 4-server cell, executed
+    // serially and on 2 and 4 shards, must produce byte-identical
+    // results. The serial run doubles as an independent same-seed
+    // re-simulation of the least-loaded policy row.
+    let (serial, partitions_identical) =
+        shard_identity(&cell(max_servers, POLICY_LOAD, LbPolicy::LeastLoaded));
+    let row = |policy: LbPolicy| {
+        &policies
+            .iter()
+            .find(|p| p.policy == policy)
+            .expect("policy row")
+            .result
+    };
 
     // Fleet scaling at fixed 0.5x per-server load.
     let goodput_at = |servers: usize| {
@@ -337,32 +196,47 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FleetSweep {
             .map(|c| c.result.goodput)
             .unwrap_or(0)
     };
-    let scales = goodput_at(4) >= 3 * goodput_at(1).max(1);
 
     // Affinity pinning: tenant t only ever lands on server t % n, so
     // with 5 tenants on 4 servers, server 0 carries tenants 0 and 4.
-    let aff = policies
-        .iter()
-        .find(|p| p.policy == LbPolicy::TenantAffinity)
-        .expect("affinity row");
     let per_tenant = ARRIVALS_PER_TENANT_PER_SERVER as u64 * max_servers as u64;
     let expected: Vec<u64> = (0..max_servers)
         .map(|s| (s..TENANTS).step_by(max_servers).count() as u64 * per_tenant)
         .collect();
-    let affinity_pins = aff.result.dispatched == expected;
+
+    let checks = Checks(vec![
+        (
+            "every arrival resolved exactly once",
+            cells
+                .iter()
+                .map(|c| &c.result)
+                .chain(policies.iter().map(|p| &p.result))
+                .all(FleetResult::conserved),
+        ),
+        ("partitions 1/2/4 byte-identical", partitions_identical),
+        (
+            "same-seed re-run byte-identical",
+            format!("{:?}", row(LbPolicy::LeastLoaded)) == serial,
+        ),
+        (
+            "4-server goodput >= 3x 1-server",
+            goodput_at(4) >= 3 * goodput_at(1).max(1),
+        ),
+        (
+            "tenant affinity pins to t mod n",
+            row(LbPolicy::TenantAffinity).dispatched == expected,
+        ),
+    ]);
 
     // ---- wall-clock speedup probe (host-dependent; stderr only) ------
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let speedup = (cores >= 4 || force_probe()).then(|| {
-        let probe_cfg = fleet_cfg(
-            suite,
+        let probe_cfg = cal.fleet_cell(
             seed,
-            mean,
-            slowest,
             4,
             POLICY_LOAD,
-            LbPolicy::LeastLoaded,
             8 * ARRIVALS_PER_TENANT_PER_SERVER,
+            true,
         );
         let t0 = std::time::Instant::now();
         let a = run_fleet(&probe_cfg, 1);
@@ -392,16 +266,10 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FleetSweep {
 
     FleetSweep {
         seed,
-        clean_mean: mean,
+        clean_mean: cal.mean,
         cells,
         policies,
-        checks: Checks {
-            conserved,
-            partitions_identical,
-            deterministic,
-            scales,
-            affinity_pins,
-        },
+        checks,
         speedup,
     }
 }
@@ -481,8 +349,6 @@ impl FleetSweep {
             ]);
         }
 
-        let yn = |b: bool| if b { "yes" } else { "NO (BUG)" };
-        let c = &self.checks;
         format!(
             "repro fleet — servers x load sweep behind a load balancer (seed {seed:#x})\n\
              Five open-loop tenants offer load at multiples of per-server\n\
@@ -492,23 +358,14 @@ impl FleetSweep {
              the fabric's base latency. Least-loaded dispatch.\n\n\
              {sweep}\n\
              Dispatch policies at {servers} servers, {pload}x load:\n\n{pol}\n\
-             checks:\n\
-             every arrival resolved exactly once    {cv}\n\
-             partitions 1/2/4 byte-identical        {pi}\n\
-             same-seed re-run byte-identical        {dt}\n\
-             4-server goodput >= 3x 1-server        {sc}\n\
-             tenant affinity pins to t mod n        {af}\n",
+             {checks}",
             seed = self.seed,
             mean = ms(self.clean_mean),
             sweep = sweep.render(),
             servers = SERVERS.last().expect("fleet sizes"),
             pload = POLICY_LOAD,
             pol = pol.render(),
-            cv = yn(c.conserved),
-            pi = yn(c.partitions_identical),
-            dt = yn(c.deterministic),
-            sc = yn(c.scales),
-            af = yn(c.affinity_pins),
+            checks = self.checks.render(39),
         )
     }
 }
@@ -518,23 +375,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_is_reproducible_and_checks_pass() {
-        let suite = Suite::new();
-        let a = run(&suite);
-        assert!(a.ok(), "embedded checks failed: {:?}", a.checks);
-        assert_eq!(a.cells.len(), SERVERS.len() * LOADS.len());
-        assert_eq!(a.policies.len(), 3);
-        let b = run(&suite);
-        assert_eq!(a.render(), b.render(), "same seed must be byte-identical");
-        let c = run_with_seed(&suite, SEED + 1);
-        assert!(c.ok(), "checks must hold under other seeds");
-        assert_ne!(a.render(), c.render());
-    }
-
-    #[test]
     fn shedding_grows_with_load() {
-        let suite = Suite::new();
-        let r = run(&suite);
+        let r = run(&Suite::new());
+        assert_eq!(r.cells.len(), SERVERS.len() * LOADS.len());
+        assert_eq!(r.policies.len(), 3);
         // At 4 servers, saturating load must shed more than light load.
         let shed_at = |load: f64| {
             r.cells

@@ -19,9 +19,8 @@
 //! both checking modes at every rate, everything escaping under
 //! `none` at the same seeds, and the inert-config identity.
 
-use super::Suite;
+use super::{verdict, Calibration, Suite};
 use crate::integrity::{ChecksumMode, IntegrityConfig, IntegrityReport};
-use crate::placement::{Mode, Placement};
 use crate::report::{ms, ratio, Table};
 use crate::system::{simulate, SystemConfig};
 use dmx_sim::{par_map, FaultConfig, SdcConfig, Time};
@@ -41,9 +40,6 @@ pub const MODES: [ChecksumMode; 3] = [
     ChecksumMode::PerHop,
     ChecksumMode::EndToEnd,
 ];
-
-/// Concurrent applications per run.
-const APPS: usize = 5;
 
 /// One `(mode, rate)` cell of the sweep.
 #[derive(Debug, Clone)]
@@ -102,18 +98,6 @@ fn sdc(seed: u64, rate: f64) -> FaultConfig {
     }
 }
 
-fn cfg(
-    suite: &Suite,
-    faults: Option<FaultConfig>,
-    integrity: Option<IntegrityConfig>,
-) -> SystemConfig {
-    SystemConfig {
-        faults,
-        integrity,
-        ..SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), suite.mix(APPS))
-    }
-}
-
 /// Runs the experiment under the default [`SEED`].
 pub fn run(suite: &Suite) -> Integrity {
     run_with_seed(suite, SEED)
@@ -121,31 +105,22 @@ pub fn run(suite: &Suite) -> Integrity {
 
 /// Runs the experiment under an explicit seed.
 pub fn run_with_seed(suite: &Suite, seed: u64) -> Integrity {
-    // Every (mode, rate) cell is an independent simulation; the clean
-    // baseline and the inert-identity pair ride the same fan-out.
+    // Every (mode, rate) cell is an independent simulation.
+    let cal = Calibration::new(suite);
     let grid: Vec<(ChecksumMode, f64)> = MODES
         .iter()
         .flat_map(|&m| RATES.iter().map(move |&r| (m, r)))
         .collect();
     let cells = par_map(&grid, |_, &(m, rate)| {
-        let r = simulate(&cfg(
-            suite,
-            Some(sdc(seed, rate)),
-            Some(IntegrityConfig::checked(m)),
-        ));
+        let r = simulate(&SystemConfig {
+            faults: Some(sdc(seed, rate)),
+            integrity: Some(IntegrityConfig::checked(m)),
+            ..cal.cfg.clone()
+        });
         (r.mean_latency(), r.integrity)
     });
-    let extras = par_map(&[0usize, 1], |_, &i| {
-        if i == 0 {
-            simulate(&cfg(suite, None, None))
-        } else {
-            simulate(&cfg(suite, None, Some(IntegrityConfig::none())))
-        }
-    });
-    let baseline = &extras[0];
-    let inert = &extras[1];
-    let inert_identity = format!("{baseline:?}") == format!("{inert:?}");
-    let clean_latency = baseline.mean_latency();
+    let inert_identity = cal.inert_identical(|c| c.integrity = Some(IntegrityConfig::none()));
+    let clean_latency = cal.mean;
 
     let sweeps = MODES
         .iter()
@@ -248,12 +223,8 @@ impl Integrity {
             reexecs = worst_e2e.report.reexecs,
             ctime = ms(worst_e2e.report.checksum_time),
             rtime = ms(worst_e2e.report.reexec_time),
-            ident = if self.inert_identity {
-                "yes"
-            } else {
-                "NO (BUG)"
-            },
-            ok = if self.ok() { "yes" } else { "NO (BUG)" },
+            ident = verdict(self.inert_identity),
+            ok = verdict(self.ok()),
         )
     }
 }
@@ -263,12 +234,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_is_reproducible_and_checks_pass() {
-        let suite = Suite::new();
-        let a = run(&suite);
-        let b = run(&suite);
-        assert_eq!(a.render(), b.render(), "same seed must be byte-identical");
-        assert!(a.ok(), "embedded checks failed:\n{}", a.render());
+    fn injection_grows_with_rate_and_checking_costs_time() {
+        let a = run(&Suite::new());
         assert_eq!(a.sweeps.len(), MODES.len());
         for s in &a.sweeps {
             assert_eq!(s.points.len(), RATES.len());

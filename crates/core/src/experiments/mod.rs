@@ -27,9 +27,12 @@ pub mod summary;
 pub mod tab1;
 
 use crate::apps::{BenchmarkId, BenchmarkRef};
-use crate::placement::Mode;
+use crate::fleet::{run_fleet, FleetConfig, LbPolicy};
+use crate::overload::{AdmissionParams, OverloadConfig, ShedPolicy};
+use crate::placement::{Mode, Placement};
 use crate::system::{simulate, RunResult, SystemConfig};
-use dmx_sim::{geomean, par_map};
+use dmx_pcie::InterNodeFabric;
+use dmx_sim::{geomean, par_map, ArrivalProcess, Time};
 
 /// Geometric mean of per-benchmark speedup/slowdown ratios.
 ///
@@ -159,10 +162,195 @@ pub fn breakdown_fractions(runs: &[RunResult]) -> (f64, f64, f64) {
     (k / n, r / n, m / n)
 }
 
+/// Tenants of every robustness sweep: one per Table I benchmark.
+const TENANTS: usize = 5;
+
+/// Pending-queue bound (requests) of every open-loop server.
+const QUEUE_CAPACITY: usize = 8;
+
+/// Concurrent-admission bound of every open-loop server; also the
+/// fleet capacity model's concurrency term (a saturated server
+/// completes roughly `MAX_INFLIGHT / mean` requests per second).
+const MAX_INFLIGHT: usize = 8;
+
+/// The clean run every robustness sweep calibrates against: the five
+/// tenants on bump-in-the-wire DMX with no robustness layer. Its
+/// latencies size each sweep's offered load, deadlines and fault
+/// times, and its `{:?}` render is the baseline of the inert-identity
+/// checks.
+pub(crate) struct Calibration {
+    /// The clean config; every sweep builds on a clone of it.
+    pub cfg: SystemConfig,
+    /// The clean run.
+    clean: RunResult,
+    /// Cross-tenant mean latency of the clean run.
+    pub mean: Time,
+    /// The slowest tenant's clean latency.
+    pub slowest: Time,
+}
+
+impl Calibration {
+    /// Runs the clean config once.
+    pub(crate) fn new(suite: &Suite) -> Calibration {
+        let cfg = SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), suite.mix(TENANTS));
+        let clean = simulate(&cfg);
+        let mean = clean.mean_latency();
+        let slowest = clean.apps.iter().map(|a| a.latency).max().expect("apps");
+        Calibration {
+            cfg,
+            clean,
+            mean,
+            slowest,
+        }
+    }
+
+    /// The open-loop envelope of one server: every tenant offers
+    /// `load` times its fair share of the server (`1 / mean`) with the
+    /// [`bursty`](Self::bursty) mix, through token-bucket admission at
+    /// 1.3x the offered rate into a bounded EDF queue that rejects
+    /// sheds.
+    pub(crate) fn open_loop(&self, seed: u64, load: f64, deadline: Time) -> OverloadConfig {
+        let rate = load * (1.0 / self.mean.as_secs_f64());
+        OverloadConfig {
+            seed,
+            arrivals: self.bursty(rate),
+            admission: AdmissionParams {
+                tokens_per_sec: 1.3 * rate,
+                burst: 4.0,
+                max_inflight: MAX_INFLIGHT,
+            },
+            deadline,
+            shed: ShedPolicy::Reject,
+            queue_capacity: QUEUE_CAPACITY,
+            ..OverloadConfig::none()
+        }
+    }
+
+    /// Tenant 0 bursts (MMPP between 0.2x and 1.8x `rate`, dwelling
+    /// about six slowest clean latencies per phase); the rest are
+    /// Poisson at `rate`.
+    fn bursty(&self, rate: f64) -> Vec<ArrivalProcess> {
+        let mut arrivals = vec![ArrivalProcess::Mmpp {
+            low_rps: 0.2 * rate,
+            high_rps: 1.8 * rate,
+            mean_dwell: self.slowest * 6,
+        }];
+        arrivals.resize(TENANTS, ArrivalProcess::Poisson { rate_rps: rate });
+        arrivals
+    }
+
+    /// Whether the clean config with `inert` applied reproduces the
+    /// clean run byte for byte: the zero-overhead path of a layer
+    /// configured to do nothing.
+    pub(crate) fn inert_identical(&self, inert: impl FnOnce(&mut SystemConfig)) -> bool {
+        let mut cfg = self.cfg.clone();
+        inert(&mut cfg);
+        format!("{:?}", self.clean) == format!("{:?}", simulate(&cfg))
+    }
+
+    /// Per-tenant arrival rate offering `load` times each tenant's
+    /// 1/[`TENANTS`] share of `servers` servers' optimistic capacity
+    /// ([`MAX_INFLIGHT`] requests per `mean` each).
+    pub(crate) fn fleet_rate(&self, servers: usize, load: f64) -> f64 {
+        let share_rps = MAX_INFLIGHT as f64 / (self.mean.as_secs_f64() * TENANTS as f64);
+        load * share_rps * servers as f64
+    }
+
+    /// One fleet cell: `servers` clean servers behind a least-loaded
+    /// balancer, each admitting [`MAX_INFLIGHT`] requests into a
+    /// bounded EDF queue with a deadline of 4x the slowest clean
+    /// latency. Tenants offer [`fleet_rate`](Self::fleet_rate) —
+    /// tenant 0 in bursts when `bursty`, otherwise all Poisson — and
+    /// `per_server` arrivals each per server.
+    pub(crate) fn fleet_cell(
+        &self,
+        seed: u64,
+        servers: usize,
+        load: f64,
+        per_server: usize,
+        bursty: bool,
+    ) -> FleetConfig {
+        let rate = self.fleet_rate(servers, load);
+        let server = SystemConfig {
+            overload: Some(OverloadConfig {
+                admission: AdmissionParams {
+                    tokens_per_sec: f64::INFINITY,
+                    burst: 1.0,
+                    max_inflight: MAX_INFLIGHT,
+                },
+                deadline: self.slowest * 4,
+                shed: ShedPolicy::Reject,
+                queue_capacity: QUEUE_CAPACITY,
+                ..OverloadConfig::none()
+            }),
+            ..self.cfg.clone()
+        };
+        FleetConfig {
+            servers,
+            server,
+            policy: LbPolicy::LeastLoaded,
+            fabric: InterNodeFabric::default(),
+            seed,
+            arrivals: if bursty {
+                self.bursty(rate)
+            } else {
+                vec![ArrivalProcess::Poisson { rate_rps: rate }; TENANTS]
+            },
+            requests_per_tenant: per_server * servers,
+            request_bytes: 64 << 10,
+            response_bytes: 16 << 10,
+            failover: None,
+            fault_plan: None,
+        }
+    }
+}
+
+/// Runs `cfg` on 1, 2 and 4 shards. Returns the 1-shard result's
+/// `{:?}` render and whether 2 and 4 shards reproduced it byte for
+/// byte: the `--threads` contract, extended to `--partitions`.
+pub(crate) fn shard_identity(cfg: &FleetConfig) -> (String, bool) {
+    let serial = format!("{:?}", run_fleet(cfg, 1));
+    let same = [2, 4]
+        .iter()
+        .all(|&n| format!("{:?}", run_fleet(cfg, n)) == serial);
+    (serial, same)
+}
+
+/// A sweep's embedded acceptance checks: `(label, verdict)` pairs in
+/// render order.
+#[derive(Debug, Clone)]
+pub struct Checks(pub(crate) Vec<(&'static str, bool)>);
+
+impl Checks {
+    /// True when every check passed.
+    pub fn all(&self) -> bool {
+        self.0.iter().all(|&(_, ok)| ok)
+    }
+
+    /// Renders the `checks:` block with every verdict at character
+    /// column `col` (labels may hold non-ASCII such as `→`).
+    pub(crate) fn render(&self, col: usize) -> String {
+        let lines: String = self
+            .0
+            .iter()
+            .map(|&(label, ok)| format!("{label:<col$}{}\n", verdict(ok)))
+            .collect();
+        format!("checks:\n{lines}")
+    }
+}
+
+/// How a report prints one check's verdict.
+pub(crate) fn verdict(ok: bool) -> &'static str {
+    if ok {
+        "yes"
+    } else {
+        "NO (BUG)"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::Placement;
 
     #[test]
     fn suite_mixes_are_balanced() {
@@ -171,6 +359,70 @@ mod tests {
         assert_eq!(mix.len(), 10);
         let sd = mix.iter().filter(|b| b.name == "Sound Detection").count();
         assert_eq!(sd, 2);
+    }
+
+    /// One robustness sweep: its name, default seed, and a run at a
+    /// given seed reduced to (embedded checks passed, rendered report).
+    type Sweep = (&'static str, u64, fn(&Suite, u64) -> (bool, String));
+
+    /// Every robustness sweep passes its embedded checks at its default
+    /// seed and renders identically when re-run; at the next seed it
+    /// still passes and renders differently.
+    #[test]
+    fn sweeps_are_reproducible_and_pass_at_two_seeds() {
+        let sweeps: [Sweep; 7] = [
+            ("faults", faults::SEED, |s, seed| {
+                let r = faults::run_with_seed(s, seed);
+                (r.ok(), r.render())
+            }),
+            ("overload", overload::SEED, |s, seed| {
+                let r = overload::run_with_seed(s, seed);
+                (r.ok(), r.render())
+            }),
+            ("integrity", integrity::SEED, |s, seed| {
+                let r = integrity::run_with_seed(s, seed);
+                (r.ok(), r.render())
+            }),
+            ("chaos", chaos::SEED, |s, seed| {
+                let r = chaos::run_with_seed(s, seed);
+                (r.ok(), r.render())
+            }),
+            ("failslow", failslow::SEED, |s, seed| {
+                let r = failslow::run_with_seed(s, seed);
+                (r.ok(), r.render())
+            }),
+            ("fleet", fleet::SEED, |s, seed| {
+                let r = fleet::run_with_seed(s, seed);
+                (r.ok(), r.render())
+            }),
+            ("failover", failover::SEED, |s, seed| {
+                let r = failover::run_with_seed(s, seed);
+                (r.ok(), r.render())
+            }),
+        ];
+        let suite = Suite::new();
+        for (name, seed, run) in sweeps {
+            let (ok, a) = run(&suite, seed);
+            assert!(ok, "{name} failed its checks at seed {seed:#x}:\n{a}");
+            assert_eq!(
+                a,
+                run(&suite, seed).1,
+                "{name}: same seed must re-render identically"
+            );
+            let (ok, b) = run(&suite, seed + 1);
+            assert!(ok, "{name} failed its checks at seed {:#x}:\n{b}", seed + 1);
+            assert_ne!(a, b, "{name}: another seed must render differently");
+        }
+    }
+
+    #[test]
+    fn checks_render_verdicts_at_a_char_column() {
+        let c = Checks(vec![("a→b", true), ("longer label", false)]);
+        assert!(!c.all());
+        assert_eq!(
+            c.render(14),
+            "checks:\na→b           yes\nlonger label  NO (BUG)\n"
+        );
     }
 
     #[test]

@@ -332,14 +332,18 @@ pub struct TenantOverload {
 }
 
 impl TenantOverload {
+    /// Arrivals shed anywhere (admission, queue, or deadline).
+    pub fn shed(&self) -> u64 {
+        self.rejected_admission + self.rejected_queue_full + self.shed_deadline
+    }
+
     /// Fraction of offered load shed anywhere (admission, queue, or
     /// deadline).
     pub fn shed_rate(&self) -> f64 {
         if self.offered == 0 {
             return 0.0;
         }
-        (self.rejected_admission + self.rejected_queue_full + self.shed_deadline) as f64
-            / self.offered as f64
+        self.shed() as f64 / self.offered as f64
     }
 }
 
@@ -378,10 +382,19 @@ impl OverloadReport {
 
     /// Total sheds of any kind.
     pub fn shed(&self) -> u64 {
-        self.tenants
+        self.tenants.iter().map(TenantOverload::shed).sum()
+    }
+
+    /// The request ledger: every offered arrival completed (in or out
+    /// of deadline), was shed, or is one of `extra` requests resolved
+    /// by another layer (quarantined, crash-killed).
+    pub fn conserved_with(&self, extra: u64) -> bool {
+        let resolved: u64 = self
+            .tenants
             .iter()
-            .map(|t| t.rejected_admission + t.rejected_queue_full + t.shed_deadline)
-            .sum()
+            .map(|t| t.goodput + t.late + t.shed())
+            .sum();
+        self.offered() == resolved + extra
     }
 
     /// Shed fraction of offered load.
@@ -551,5 +564,41 @@ mod tests {
         t.rejected_queue_full = 1;
         t.shed_deadline = 1;
         assert!((t.shed_rate() - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn request_ledger_counts_every_resolution() {
+        let app = crate::apps::BenchmarkId::SoundDetection.build();
+        let mut tenants = tenant_skeletons(&[app.clone(), app]);
+        for t in &mut tenants {
+            t.offered = 10;
+            t.goodput = 6;
+            t.late = 1;
+            t.rejected_admission = 1;
+            t.rejected_queue_full = 1;
+            t.shed_deadline = 1;
+        }
+        // Tenant 1 leaks one arrival: offered but never resolved.
+        tenants[1].goodput = 5;
+        let r = OverloadReport {
+            tenants,
+            queue_peak: 0,
+            queue_mean: 0.0,
+            queue_wait_mean: Time::ZERO,
+            backpressure_stalls: 0,
+            backpressure_stall_time: Time::ZERO,
+            breaker_activations: 0,
+        };
+        assert_eq!(r.shed(), 6);
+        assert!(
+            !r.conserved_with(0),
+            "a leaked arrival must unbalance the ledger"
+        );
+        // Another layer accounting for it (say, a crash kill) closes it.
+        assert!(r.conserved_with(1));
+        assert!(
+            !r.conserved_with(2),
+            "double-counting must unbalance it too"
+        );
     }
 }

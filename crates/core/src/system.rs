@@ -1810,10 +1810,7 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Services a restructure batch of `(app, e)` on peer DRX `peer`:
-    /// redirect handshake, the peer's own degrade factor, dynamic
-    /// energy, and (for demoted primaries, not hedge duplicates —
-    /// Scaled DRX cost of `(app, edge)`, memoized per run.
+    /// DRX cost of `(app, e)` on the configured engine, memoized per run.
     fn edge_drx_cost(&mut self, app: usize, e: usize) -> DrxCost {
         if let Some(c) = self.drx_costs[app][e] {
             return c;
@@ -1823,6 +1820,9 @@ impl<'a> Sim<'a> {
         c
     }
 
+    /// Services a restructure batch of `(app, e)` on peer DRX `peer`:
+    /// redirect handshake, the peer's own degrade factor, dynamic
+    /// energy, and (for demoted primaries, not hedge duplicates —
     /// those re-read the checkpointed staging copy) scratchpad SDC
     /// exposure. Returns the completion instant.
     fn peer_restr_done(&mut self, id: u64, app: usize, e: usize, peer: u64, expose: bool) -> Time {
@@ -3150,74 +3150,12 @@ impl<'a> Sim<'a> {
 
     fn run(mut self) -> Result<RunResult, SimError> {
         self.seed()?;
-        let prof = std::env::var_os("DMX_EVPROF").is_some();
-        let mut prof_ns = [0u64; 16];
-        let mut prof_n = [0u64; 16];
         while let Some(ev) = self.q.pop() {
-            let pk = if prof {
-                let k = match &ev {
-                    Ev::StepDone(id, _) => match self
-                        .reqs
-                        .get(*id)
-                        .map(|r| self.steps[r.app].get(r.step).copied())
-                    {
-                        Some(Some(Step::Kernel(_))) => 8,
-                        Some(Some(Step::DriverPre(_) | Step::DriverPost(_))) => 9,
-                        Some(Some(Step::ToRestr(_))) => 10,
-                        Some(Some(Step::Restr(_))) => 11,
-                        Some(Some(Step::ToNext(_))) => 12,
-                        Some(None) => 13,
-                        None => 0,
-                    },
-                    Ev::Arrival(..) => 1,
-                    Ev::CpuTick(..) => 2,
-                    Ev::FlowTick(..) | Ev::ChunkTick(..) => 3,
-                    Ev::SharedTick(..) => 4,
-                    Ev::IntegrityDone(..) => 5,
-                    Ev::HedgeCheck(..) | Ev::HedgeDone(..) => 6,
-                    _ => 7,
-                };
-                Some((k, std::time::Instant::now()))
-            } else {
-                None
-            };
             self.handle(ev)?;
-            if let Some((k, t0)) = pk {
-                prof_ns[k] += t0.elapsed().as_nanos() as u64;
-                prof_n[k] += 1;
-            }
             // Stop once every request has completed; remaining events
             // (scheduled deaths, retrain restores) cannot change stats.
             if self.remaining == 0 {
                 break;
-            }
-        }
-        if prof {
-            let names = [
-                "StepDone",
-                "Arrival",
-                "CpuTick",
-                "FlowTick",
-                "SharedTick",
-                "Integrity",
-                "Hedge",
-                "other",
-                "SD-Kernel",
-                "SD-Driver",
-                "SD-ToRestr",
-                "SD-Restr",
-                "SD-ToNext",
-                "SD-finish",
-            ];
-            for (i, n) in names.iter().enumerate() {
-                if prof_n[i] > 0 {
-                    eprintln!(
-                        "EVPROF {n:10} n={:8} total={:9}us mean={:5}ns",
-                        prof_n[i],
-                        prof_ns[i] / 1000,
-                        prof_ns[i] / prof_n[i]
-                    );
-                }
             }
         }
         Ok(self.finish())
