@@ -13,10 +13,11 @@
 //!   nominal). Comparing against the fleet rather than a fixed
 //!   threshold is what keeps a healthy-but-noisy fleet — where every
 //!   device queues a little — from tripping false positives.
-//! * **Recovery** — a flagged device sits out a probation window, then
-//!   half-opens exactly like the overload layer's circuit breaker: one
-//!   probe batch runs on the suspect, and its observed ratio decides
-//!   between reinstatement and another probation.
+//! * **Recovery** — a flagged device follows the [`dmx_sim::health`]
+//!   lifecycle, like the overload layer's circuit breaker: it sits out
+//!   a probation, then one probe batch runs on the suspect, and its
+//!   observed ratio decides between reinstatement and another
+//!   probation.
 //!
 //! Mitigation itself (demoting suspects in routing, hedged
 //! re-dispatch past a latency threshold) lives in the system model;
@@ -24,6 +25,7 @@
 //! accounting, including the hedge conservation law
 //! `hedged == won_primary + won_hedge + cancelled`.
 
+use dmx_sim::health::{Health, Route};
 use dmx_sim::Time;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -56,34 +58,11 @@ impl Default for HealthParams {
     }
 }
 
-/// Routing verdict for one batch on a scorer-guarded device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HealthRoute {
-    /// Healthy: use the device normally.
-    Primary,
-    /// Half-open: use the device, but report the observed ratio via
-    /// [`HealthScorer::probe_result`] — it decides reinstate vs
-    /// re-demote.
-    Probe,
-    /// Suspected gray: demote this batch to a healthy peer or the
-    /// host path.
-    Fallback,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum DevState {
-    Healthy,
-    /// Flagged at the contained time; demoted until probation elapses.
-    Suspected(Time),
-    /// One probe batch is in flight; everything else falls back.
-    Probing,
-}
-
 #[derive(Debug, Clone)]
 struct Dev {
     samples: VecDeque<f64>,
     sum: f64,
-    state: DevState,
+    state: Health,
 }
 
 impl Dev {
@@ -91,7 +70,7 @@ impl Dev {
         Dev {
             samples: VecDeque::new(),
             sum: 0.0,
-            state: DevState::Healthy,
+            state: Health::Healthy,
         }
     }
 
@@ -163,22 +142,55 @@ impl HealthScorer {
         median.max(1.0)
     }
 
-    /// Records one observed service ratio (observed / nominal) for a
-    /// batch that ran on `unit`. Returns `true` when this sample flags
-    /// the device as suspected-gray.
-    pub fn record(&mut self, now: Time, unit: u64, ratio: f64) -> bool {
-        let window = self.params.window;
-        self.devs
-            .entry(unit)
-            .or_insert_with(Dev::new)
-            .push(ratio, window);
-        let dev = self.devs.get(&unit).expect("just inserted");
-        if dev.state != DevState::Healthy || dev.samples.len() < self.params.min_samples {
+    /// Routing decision for batch `id` headed to `unit` at `now`. Once
+    /// a suspect's probation has elapsed, `id` becomes its probe, so
+    /// exactly one batch probes at a time.
+    pub fn route(&mut self, now: Time, unit: u64, id: u64) -> Route {
+        let Some(dev) = self.devs.get_mut(&unit) else {
+            return Route::Primary;
+        };
+        let route = dev.state.route(now);
+        if route == Route::Probe {
+            dev.state = Health::Probing(id);
+            self.probes += 1;
+        }
+        route
+    }
+
+    /// Records the observed service ratio (observed / nominal) of batch
+    /// `id`, which ran on `unit`. If `id` is the unit's probe it settles
+    /// the unit: a clean probe reinstates the device (and resets its
+    /// window — the old gray samples must not re-flag it); a slow one
+    /// starts another probation. Any other batch is one more sample.
+    /// Returns `true` when this sample flags the device as
+    /// suspected-gray.
+    pub fn observe(&mut self, now: Time, unit: u64, id: u64, ratio: f64) -> bool {
+        let p = self.params;
+        let demoted = Health::Demoted {
+            until: now + p.probation,
+            dark: false,
+        };
+        let dev = self.devs.entry(unit).or_insert_with(Dev::new);
+        if dev.state == Health::Probing(id) {
+            let clean = ratio <= p.outlier_factor * self.baseline_excluding(unit);
+            let dev = self.devs.get_mut(&unit).expect("present");
+            if clean {
+                dev.samples.clear();
+                dev.sum = 0.0;
+                dev.state = Health::Healthy;
+                self.recoveries += 1;
+            } else {
+                dev.state = demoted;
+            }
+            return false;
+        }
+        dev.push(ratio, p.window);
+        if dev.state != Health::Healthy || dev.samples.len() < p.min_samples {
             return false;
         }
         let mean = dev.mean().expect("non-empty window");
-        if mean > self.params.outlier_factor * self.baseline_excluding(unit) {
-            self.devs.get_mut(&unit).expect("present").state = DevState::Suspected(now);
+        if mean > p.outlier_factor * self.baseline_excluding(unit) {
+            self.devs.get_mut(&unit).expect("present").state = demoted;
             self.gray_flags += 1;
             true
         } else {
@@ -186,58 +198,11 @@ impl HealthScorer {
         }
     }
 
-    /// Routing decision for a batch headed to `unit` at `now`. May
-    /// transition a suspect whose probation has elapsed into the
-    /// probing state (so exactly one batch probes at a time).
-    pub fn route(&mut self, now: Time, unit: u64) -> HealthRoute {
-        let probation = self.params.probation;
-        let Some(dev) = self.devs.get_mut(&unit) else {
-            return HealthRoute::Primary;
-        };
-        match dev.state {
-            DevState::Healthy => HealthRoute::Primary,
-            DevState::Suspected(since) => {
-                if now < since + probation {
-                    HealthRoute::Fallback
-                } else {
-                    dev.state = DevState::Probing;
-                    self.probes += 1;
-                    HealthRoute::Probe
-                }
-            }
-            DevState::Probing => HealthRoute::Fallback,
-        }
-    }
-
-    /// Reports the observed ratio of a probe batch dispatched after
-    /// [`HealthScorer::route`] returned [`HealthRoute::Probe`]. A
-    /// clean probe reinstates the device (and resets its window — the
-    /// old gray samples must not re-flag it); a slow one starts
-    /// another probation.
-    pub fn probe_result(&mut self, now: Time, unit: u64, ratio: f64) {
-        let clean = ratio <= self.params.outlier_factor * self.baseline_excluding(unit);
-        let Some(dev) = self.devs.get_mut(&unit) else {
-            return;
-        };
-        if dev.state != DevState::Probing {
-            return;
-        }
-        if clean {
-            dev.samples.clear();
-            dev.sum = 0.0;
-            dev.state = DevState::Healthy;
-            self.recoveries += 1;
-        } else {
-            dev.state = DevState::Suspected(now);
-        }
-    }
-
     /// True while `unit` is flagged (suspected or probing).
     pub fn suspected(&self, unit: u64) -> bool {
         self.devs
             .get(&unit)
-            .map(|d| d.state != DevState::Healthy)
-            .unwrap_or(false)
+            .is_some_and(|d| d.state != Health::Healthy)
     }
 
     /// Times any device was flagged suspected-gray.
@@ -373,11 +338,14 @@ mod tests {
         }
     }
 
+    /// Batch id of plain samples; the probes below use small ids.
+    const SAMPLE: u64 = u64::MAX;
+
     /// Feed `n` samples of `ratio` to `unit` starting at `t0`.
     fn feed(s: &mut HealthScorer, unit: u64, ratio: f64, n: usize, t0: Time) -> bool {
         let mut flagged = false;
         for i in 0..n {
-            flagged |= s.record(t0 + Time::from_us(i as u64), unit, ratio);
+            flagged |= s.observe(t0 + Time::from_us(i as u64), unit, SAMPLE, ratio);
         }
         flagged
     }
@@ -409,7 +377,7 @@ mod tests {
             .iter()
             .enumerate()
         {
-            assert!(!s.record(Time::from_us(100 + i as u64), 0, *r));
+            assert!(!s.observe(Time::from_us(100 + i as u64), 0, SAMPLE, *r));
         }
         assert!(!s.suspected(0));
         assert_eq!(s.gray_flags(), 0);
@@ -427,7 +395,7 @@ mod tests {
         let mut flagged = false;
         for i in 0..8u64 {
             let r = if i % 2 == 0 { 5.0 } else { 1.0 };
-            flagged |= s.record(Time::from_us(200 + i), 0, r);
+            flagged |= s.observe(Time::from_us(200 + i), 0, SAMPLE, r);
         }
         assert!(flagged);
         assert!(s.suspected(0));
@@ -441,7 +409,12 @@ mod tests {
         for u in 0..5u64 {
             for (i, r) in noise.iter().enumerate() {
                 // Stagger per device so windows interleave like a real run.
-                s.record(Time::from_us(u * 50 + i as u64), u, r + 0.02 * u as f64);
+                s.observe(
+                    Time::from_us(u * 50 + i as u64),
+                    u,
+                    SAMPLE,
+                    r + 0.02 * u as f64,
+                );
             }
         }
         assert_eq!(s.gray_flags(), 0);
@@ -459,26 +432,46 @@ mod tests {
         assert!(feed(&mut s, 0, 4.0, 4, Time::from_ms(1)));
         // During probation: demoted.
         let t = Time::from_ms(1) + Time::from_us(3);
-        assert_eq!(s.route(t + Time::from_us(10), 0), HealthRoute::Fallback);
+        assert_eq!(s.route(t + Time::from_us(10), 0, 1), Route::Fallback);
         // After probation: exactly one probe, the rest still fall back.
         let after = t + Time::from_ms(1) + Time::from_us(1);
-        assert_eq!(s.route(after, 0), HealthRoute::Probe);
-        assert_eq!(s.route(after, 0), HealthRoute::Fallback);
+        assert_eq!(s.route(after, 0, 2), Route::Probe);
+        assert_eq!(s.route(after, 0, 3), Route::Fallback);
         assert_eq!(s.probes(), 1);
         // A slow probe re-demotes for another probation.
-        s.probe_result(after, 0, 4.0);
+        s.observe(after, 0, 2, 4.0);
         assert!(s.suspected(0));
         assert_eq!(s.recoveries(), 0);
-        assert_eq!(s.route(after + Time::from_us(1), 0), HealthRoute::Fallback);
+        assert_eq!(s.route(after + Time::from_us(1), 0, 4), Route::Fallback);
         // Next probe runs clean: reinstated, window reset.
         let again = after + Time::from_ms(1) + Time::from_us(1);
-        assert_eq!(s.route(again, 0), HealthRoute::Probe);
-        s.probe_result(again, 0, 1.0);
+        assert_eq!(s.route(again, 0, 5), Route::Probe);
+        s.observe(again, 0, 5, 1.0);
         assert!(!s.suspected(0));
         assert_eq!(s.recoveries(), 1);
-        assert_eq!(s.route(again, 0), HealthRoute::Primary);
+        assert_eq!(s.route(again, 0, 6), Route::Primary);
         // The cleared window must not insta-reflag on one slow batch.
-        assert!(!s.record(again + Time::from_us(1), 0, 4.0));
+        assert!(!s.observe(again + Time::from_us(1), 0, SAMPLE, 4.0));
+    }
+
+    #[test]
+    fn only_the_probe_batch_settles_a_probing_device() {
+        let mut s = HealthScorer::new(params());
+        for u in 1..4 {
+            feed(&mut s, u, 1.0, 8, Time::ZERO);
+        }
+        assert!(feed(&mut s, 0, 4.0, 4, Time::ZERO));
+        let after = Time::from_ms(2);
+        assert_eq!(s.route(after, 0, 1), Route::Probe);
+        // Batch 2, dispatched before the demotion, lands while batch 1
+        // probes: one more sample and no verdict, even at a clean ratio.
+        assert!(!s.observe(after, 0, 2, 1.0));
+        assert_eq!(s.devs[&0].samples.len(), 5);
+        assert_eq!(s.devs[&0].state, Health::Probing(1));
+        // Batch 1's observation decides.
+        s.observe(after, 0, 1, 1.0);
+        assert_eq!(s.devs[&0].state, Health::Healthy);
+        assert_eq!(s.recoveries(), 1);
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //! *fleet* honest when a whole server dies, grays out, or falls off
 //! the network:
 //!
-//! * `ServerHealth` mirrors `failslow::HealthScorer`, but is fed
-//!   only what a real L7 balancer can see — resolution round-trip
+//! * `ServerHealth` runs the [`dmx_sim::health`] lifecycle per server,
+//!   fed only what a real L7 balancer can see — resolution round-trip
 //!   times against the fleet median, per-request timeouts, and
-//!   consecutive failures. Servers move Healthy → Suspected → Dark,
-//!   sit out a probation, then take one half-open *probe* (a real
-//!   request) that either reinstates or re-demotes them.
+//!   consecutive failures. A demoted server (Suspected or Dark) sits
+//!   out a probation, then takes one half-open *probe* (a real request)
+//!   that reinstates or re-demotes it.
 //! * The attempt tag recognizes a late resolution of a superseded
 //!   attempt exactly, and cancels it first-wins.
 //! * Attempts that time out at the LB re-dispatch to a healthy server
@@ -56,6 +56,7 @@
 use super::{FleetConfig, FleetMsg, LbPolicy};
 use crate::system::Outcome;
 use dmx_pcie::{InterNodeFabric, LinkOutage};
+use dmx_sim::health::{Health, Route};
 use dmx_sim::partition::{Outbox, Partition, XMsg};
 use dmx_sim::{ArrivalGen, EventQueue, Percentiles, SplitMix64, Time};
 use std::collections::VecDeque;
@@ -211,29 +212,15 @@ pub struct FailoverReport {
     pub classes: Vec<ClassTotals>,
 }
 
-/// LB-side health state of one server.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum HState {
-    /// In the dispatch rotation.
-    Healthy,
-    /// Latency outlier or one timeout; sits out until the wrapped
-    /// instant, then earns a probe.
-    Suspected(Time),
-    /// Repeated timeouts or a failed probe; same probation path, but
-    /// recorded separately.
-    Dark(Time),
-    /// Exactly one half-open probe in flight.
-    Probing,
-}
-
-/// Delayed-knowledge health scorer over the fleet's servers. The
-/// fleet-scope mirror of `failslow::HealthScorer`: same
-/// demote → probation → half-open probe → reinstate-or-re-demote
-/// shape, but fed only LB-observable signals.
+/// Delayed-knowledge health scorer over the fleet's servers: the
+/// [`dmx_sim::health`] lifecycle per server, fed only LB-observable
+/// signals. A latency outlier or one failure demotes a server
+/// Suspected, a failure streak or a failed probe demotes it Dark
+/// (`Demoted { dark }`); both sit out the same probation.
 #[derive(Debug)]
 pub(super) struct ServerHealth {
     p: LbHealthParams,
-    states: Vec<HState>,
+    states: Vec<Health>,
     /// Rolling RTT windows, seconds.
     rtts: Vec<VecDeque<f64>>,
     consec_timeouts: Vec<u32>,
@@ -247,7 +234,7 @@ impl ServerHealth {
     fn new(p: LbHealthParams, servers: usize) -> ServerHealth {
         ServerHealth {
             p,
-            states: vec![HState::Healthy; servers],
+            states: vec![Health::Healthy; servers],
             rtts: vec![VecDeque::new(); servers],
             consec_timeouts: vec![0; servers],
             demotions: 0,
@@ -280,6 +267,20 @@ impl ServerHealth {
         Some(means[means.len() / 2])
     }
 
+    /// Demotes `s` for one probation, counted as a Dark transition or a
+    /// Suspected demotion.
+    fn demote(&mut self, s: usize, now: Time, dark: bool) {
+        self.states[s] = Health::Demoted {
+            until: now + self.p.probation,
+            dark,
+        };
+        if dark {
+            self.darks += 1;
+        } else {
+            self.demotions += 1;
+        }
+    }
+
     /// A resolution round-trip from `s`: refreshes the window, clears
     /// the consecutive-timeout streak, and demotes a Healthy server
     /// whose mean drifted past the fleet baseline.
@@ -290,13 +291,12 @@ impl ServerHealth {
             w.pop_front();
         }
         self.consec_timeouts[s] = 0;
-        if self.states[s] != HState::Healthy {
+        if self.states[s] != Health::Healthy {
             return;
         }
         if let (Some(m), Some(b)) = (self.mean(s), self.baseline_excluding(s)) {
             if m > self.p.outlier_factor * b {
-                self.states[s] = HState::Suspected(now + self.p.probation);
-                self.demotions += 1;
+                self.demote(s, now, false);
             }
         }
     }
@@ -311,54 +311,42 @@ impl ServerHealth {
         self.consec_timeouts[s] += 1;
         let dark = self.consec_timeouts[s] >= self.p.dark_timeouts;
         match self.states[s] {
-            HState::Healthy => {
-                if dark {
-                    self.states[s] = HState::Dark(now + self.p.probation);
-                    self.darks += 1;
-                } else {
-                    self.states[s] = HState::Suspected(now + self.p.probation);
-                    self.demotions += 1;
-                }
-            }
-            HState::Suspected(_) if dark => {
-                self.states[s] = HState::Dark(now + self.p.probation);
-                self.darks += 1;
-            }
+            Health::Healthy => self.demote(s, now, dark),
+            Health::Demoted { dark: false, .. } if dark => self.demote(s, now, true),
             _ => {}
         }
-    }
-
-    fn eligible(&self, s: usize) -> bool {
-        self.states[s] == HState::Healthy
     }
 
     /// The lowest-indexed server whose probation has expired and that
     /// therefore gets the next dispatch as its half-open probe.
     fn probe_due(&self, now: Time) -> Option<usize> {
-        (0..self.states.len()).find(|&s| match self.states[s] {
-            HState::Suspected(at) | HState::Dark(at) => now >= at,
-            _ => false,
-        })
+        (0..self.states.len()).find(|&s| self.states[s].route(now) == Route::Probe)
     }
 
-    fn begin_probe(&mut self, s: usize) {
-        self.states[s] = HState::Probing;
+    /// Makes attempt `tag` the half-open probe of `s`.
+    fn begin_probe(&mut self, s: usize, tag: u64) {
+        self.states[s] = Health::Probing(tag);
         self.probes += 1;
     }
 
-    /// The probe resolved: reinstate. The stale window is cleared so
-    /// pre-demotion samples cannot instantly re-demote.
-    fn probe_ok(&mut self, s: usize) {
-        self.states[s] = HState::Healthy;
-        self.rtts[s].clear();
-        self.consec_timeouts[s] = 0;
-        self.recoveries += 1;
-    }
-
-    /// The probe timed out: back to Dark for another probation.
-    fn probe_fail(&mut self, s: usize, now: Time) {
-        self.states[s] = HState::Dark(now + self.p.probation);
-        self.darks += 1;
+    /// Settles `s` if attempt `tag` is its probe: `ok` (the probed
+    /// request completed) reinstates it, with the stale window cleared
+    /// so pre-demotion samples cannot instantly re-demote; a failure
+    /// sends it Dark for another probation. Returns false, changing
+    /// nothing, for any other attempt.
+    fn probe_result(&mut self, s: usize, tag: u64, ok: bool, now: Time) -> bool {
+        if self.states[s] != Health::Probing(tag) {
+            return false;
+        }
+        if ok {
+            self.states[s] = Health::Healthy;
+            self.rtts[s].clear();
+            self.consec_timeouts[s] = 0;
+            self.recoveries += 1;
+        } else {
+            self.demote(s, now, true);
+        }
+        true
     }
 }
 
@@ -450,8 +438,6 @@ pub(super) struct LbPart {
     /// no timer recovers them.
     outages: Vec<Vec<LinkOutage>>,
     health: ServerHealth,
-    /// The in-flight half-open probe per server, by attempt tag.
-    probing_tag: Vec<Option<u64>>,
     reqs: Vec<LbReq>,
     // Accounting.
     pub(super) offered: u64,
@@ -501,7 +487,6 @@ impl LbPart {
             rr_next: 0,
             outstanding: vec![0; cfg.servers],
             outages,
-            probing_tag: vec![None; cfg.servers],
             reqs: Vec::new(),
             offered: 0,
             dispatched: vec![0; cfg.servers],
@@ -530,7 +515,8 @@ impl LbPart {
     }
 
     /// The dispatch target for one attempt: a probe-due server first
-    /// (lowest index — the probe IS the dispatch), then the policy
+    /// (lowest index — the probe IS the dispatch, flagged `true` so the
+    /// caller starts it under the attempt's tag), then the policy
     /// applied over the healthy subset, avoiding `avoid` (a hedge or
     /// retry goes to a *different* server) when any alternative
     /// exists. With nothing healthy the policy runs over every server:
@@ -545,7 +531,6 @@ impl LbPart {
     ) -> (usize, bool) {
         if let Some(s) = self.health.probe_due(now) {
             if avoid != Some(s) {
-                self.health.begin_probe(s);
                 return (s, true);
             }
         }
@@ -553,7 +538,7 @@ impl LbPart {
         // not `avoid`; healthy; not `avoid`; every server.
         let health = &self.health;
         let admits = |s: usize, (healthy, distinct): (bool, bool)| {
-            (!healthy || health.eligible(s)) && !(distinct && avoid == Some(s))
+            (!healthy || health.states[s] == Health::Healthy) && !(distinct && avoid == Some(s))
         };
         let tier = [(true, true), (true, false), (false, true), (false, false)]
             .into_iter()
@@ -609,7 +594,7 @@ impl LbPart {
         debug_assert!(k < MAX_ATTEMPTS);
         let tag = tag_of(ri, k);
         if probe {
-            self.probing_tag[server] = Some(tag);
+            self.health.begin_probe(server, tag);
         }
         if let Some(pol) = self.policy_of(ri) {
             let backoff = if hedge { 0 } else { self.reqs[ri].retries_used };
@@ -752,19 +737,13 @@ impl LbPart {
         // *fast* it came back — extends the server's failure streak: a
         // crashed or saturated server rejecting instantly must lose
         // traffic, not gain it.
-        if self.probing_tag[server] == Some(tag) {
-            self.probing_tag[server] = None;
-            match outcome {
-                Outcome::Completed { .. } => self.health.probe_ok(server),
-                Outcome::Shed => self.health.probe_fail(server, now),
-            }
-        } else if self.failover_on() {
-            match outcome {
-                Outcome::Completed { .. } => {
-                    let sent = self.reqs[ri].attempts[k].sent_at;
-                    self.health.record(server, (now - sent).as_secs_f64(), now);
-                }
-                Outcome::Shed => self.health.on_failure(server, now),
+        let completed = matches!(outcome, Outcome::Completed { .. });
+        if !self.health.probe_result(server, tag, completed, now) && self.failover_on() {
+            if completed {
+                let sent = self.reqs[ri].attempts[k].sent_at;
+                self.health.record(server, (now - sent).as_secs_f64(), now);
+            } else {
+                self.health.on_failure(server, now);
             }
         }
         self.retire_attempt(ri, k);
@@ -800,10 +779,7 @@ impl LbPart {
         }
         self.rep.timeouts += 1;
         let server = self.reqs[ri].attempts[k].server;
-        if self.probing_tag[server] == Some(tag) {
-            self.probing_tag[server] = None;
-            self.health.probe_fail(server, now);
-        } else {
+        if !self.health.probe_result(server, tag, false, now) {
             self.health.on_failure(server, now);
         }
         if !self.reqs[ri].open {
@@ -884,5 +860,32 @@ impl Partition for LbPart {
                 LbEv::Hedge(tag) => self.hedge(tag, out),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_the_probe_attempt_settles_a_probing_server() {
+        let p = LbHealthParams::default();
+        let (mut h, now) = (ServerHealth::new(p, 2), p.probation);
+        h.on_failure(0, Time::ZERO);
+        assert_eq!(h.probe_due(Time::ZERO), None, "still in probation");
+        assert_eq!(h.probe_due(now), Some(0));
+        h.begin_probe(0, 5);
+        // Attempt 6 resolves or times out while attempt 5 probes; the
+        // LB then feeds it as a plain sample or failure, which a
+        // probing server ignores.
+        for ok in [true, false] {
+            assert!(!h.probe_result(0, 6, ok, now));
+        }
+        h.record(0, 1e-3, now);
+        h.on_failure(0, now);
+        assert_eq!(h.states[0], Health::Probing(5));
+        assert!(h.probe_result(0, 5, true, now), "only attempt 5 decides");
+        assert_eq!(h.states[0], Health::Healthy);
+        assert_eq!((h.probes, h.recoveries, h.darks), (1, 1, 0));
     }
 }

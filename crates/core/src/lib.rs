@@ -54,7 +54,7 @@ pub mod report;
 pub mod system;
 
 pub use apps::{Benchmark, BenchmarkId, BenchmarkRef};
-pub use failslow::{FailSlowConfig, FailSlowReport, HealthParams, HealthRoute, HealthScorer};
+pub use failslow::{FailSlowConfig, FailSlowReport, HealthParams, HealthScorer};
 pub use fleet::{
     run_fleet, try_run_fleet, ClassPolicy, ClassTotals, FailoverConfig, FailoverReport,
     FleetConfig, FleetFaultPlan, FleetResult, LbHealthParams, LbPolicy, RequestClass, ServerGray,
@@ -62,8 +62,8 @@ pub use fleet::{
 };
 pub use integrity::{ChecksumMode, IntegrityConfig, IntegrityReport};
 pub use overload::{
-    AdmissionParams, Breaker, BreakerParams, BreakerRoute, OverloadConfig, OverloadReport,
-    ShedPolicy, TenantOverload, TokenBucket,
+    AdmissionParams, Breaker, BreakerParams, OverloadConfig, OverloadReport, ShedPolicy,
+    TenantOverload, TokenBucket,
 };
 pub use placement::{Mode, Placement};
 pub use system::{

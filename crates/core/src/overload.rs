@@ -26,6 +26,7 @@
 //!   the probe runs clean.
 
 use crate::apps::BenchmarkRef;
+use dmx_sim::health::{Health, Route};
 use dmx_sim::{ArrivalProcess, Time};
 
 /// Per-tenant rate limiting plus a global concurrency cap.
@@ -149,31 +150,22 @@ impl Default for BreakerParams {
     }
 }
 
-/// Routing verdict for one batch on a breaker-guarded unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerRoute {
-    /// Closed: use the unit normally.
-    Primary,
-    /// Half-open: use the unit, but report the outcome via
-    /// [`Breaker::probe_result`] — it decides close vs re-open.
-    Probe,
-    /// Open: reroute this batch to the fallback path.
-    Fallback,
-}
-
-/// Per-unit circuit-breaker state machine (closed → open → half-open).
+/// Per-unit circuit breaker (closed → open → half-open) on the
+/// [`dmx_sim::health`] lifecycle, fed by fault events.
 ///
 /// Fault events are timestamps; the breaker trips when `threshold`
 /// events land within `window`. While open, all traffic reroutes; once
-/// `cooldown` elapses the next batch becomes a probe. A clean probe
-/// closes the breaker (and clears the window), a faulty one re-opens it
-/// for another cooldown.
+/// `cooldown` elapses every batch routes as a probe until
+/// [`Breaker::probe_result`] reports one: a probe's outcome is known at
+/// dispatch, so the breaker never enters [`Health::Probing`]. A clean
+/// probe closes the breaker (and clears the window), a faulty one
+/// re-opens it for another cooldown.
 #[derive(Debug, Clone, Default)]
 pub struct Breaker {
     /// Recent fault-event timestamps, oldest first.
     events: Vec<Time>,
-    /// `Some(t)`: open, rerouting until `t`, then half-open.
-    open_until: Option<Time>,
+    /// Closed (`Healthy`), or open until the cooldown ends (`Demoted`).
+    health: Health,
     /// Times the breaker tripped (including re-opens after a failed
     /// probe).
     activations: u64,
@@ -181,18 +173,14 @@ pub struct Breaker {
 
 impl Breaker {
     /// Routing decision for a batch arriving at `now`.
-    pub fn route(&self, now: Time) -> BreakerRoute {
-        match self.open_until {
-            None => BreakerRoute::Primary,
-            Some(t) if now < t => BreakerRoute::Fallback,
-            Some(_) => BreakerRoute::Probe,
-        }
+    pub fn route(&self, now: Time) -> Route {
+        self.health.route(now)
     }
 
     /// Records a fault event on the unit; returns `true` when this
     /// event trips the breaker open.
     pub fn record_fault(&mut self, now: Time, p: &BreakerParams) -> bool {
-        if self.open_until.is_some() {
+        if self.health != Health::Healthy {
             // Already rerouting; residual faults don't re-trip.
             return false;
         }
@@ -208,10 +196,10 @@ impl Breaker {
     }
 
     /// Reports the outcome of a probe batch dispatched after
-    /// [`Breaker::route`] returned [`BreakerRoute::Probe`].
+    /// [`Breaker::route`] returned [`Route::Probe`].
     pub fn probe_result(&mut self, now: Time, clean: bool, p: &BreakerParams) {
         if clean {
-            self.open_until = None;
+            self.health = Health::Healthy;
             self.events.clear();
         } else {
             self.trip(now, p);
@@ -219,7 +207,10 @@ impl Breaker {
     }
 
     fn trip(&mut self, now: Time, p: &BreakerParams) {
-        self.open_until = Some(now + p.cooldown);
+        self.health = Health::Demoted {
+            until: now + p.cooldown,
+            dark: false,
+        };
         self.events.clear();
         self.activations += 1;
     }
@@ -227,12 +218,6 @@ impl Breaker {
     /// Times the breaker tripped open so far.
     pub fn activations(&self) -> u64 {
         self.activations
-    }
-
-    /// True while the breaker reroutes traffic (open, cooldown not yet
-    /// elapsed at `now`).
-    pub fn is_open(&self, now: Time) -> bool {
-        self.open_until.is_some_and(|t| now < t)
     }
 }
 
@@ -475,20 +460,20 @@ mod tests {
             cooldown: Time::from_ms(5),
         };
         let mut b = Breaker::default();
-        assert_eq!(b.route(Time::ZERO), BreakerRoute::Primary);
+        assert_eq!(b.route(Time::ZERO), Route::Primary);
         assert!(!b.record_fault(Time::from_us(10), &p));
         assert!(!b.record_fault(Time::from_us(20), &p));
         assert!(b.record_fault(Time::from_us(30), &p), "third fault trips");
         assert_eq!(b.activations(), 1);
         // Open: reroute during the cooldown.
-        assert_eq!(b.route(Time::from_us(40)), BreakerRoute::Fallback);
-        assert!(b.is_open(Time::from_us(40)));
-        // Cooldown over: half-open, next batch probes.
+        assert_eq!(b.route(Time::from_us(40)), Route::Fallback);
         let after = Time::from_us(30) + p.cooldown;
-        assert_eq!(b.route(after), BreakerRoute::Probe);
+        assert!(matches!(b.health, Health::Demoted { until, .. } if until == after));
+        // Cooldown over: half-open, next batch probes.
+        assert_eq!(b.route(after), Route::Probe);
         // Clean probe closes; faulty probe re-opens.
         b.probe_result(after, true, &p);
-        assert_eq!(b.route(after), BreakerRoute::Primary);
+        assert_eq!(b.route(after), Route::Primary);
         assert!(b.record_fault(after + Time::from_us(1), &p) || b.events.len() == 1);
     }
 
@@ -503,11 +488,30 @@ mod tests {
         let mut b = Breaker::default();
         assert!(b.record_fault(Time::ZERO, &p));
         let probe_at = p.cooldown;
-        assert_eq!(b.route(probe_at), BreakerRoute::Probe);
+        assert_eq!(b.route(probe_at), Route::Probe);
         b.probe_result(probe_at, false, &p);
         assert_eq!(b.activations(), 2);
-        assert_eq!(b.route(probe_at + Time::from_us(1)), BreakerRoute::Fallback);
-        assert_eq!(b.route(probe_at + p.cooldown), BreakerRoute::Probe);
+        assert_eq!(b.route(probe_at + Time::from_us(1)), Route::Fallback);
+        assert_eq!(b.route(probe_at + p.cooldown), Route::Probe);
+    }
+
+    #[test]
+    fn breaker_half_open_probes_until_a_verdict() {
+        // A routed probe may still be demoted elsewhere before its
+        // verdict (a fail-slow fallback); the next batch probes again.
+        let p = BreakerParams {
+            enabled: true,
+            window: Time::from_ms(1),
+            threshold: 1,
+            cooldown: Time::from_ms(1),
+        };
+        let mut b = Breaker::default();
+        assert!(b.record_fault(Time::ZERO, &p));
+        for us in [1000, 1000, 5000] {
+            assert_eq!(b.route(Time::from_us(us)), Route::Probe);
+        }
+        b.probe_result(Time::from_us(5000), true, &p);
+        assert_eq!(b.route(Time::from_us(5000)), Route::Primary);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 
 use crate::apps::{BenchmarkRef, DrxCost};
 use crate::driver::DriverState;
-use crate::failslow::{FailSlowConfig, FailSlowReport, HealthRoute, HealthScorer};
+use crate::failslow::{FailSlowConfig, FailSlowReport, HealthScorer};
 use crate::integrity::{ChecksumMode, IntegrityConfig, IntegrityReport};
 use crate::overload::{
-    tenant_skeletons, Breaker, BreakerRoute, OverloadConfig, OverloadReport, ShedPolicy,
-    TenantOverload, TokenBucket,
+    tenant_skeletons, Breaker, OverloadConfig, OverloadReport, ShedPolicy, TenantOverload,
+    TokenBucket,
 };
 use crate::params::{
     DriverParams, DrxFleetParams, RecoveryParams, LATENCY_REQUESTS, THROUGHPUT_INFLIGHT,
@@ -32,6 +32,7 @@ use dmx_pcie::{
     transfer_faults, CreditGate, FabricError, FlowId, FlowNet, Gen, LinkId, NodeId,
     PcieEnergyModel, ReplayParams,
 };
+use dmx_sim::health::Route;
 use dmx_sim::{
     ArrivalGen, BoundedQueue, CrashEvent, CrashTarget, DegradeEvent, DegradeTarget, EventQueue,
     FastMap, FastSet, FaultConfig, FaultPlan, FifoServer, IdMap, Percentiles, PsJobId, PsPool,
@@ -641,9 +642,6 @@ struct Req {
     /// hedge timers carry the sequence they armed under, so timers for
     /// batches that already completed or were torn down stay inert.
     restr_seq: u32,
-    /// The in-flight restructure batch is a health probe: its outcome
-    /// goes to [`HealthScorer::probe_result`] instead of `record`.
-    fs_probe: bool,
     /// A speculative hedge duplicate is in flight for the current
     /// restructure batch; first completion wins.
     hedge: bool,
@@ -826,6 +824,22 @@ impl AppStatsCols {
             last_done: vec![Time::ZERO; apps],
         }
     }
+}
+
+/// Moves every job of `jobs` that `owned` picks into `cancelled`, so
+/// its completion is dropped when it arrives.
+fn cancel_jobs<V>(
+    jobs: &mut FastMap<u64, V>,
+    cancelled: &mut FastSet<u64>,
+    owned: impl Fn(&V) -> bool,
+) {
+    jobs.retain(|&j, v| {
+        if owned(v) {
+            cancelled.insert(j);
+            return false;
+        }
+        true
+    });
 }
 
 struct Sim<'a> {
@@ -1530,7 +1544,6 @@ impl<'a> Sim<'a> {
         if let Some(r) = self.reqs.get_mut(id) {
             // Host batches don't feed the health scorer or hedge.
             r.restr_unit = None;
-            r.fs_probe = false;
             if degraded {
                 r.degraded = true;
             }
@@ -1560,55 +1573,39 @@ impl<'a> Sim<'a> {
         // Circuit breaker: an open unit's batches reroute to host cores
         // without touching the unit; once the cooldown elapses a single
         // probe batch tests whether it recovered.
-        let mut probing = false;
-        let mut rerouted = false;
-        if let (Some(u), Some(ov)) = (unit, self.ov.as_mut()) {
-            if ov.cfg.breaker.enabled {
-                match ov.breakers.entry(u).or_default().route(now) {
-                    BreakerRoute::Fallback => {
-                        ov.tenants[app].stats.breaker_rerouted += 1;
-                        rerouted = true;
-                    }
-                    BreakerRoute::Probe => probing = true,
-                    BreakerRoute::Primary => {}
+        let breaker = match (unit, self.ov.as_mut()) {
+            (Some(u), Some(ov)) if ov.cfg.breaker.enabled => {
+                let route = ov.breakers.entry(u).or_default().route(now);
+                if route == Route::Fallback {
+                    ov.tenants[app].stats.breaker_rerouted += 1;
                 }
+                route
             }
-        }
-        if rerouted {
+            _ => Route::Primary,
+        };
+        if breaker == Route::Fallback {
             // Not `degraded`: breaker reroutes are overload-control
             // actions, accounted separately from fault recovery.
             return self.submit_restr_cpu(id, app, e, Time::ZERO, false);
         }
         // Fail-slow demotion: a suspected-gray unit's batches run on a
         // healthy peer DRX of the same kind (host cores when none
-        // exists); after probation one probe batch tests the suspect.
-        let mut fs_probe = false;
-        if let (Some(u), Some(fs)) = (unit, self.fs) {
-            if fs.demote {
-                let route = self
-                    .scorer
-                    .as_mut()
-                    .expect("scorer exists whenever fs does")
-                    .route(now, u);
-                match route {
-                    HealthRoute::Fallback => {
-                        self.fsreport.demoted_batches += 1;
-                        if let Some(peer) = self.healthy_peer(u, id) {
-                            let done = self.peer_restr_done(id, app, e, peer, true);
-                            if let Some(r) = self.reqs.get_mut(id) {
-                                r.restr_unit = None;
-                                r.fs_probe = false;
-                            }
-                            self.schedule_step_done(done, id)?;
-                            return Ok(());
-                        }
-                        // Not `degraded`: like breaker reroutes, scorer
-                        // demotions are policy, not fault recovery.
-                        return self.submit_restr_cpu(id, app, e, Time::ZERO, false);
+        // exists); after probation this batch may become the probe that
+        // tests the suspect.
+        if let (Some(u), Some(fs), Some(sc)) = (unit, self.fs, self.scorer.as_mut()) {
+            if fs.demote && sc.route(now, u, id) == Route::Fallback {
+                self.fsreport.demoted_batches += 1;
+                if let Some(peer) = self.healthy_peer(u, id) {
+                    let done = self.peer_restr_done(id, app, e, peer, true);
+                    if let Some(r) = self.reqs.get_mut(id) {
+                        r.restr_unit = None;
                     }
-                    HealthRoute::Probe => fs_probe = true,
-                    HealthRoute::Primary => {}
+                    self.schedule_step_done(done, id)?;
+                    return Ok(());
                 }
+                // Not `degraded`: like breaker reroutes, scorer
+                // demotions are policy, not fault recovery.
+                return self.submit_restr_cpu(id, app, e, Time::ZERO, false);
             }
         }
         // Transient stalls: each stalled attempt costs the command
@@ -1643,7 +1640,7 @@ impl<'a> Sim<'a> {
                 self.breaker_faults(u, app, stall_events);
             }
         }
-        if probing {
+        if breaker == Route::Probe {
             if let (Some(u), Some(ov)) = (unit, self.ov.as_mut()) {
                 let p = ov.cfg.breaker;
                 let br = ov.breakers.entry(u).or_default();
@@ -1698,7 +1695,6 @@ impl<'a> Sim<'a> {
         if let Some(r) = self.reqs.get_mut(id) {
             r.restr_unit = unit;
             r.restr_nominal = nominal;
-            r.fs_probe = fs_probe;
             r.restr_seq = r.restr_seq.wrapping_add(1);
         }
         match p {
@@ -1900,26 +1896,45 @@ impl<'a> Sim<'a> {
         Ok(())
     }
 
-    /// Cancels `id`'s live hedge (if any) on request teardown — crash
-    /// kill, migration, unit death — so the conservation law
-    /// `hedged == won_primary + won_hedge + cancelled` balances.
-    fn cancel_hedge(&mut self, id: u64) {
+    /// The one teardown path for `id`'s in-flight attempt (unit death,
+    /// crash migration or kill, a hedge race's losing arm): a live hedge
+    /// counts `cancelled`, so `hedged == won_primary + won_hedge +
+    /// cancelled` balances, and every CPU, DMA, pool and hedge job of
+    /// `id` is cancelled, its completion dropped. Epoch-tagged work
+    /// (FIFO units, peer hedges) is the caller's to invalidate.
+    fn cancel_attempt(&mut self, id: u64) {
         if let Some(r) = self.reqs.get_mut(id) {
             if r.hedge {
                 r.hedge = false;
                 self.fsreport.cancelled += 1;
             }
         }
-        let jids: Vec<u64> = self
-            .hedge_jobs
-            .iter()
-            .filter(|&(_, &req)| req == id)
-            .map(|(&j, _)| j)
-            .collect();
-        for j in jids {
-            self.hedge_jobs.remove(&j);
-            self.cancelled_jobs.insert(j);
+        let cancelled = &mut self.cancelled_jobs;
+        cancel_jobs(&mut self.cpu_jobs, cancelled, |&(r, _)| r == id);
+        cancel_jobs(&mut self.flow_jobs, cancelled, |&(r, _)| r == id);
+        for jobs in &mut self.shared_jobs {
+            cancel_jobs(jobs, cancelled, |&r| r == id);
         }
+        cancel_jobs(&mut self.hedge_jobs, cancelled, |&r| r == id);
+    }
+
+    /// Returns `id`'s held ingress `credit` — parked or granted — to
+    /// the gate, and resumes the transfers that now fit.
+    fn cancel_credit(&mut self, id: u64, credit: Option<(u64, u64)>) -> Result<(), SimError> {
+        let Some((unit, bytes)) = credit else {
+            return Ok(());
+        };
+        let now = self.q.now();
+        let woken = self
+            .ov
+            .as_mut()
+            .and_then(|ov| ov.gate.as_mut())
+            .map(|g| g.cancel(now, unit, id, bytes))
+            .unwrap_or_default();
+        for token in woken {
+            self.resume_to_restr(token)?;
+        }
+        Ok(())
     }
 
     fn drain_shared_finished(&mut self, pool: usize) -> Result<(), SimError> {
@@ -1928,20 +1943,19 @@ impl<'a> Sim<'a> {
             if self.cancelled_jobs.remove(&jid) {
                 continue;
             }
-            match self.shared_jobs[pool].remove(&jid) {
-                Some(req) => self.schedule_step_done(now, req)?,
-                // A dead pool's jobs were rerouted; its residue drains
-                // untracked.
-                None if self.dead_units.contains(&units::pool(pool)) => {}
-                None => return Err(SimError::UntrackedJob(jid)),
-            }
+            let req = self.shared_jobs[pool]
+                .remove(&jid)
+                .ok_or(SimError::UntrackedJob(jid))?;
+            self.schedule_step_done(now, req)?;
         }
         Ok(())
     }
 
     /// Permanent death of a DRX unit: mark it dead, then tear every
     /// in-flight batch off it and resubmit on the host-CPU fallback
-    /// path. Queued batches reroute naturally when the gate releases.
+    /// path. Queued batches reroute naturally when the gate releases;
+    /// a batch the gate already sent to host cores or a peer DRX keeps
+    /// running there.
     fn unit_death(&mut self, unit: u64) -> Result<(), SimError> {
         // Permanent: even if the unit is inside a crash outage window,
         // hot-plug recovery must not revive it.
@@ -1950,21 +1964,13 @@ impl<'a> Sim<'a> {
             return Ok(());
         }
         self.report.unit_deaths += 1;
+        // Only a batch dispatched on the unit rides it.
+        let rides = |r: &Req| r.restr_unit == Some(unit);
         let mut torn: Vec<(u64, usize, usize)> = Vec::new();
-        for app in 0..self.cfg.apps.len() {
-            for e in 0..self.cfg.apps[app].edges.len() {
-                if self.unit_for(app, e) == Some(unit) {
-                    if let Some(id) = self.restr_active[app][e] {
-                        // Only requests actually *in* the restructure
-                        // step ride on the unit.
-                        let in_restr = self
-                            .reqs
-                            .get(id)
-                            .is_some_and(|r| matches!(self.steps[app][r.step], Step::Restr(_)));
-                        if in_restr {
-                            torn.push((id, app, e));
-                        }
-                    }
+        for (app, gates) in self.restr_active.iter().enumerate() {
+            for (e, &holder) in gates.iter().enumerate() {
+                if let Some(id) = holder.filter(|&id| self.reqs.get(id).is_some_and(rides)) {
+                    torn.push((id, app, e));
                 }
             }
         }
@@ -1972,13 +1978,10 @@ impl<'a> Sim<'a> {
             // Invalidate the completion scheduled by the dead unit,
             // then restart the batch on host cores. Time already spent
             // on the unit is wasted and lands in the fallback account.
-            self.cancel_hedge(id);
+            self.cancel_attempt(id);
             let r = self.reqs.get_mut(id).ok_or(SimError::UnknownRequest(id))?;
             r.epoch += 1;
             r.restr_unit = None;
-            self.shared_jobs
-                .iter_mut()
-                .for_each(|m| m.retain(|_, req| *req != id));
             self.submit_restr_cpu(id, app, e, self.cfg.driver.irq_latency, true)?;
         }
         Ok(())
@@ -2028,7 +2031,6 @@ impl<'a> Sim<'a> {
                 restr_submitted: now,
                 restr_nominal: Time::ZERO,
                 restr_seq: 0,
-                fs_probe: false,
                 hedge: false,
                 tag,
             },
@@ -2179,8 +2181,8 @@ impl<'a> Sim<'a> {
     fn step_advance(&mut self, id: u64, epoch: u32, via_hedge: bool) -> Result<(), SimError> {
         let now = self.q.now();
         // Home-unit observation for the health scorer, gathered in the
-        // restructure arm below: (unit, submitted, nominal, probe).
-        let mut fs_obs: Option<(u64, Time, Time, bool)> = None;
+        // restructure arm below: (unit, submitted, nominal).
+        let mut fs_obs: Option<(u64, Time, Time)> = None;
         let mut hedge_resolved = false;
         let (app, prev_step, finished, release, credit) = {
             let Some(r) = self.reqs.get_mut(id) else {
@@ -2215,9 +2217,8 @@ impl<'a> Sim<'a> {
                         self.report.fallback_time += elapsed;
                     }
                     if let Some(u) = r.restr_unit.take() {
-                        fs_obs = Some((u, r.restr_submitted, r.restr_nominal, r.fs_probe));
+                        fs_obs = Some((u, r.restr_submitted, r.restr_nominal));
                     }
-                    r.fs_probe = false;
                     if r.hedge {
                         // First completion wins: bump the epoch so the
                         // losing arm's completion is stale.
@@ -2260,44 +2261,18 @@ impl<'a> Sim<'a> {
             } else {
                 self.fsreport.won_primary += 1;
             }
-            // Scrub the losing arm's queued jobs so their completions
-            // can't be misattributed. (FIFO-server arms carry the old
-            // epoch and die on the guard above; pool and host-CPU arms
-            // are tracked in maps and must be cancelled explicitly.)
-            for jobs in self.shared_jobs.iter_mut() {
-                let jids: Vec<u64> = jobs
-                    .iter()
-                    .filter(|&(_, &req)| req == id)
-                    .map(|(&j, _)| j)
-                    .collect();
-                for j in jids {
-                    jobs.remove(&j);
-                    self.cancelled_jobs.insert(j);
-                }
-            }
-            let jids: Vec<u64> = self
-                .hedge_jobs
-                .iter()
-                .filter(|&(_, &req)| req == id)
-                .map(|(&j, _)| j)
-                .collect();
-            for j in jids {
-                self.hedge_jobs.remove(&j);
-                self.cancelled_jobs.insert(j);
-            }
+            // Scrub the losing arm's pool or host-CPU job (a FIFO arm
+            // carries the old epoch and dies on the guard above).
+            self.cancel_attempt(id);
         }
         // Feed the health scorer: the batch's observed/nominal service
-        // ratio on its home unit. A hedge-won batch reports its
-        // elapsed-so-far as a conservative lower bound — the unit never
-        // finished, which is itself evidence of slowness.
-        if let (Some(sc), Some((u, submitted, nominal, probe))) = (self.scorer.as_mut(), fs_obs) {
+        // ratio on its home unit (the unit's verdict, if the batch was
+        // its probe). A hedge-won batch reports its elapsed-so-far as a
+        // conservative lower bound — the unit never finished, which is
+        // itself evidence of slowness.
+        if let (Some(sc), Some((u, submitted, nominal))) = (self.scorer.as_mut(), fs_obs) {
             if !nominal.is_zero() {
-                let ratio = now.saturating_sub(submitted).ratio(nominal);
-                if probe {
-                    sc.probe_result(now, u, ratio);
-                } else {
-                    sc.record(now, u, ratio);
-                }
+                sc.observe(now, u, id, now.saturating_sub(submitted).ratio(nominal));
             }
         }
         if let Some((unit, bytes)) = credit {
@@ -2792,55 +2767,10 @@ impl<'a> Sim<'a> {
     /// onto surviving resources after the driver re-enumerates.
     fn migrate_one(&mut self, id: u64) -> Result<(), SimError> {
         let now = self.q.now();
-        // A live hedge dies with the attempt — neither arm can win.
-        self.cancel_hedge(id);
-        // Jobs of the discarded attempt: completions that still arrive
-        // are dropped, never misattributed to the restarted attempt.
-        let jids: Vec<u64> = self
-            .cpu_jobs
-            .iter()
-            .filter(|(_, (r, _))| *r == id)
-            .map(|(&j, _)| j)
-            .collect();
-        for j in jids {
-            self.cpu_jobs.remove(&j);
-            self.cancelled_jobs.insert(j);
-        }
-        let jids: Vec<u64> = self
-            .flow_jobs
-            .iter()
-            .filter(|(_, (r, _))| *r == id)
-            .map(|(&j, _)| j)
-            .collect();
-        for j in jids {
-            self.flow_jobs.remove(&j);
-            self.cancelled_jobs.insert(j);
-        }
-        for pool in 0..self.shared_jobs.len() {
-            let jids: Vec<u64> = self.shared_jobs[pool]
-                .iter()
-                .filter(|(_, r)| **r == id)
-                .map(|(&j, _)| j)
-                .collect();
-            for j in jids {
-                self.shared_jobs[pool].remove(&j);
-                self.cancelled_jobs.insert(j);
-            }
-        }
-        // Held ingress credit — parked or granted — is cancelled; what
-        // now fits wakes.
+        // Neither arm of a live hedge can win the discarded attempt.
+        self.cancel_attempt(id);
         let credit = self.reqs.get_mut(id).and_then(|r| r.credit.take());
-        if let Some((unit, bytes)) = credit {
-            let woken = self
-                .ov
-                .as_mut()
-                .and_then(|ov| ov.gate.as_mut())
-                .map(|g| g.cancel(now, unit, id, bytes))
-                .unwrap_or_default();
-            for token in woken {
-                self.resume_to_restr(token)?;
-            }
-        }
+        self.cancel_credit(id, credit)?;
         let Some(r) = self.reqs.get_mut(id) else {
             return Ok(());
         };
@@ -2850,7 +2780,6 @@ impl<'a> Sim<'a> {
         r.crash_rewinds += 1;
         r.degraded = false;
         r.restr_unit = None;
-        r.fs_probe = false;
         r.step = r.ckpt_step;
         // The restored snapshot is materialized now; a second crash
         // before the next checkpoint only loses work from here.
@@ -2868,7 +2797,7 @@ impl<'a> Sim<'a> {
     fn crash_kill(&mut self, id: u64) -> Result<(), SimError> {
         let now = self.q.now();
         // The hedge dies with the request; its accounting survives.
-        self.cancel_hedge(id);
+        self.cancel_attempt(id);
         let Some(r) = self.reqs.remove(id) else {
             return Ok(());
         };
@@ -2876,17 +2805,7 @@ impl<'a> Sim<'a> {
         self.creport.flips_discarded += r.flips;
         self.remaining = self.remaining.saturating_sub(1);
         self.resolve(r.app, r.tag, Outcome::Shed);
-        if let Some((unit, bytes)) = r.credit {
-            let woken = self
-                .ov
-                .as_mut()
-                .and_then(|ov| ov.gate.as_mut())
-                .map(|g| g.cancel(now, unit, id, bytes))
-                .unwrap_or_default();
-            for token in woken {
-                self.resume_to_restr(token)?;
-            }
-        }
+        self.cancel_credit(id, r.credit)?;
         if self.ov.as_ref().is_some_and(|o| o.open_loop) {
             self.free_slot_and_dispatch(now)?;
         } else if self.stats.launched[r.app] < self.cfg.requests_per_app {

@@ -48,6 +48,7 @@
 pub mod check;
 pub mod fastmap;
 pub mod fault;
+pub mod health;
 pub mod idmap;
 pub mod par;
 pub mod partition;

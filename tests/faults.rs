@@ -6,7 +6,7 @@
 use dmx_core::apps::BenchmarkId;
 use dmx_core::experiments::Suite;
 use dmx_core::placement::{Mode, Placement};
-use dmx_core::system::{simulate, units, SystemConfig};
+use dmx_core::system::{simulate, try_simulate, units, SystemConfig};
 use dmx_sim::{FaultConfig, Time};
 
 /// Builds the suite with the engine's no-progress watchdog armed: a
@@ -126,6 +126,30 @@ fn drx_death_mid_run_degrades_gracefully() {
     // terminates (no hang waiting on dead-unit completions).
     assert!(killed.apps[0].latency > clean.apps[0].latency);
     assert!(killed.makespan >= clean.makespan);
+}
+
+#[test]
+fn unit_death_leaves_a_batch_already_on_host_cores_alone() {
+    // Every command to the DRX stalls, so each restructure batch
+    // exhausts its retries and reroutes to host cores before it would
+    // touch the unit. When the unit then dies, the batch it never rode
+    // must keep its one host job: restarting it as well would complete
+    // the step twice.
+    let suite = suite();
+    let cfg = SystemConfig {
+        requests_per_app: 2,
+        faults: Some(FaultConfig {
+            seed: 1,
+            stall_rate: 1.0,
+            kills: vec![(units::bitw(0, 0), Time::from_ms(100))],
+            ..FaultConfig::none()
+        }),
+        ..SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), mix(&suite, 1))
+    };
+    let r = try_simulate(&cfg).expect("a unit death must not complete a step twice");
+    assert_eq!(r.apps[0].completed, 2);
+    assert_eq!(r.faults.unit_deaths, 1);
+    assert!(r.faults.rerouted_batches > 0, "no batch reached host cores");
 }
 
 #[test]
