@@ -54,43 +54,72 @@ fn unknown_experiment_panics() {
     run_experiment(&suite, "fig99");
 }
 
-/// Renders every id in [`EXPERIMENTS`] as `repro all` prints it (each
-/// report under a line of 72 `=`) and compares the result with the
-/// committed `golden/repro_all.txt`, reporting the first differing
-/// line. Also asserts that `repro summary` reports every paper claim in
-/// its band. After a change that moves the output on purpose,
-/// regenerate the file from the repository root and commit the diff:
+/// The seven seeded robustness sweeps, as `repro --seed N` runs them.
+const ROBUSTNESS: [&str; 7] = [
+    "faults",
+    "overload",
+    "integrity",
+    "chaos",
+    "failslow",
+    "fleet",
+    "failover",
+];
+
+/// Renders each row's ids as `repro` prints them (each report under a
+/// line of 72 `=`) and compares the result with the row's committed
+/// golden file, reporting the first differing line: every id in
+/// [`EXPERIMENTS`] at the default seeds (`repro all`), and the seven
+/// robustness sweeps at seed 7. Also asserts that `repro summary`
+/// reports every paper claim in its band. After a change that moves
+/// the output on purpose, regenerate the files from the repository
+/// root and commit the diff:
 ///
 /// ```text
 /// cargo run --release -p dmx-bench --bin repro -- all > crates/bench/tests/golden/repro_all.txt
+/// cargo run --release -p dmx-bench --bin repro -- --seed 7 faults overload integrity chaos failslow fleet failover > crates/bench/tests/golden/repro_seed7.txt
 /// ```
 #[test]
 fn repro_all_matches_the_golden_output() {
+    let table: [(Option<u64>, &[&str], &str, &str); 2] = [
+        (
+            None,
+            &EXPERIMENTS,
+            "repro_all.txt",
+            include_str!("golden/repro_all.txt"),
+        ),
+        (
+            Some(7),
+            &ROBUSTNESS,
+            "repro_seed7.txt",
+            include_str!("golden/repro_seed7.txt"),
+        ),
+    ];
     let suite = Suite::new();
-    let mut out = String::new();
-    for id in EXPERIMENTS {
-        let o = run_experiment_checked(&suite, id, None);
-        if id == "summary" {
-            assert!(o.ok, "a paper claim drifted out of its band:\n{}", o.report);
+    for (seed, ids, file, golden) in table {
+        let mut out = String::new();
+        for &id in ids {
+            let o = run_experiment_checked(&suite, id, seed);
+            if id == "summary" {
+                assert!(o.ok, "a paper claim drifted out of its band:\n{}", o.report);
+            }
+            out += &format!("{}\n{}\n", "=".repeat(72), o.report);
         }
-        out += &format!("{}\n{}\n", "=".repeat(72), o.report);
-    }
-    let golden = include_str!("golden/repro_all.txt");
-    if let Some((i, (got, want))) = out
-        .lines()
-        .zip(golden.lines())
-        .enumerate()
-        .find(|(_, (got, want))| got != want)
-    {
-        panic!(
-            "repro all differs from the golden output at line {}:\n  got:  {got}\n  want: {want}",
-            i + 1
+        if let Some((i, (got, want))) = out
+            .lines()
+            .zip(golden.lines())
+            .enumerate()
+            .find(|(_, (got, want))| got != want)
+        {
+            panic!(
+                "output differs from golden/{file} at line {}:\n  got:  {got}\n  want: {want}",
+                i + 1
+            );
+        }
+        assert!(
+            out == golden,
+            "output matches golden/{file} line by line but not in length: {} vs {} lines",
+            out.lines().count(),
+            golden.lines().count()
         );
     }
-    assert!(
-        out == golden,
-        "repro all matches the golden output line by line but not in length: {} vs {} lines",
-        out.lines().count(),
-        golden.lines().count()
-    );
 }

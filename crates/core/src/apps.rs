@@ -43,13 +43,14 @@ pub struct DrxCost {
 }
 
 impl DrxCost {
-    /// Dynamic + static energy of this cost on `model`.
-    pub fn energy_joules(&self, model: &DrxEnergyModel) -> f64 {
+    /// Dynamic energy of this cost on `model`: lane operations plus
+    /// scratchpad and DRAM traffic. Static power accrues per unit over
+    /// the whole run and is charged separately.
+    pub fn dynamic_joules(&self, model: &DrxEnergyModel) -> f64 {
         (self.lane_ops * model.pj_per_lane_op
             + self.spad_bytes * model.pj_per_spad_byte
             + self.dram_bytes * model.pj_per_dram_byte)
             * 1e-12
-            + model.static_watts * self.time.as_secs_f64()
     }
 }
 

@@ -51,7 +51,6 @@ pub use failover::{
 };
 pub use plan::{FleetFaultPlan, ServerGray, ServerKill, ServerOutage};
 
-use crate::overload::TenantOverload;
 use crate::system::{Outcome, RunResult, SimError, Stepped, SystemConfig};
 use dmx_pcie::{InterNodeFabric, LinkOutage};
 use dmx_sim::partition::{run_conservative, Outbox, Partition, WindowStats, XMsg};
@@ -298,36 +297,6 @@ impl FleetResult {
         } else {
             max as f64 / min as f64
         }
-    }
-
-    /// Per-tenant accounting summed across the fleet's servers.
-    ///
-    /// Per-tenant placement is policy-dependent: under
-    /// [`LbPolicy::LeastLoaded`] a tenant's requests may concentrate on
-    /// low-indexed servers because outstanding-count ties break to the
-    /// lowest index under delayed knowledge; the per-fleet sums here
-    /// are the policy-independent view.
-    pub fn tenant_totals(&self) -> Vec<TenantOverload> {
-        let mut out: Vec<TenantOverload> = Vec::new();
-        for r in &self.servers {
-            let Some(ov) = &r.overload else { continue };
-            for (i, t) in ov.tenants.iter().enumerate() {
-                if out.len() <= i {
-                    out.push(t.clone());
-                } else {
-                    let o = &mut out[i];
-                    o.offered += t.offered;
-                    o.admitted += t.admitted;
-                    o.goodput += t.goodput;
-                    o.late += t.late;
-                    o.rejected_admission += t.rejected_admission;
-                    o.rejected_queue_full += t.rejected_queue_full;
-                    o.shed_deadline += t.shed_deadline;
-                    o.breaker_activations += t.breaker_activations;
-                }
-            }
-        }
-        out
     }
 }
 

@@ -44,14 +44,38 @@ pub mod apps;
 pub mod collectives;
 pub mod driver;
 pub mod experiments;
-pub mod failslow;
 pub mod fleet;
-pub mod integrity;
-pub mod overload;
 pub mod params;
 pub mod placement;
 pub mod report;
 pub mod system;
+
+/// Fail-slow detection and mitigation, re-exported from
+/// [`system::failslow`], where the layer's policy and simulator code
+/// live. Tests of its public API run here.
+pub mod failslow {
+    pub use crate::system::failslow::*;
+    #[cfg(test)]
+    mod tests;
+}
+
+/// End-to-end integrity, re-exported from [`system::integrity`], where
+/// the layer's policy and simulator code live. Tests of its public API
+/// run here.
+pub mod integrity {
+    pub use crate::system::integrity::*;
+    #[cfg(test)]
+    mod tests;
+}
+
+/// Overload control, re-exported from [`system::overload`], where the
+/// layer's policy and simulator code live. Tests of its public API run
+/// here.
+pub mod overload {
+    pub use crate::system::overload::*;
+    #[cfg(test)]
+    mod tests;
+}
 
 pub use apps::{Benchmark, BenchmarkId, BenchmarkRef};
 pub use failslow::{FailSlowConfig, FailSlowReport, HealthParams, HealthScorer};

@@ -198,6 +198,33 @@ fn empty_workload_is_rejected() {
     simulate(&SystemConfig::latency(Mode::MultiAxl, vec![]));
 }
 
+/// An app the engine cannot walk is an error from both entry points,
+/// not a panic: one without stages, and one missing the edge between
+/// its two stages. A standalone card also exercises the layout, which
+/// indexes every app's stages.
+#[test]
+fn malformed_apps_are_errors_not_panics() {
+    use dmx_accel::AccelKind;
+    use dmx_core::apps::{Benchmark, Stage};
+    use dmx_core::system::{try_simulate, SimError, Stepped};
+    use std::sync::Arc;
+
+    let stage = Stage {
+        kind: AccelKind::Gzip,
+        input_bytes: 1 << 20,
+    };
+    for stages in [vec![], vec![stage, stage]] {
+        let bench = Arc::new(Benchmark {
+            name: "malformed",
+            stages,
+            edges: Vec::new(),
+        });
+        let cfg = SystemConfig::latency(Mode::Dmx(Placement::Standalone), vec![bench]);
+        assert_eq!(try_simulate(&cfg).err(), Some(SimError::MalformedApp(0)));
+        assert_eq!(Stepped::new(&cfg).err(), Some(SimError::MalformedApp(0)));
+    }
+}
+
 /// The system handles arbitrary chain lengths, not just the paper's 2-
 /// and 3-kernel pipelines: build a custom 4-kernel chain and run it
 /// under baseline and DMX.
