@@ -7,14 +7,7 @@ use dmx_bench::timing::bench;
 use dmx_pcie::{FlowNet, Gen, Lanes, LinkId, LinkSpec, NodeKind, Topology};
 use dmx_sim::partition::{run_conservative, Outbox, Partition, XMsg};
 use dmx_sim::{EventQueue, Percentiles, Time};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hint::black_box;
-
-fn lcg(x: u64) -> u64 {
-    x.wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407)
-}
 
 /// Token-ring partition for the barrier rows: each received token is
 /// folded into a checksum and forwarded one hop with `LINK_NS` link
@@ -72,8 +65,8 @@ impl Partition for BenchRing {
 }
 
 fn main() {
-    // Steady-state event churn: one slab slot recycled 100k times plus
-    // a 64-deep pending window, payload large enough to notice copies.
+    // Steady-state event churn: 100k pop-one/schedule-one steps over a
+    // 64-deep pending heap, with a 32-byte payload that every sift moves.
     bench("queue_churn_100k", || {
         let mut q: EventQueue<[u64; 4]> = EventQueue::new();
         for i in 0..64u64 {
@@ -90,63 +83,6 @@ fn main() {
         }
         acc
     });
-
-    // Heap-vs-calendar crossover, classic hold model: fill `n` pending
-    // events over a ~1 ms span, then 100k hold steps (pop the earliest,
-    // schedule a replacement a pseudo-random delay after it). The
-    // binary heap pays O(log n) per step while the calendar's bucket
-    // walk stays O(1) amortized *after its first rebase sizes the
-    // buckets to the population*; these rows record where the
-    // crossover lands on this machine. Each row times fill + holds
-    // together, so the 1m row is fill-dominated (1M inserts, 100k
-    // holds) — bulk fill is the heap's best case (contiguous sift)
-    // and the calendar's worst (rebase plus scattered bucket writes).
-    // The fill span must also dwarf the calendar's cold-start 16 us
-    // window: a fill packed inside it piles every event into one
-    // sorted bucket (quadratic inserts) without ever reaching the
-    // rebase that would adapt the layout — a degenerate corner, not
-    // the steady state the engine runs in. Both sides consume the
-    // identical LCG schedule.
-    const HOLDS: u64 = 100_000;
-    for (label, n) in [("1k", 1_000u64), ("100k", 100_000), ("1m", 1_000_000)] {
-        bench(&format!("hold_calendar_{label}"), || {
-            let mut q: EventQueue<u64> = EventQueue::new();
-            let mut x = 0x9E37_79B9u64;
-            for i in 0..n {
-                x = lcg(x);
-                q.schedule_at(Time::from_ps(x >> 34), i);
-            }
-            let mut acc = 0u64;
-            for _ in 0..HOLDS {
-                let e = q.pop().expect("pending");
-                acc = acc.wrapping_add(e);
-                x = lcg(x);
-                q.schedule_at(q.now() + Time::from_ps((x >> 34) | 1), e);
-            }
-            acc
-        });
-        bench(&format!("hold_heap_{label}"), || {
-            // (time_ps, seq, payload); seq keeps FIFO order at equal
-            // timestamps, matching the EventQueue delivery contract.
-            let mut heap: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
-            let mut x = 0x9E37_79B9u64;
-            let mut seq = 0u64;
-            for i in 0..n {
-                x = lcg(x);
-                heap.push(Reverse((x >> 34, seq, i)));
-                seq += 1;
-            }
-            let mut acc = 0u64;
-            for _ in 0..HOLDS {
-                let Reverse((t, _, e)) = heap.pop().expect("pending");
-                acc = acc.wrapping_add(e);
-                x = lcg(x);
-                heap.push(Reverse((t + ((x >> 34) | 1), seq, e)));
-                seq += 1;
-            }
-            acc
-        });
-    }
 
     // Max-min re-solves under churn: 24 flows over 8 links, then 200
     // staggered arrivals/retirements, querying rates() after each
@@ -169,7 +105,7 @@ fn main() {
             if let Some(t) = net.next_event(now) {
                 now = t;
                 net.advance(now);
-                net.take_finished();
+                while net.pop_finished().is_some() {}
             }
             let links = [LinkId::from_index((id % 8) as usize)];
             net.insert(now, id, 40_000_000, &links);
@@ -201,7 +137,7 @@ fn main() {
                 if let Some(t) = net.next_event(now) {
                     now = t;
                     net.advance(now);
-                    net.take_finished();
+                    while net.pop_finished().is_some() {}
                     acc += net.rates().iter().sum::<f64>();
                 }
             }

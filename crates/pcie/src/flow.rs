@@ -11,7 +11,7 @@
 //! upstream link saturating in the Multi-Axl baseline, Sec. VII.A)
 //! come from.
 
-use crate::topology::{FabricError, LinkId, Route};
+use crate::topology::{FabricError, LinkId};
 use dmx_sim::Time;
 use std::cell::RefCell;
 
@@ -55,7 +55,7 @@ struct RateScratch {
 /// Max-min fair fluid flow network over a set of capacitated links.
 ///
 /// Driving protocol (same pattern as `dmx_sim::PsPool`):
-/// mutate → [`FlowNet::advance`] → [`FlowNet::take_finished`] →
+/// mutate → [`FlowNet::advance`] → drain [`FlowNet::pop_finished`] →
 /// [`FlowNet::next_event`] → schedule a tick tagged with
 /// [`FlowNet::generation`], ignoring stale ticks.
 ///
@@ -542,7 +542,7 @@ impl FlowNet {
     /// device removal: the DMA engine on one side of the transfer no
     /// longer exists). Accounting is advanced to `now` first, so bytes
     /// already moved stay counted; the aborted flows are *not* reported
-    /// by [`FlowNet::take_finished`] — their ids are returned here for
+    /// by [`FlowNet::pop_finished`] — their ids are returned here for
     /// the caller to unwind.
     pub fn abort_flows(&mut self, now: Time, links: &[LinkId]) -> Vec<FlowId> {
         self.advance(now);
@@ -571,22 +571,8 @@ impl FlowNet {
         aborted
     }
 
-    /// Convenience: inserts a flow along a [`Route`].
-    pub fn insert_route(&mut self, now: Time, id: FlowId, bytes: u64, route: &Route) {
-        self.insert(now, id, bytes, &route.links);
-    }
-
-    /// Drains flows that completed since the last call.
-    pub fn take_finished(&mut self) -> Vec<FlowId> {
-        let out = self.finished.split_off(self.finished_head);
-        self.finished.clear();
-        self.finished_head = 0;
-        out
-    }
-
     /// Pops the next completed flow in completion (FIFO) order, or
-    /// `None` when the pending set is drained. The allocation-free
-    /// equivalent of [`FlowNet::take_finished`]: the completion buffer
+    /// `None` when the pending set is drained. The completion buffer
     /// is recycled once empty, so steady-state draining never allocates.
     pub fn pop_finished(&mut self) -> Option<FlowId> {
         if self.finished_head < self.finished.len() {
@@ -679,6 +665,10 @@ mod tests {
         LinkId(i)
     }
 
+    fn drain(net: &mut FlowNet) -> Vec<FlowId> {
+        std::iter::from_fn(|| net.pop_finished()).collect()
+    }
+
     #[test]
     fn single_flow_full_rate() {
         let mut net = FlowNet::new(vec![1_000_000_000]);
@@ -694,7 +684,7 @@ mod tests {
         let t = net.next_event(Time::ZERO).unwrap();
         assert_eq!(t, Time::from_secs(2));
         net.advance(t);
-        let mut done = net.take_finished();
+        let mut done = drain(&mut net);
         done.sort_unstable();
         assert_eq!(done, vec![1, 2]);
     }
@@ -730,7 +720,7 @@ mod tests {
         let t1 = net.next_event(Time::ZERO).unwrap();
         assert_eq!(t1, Time::from_secs(1));
         net.advance(t1);
-        assert_eq!(net.take_finished(), vec![1]);
+        assert_eq!(drain(&mut net), vec![1]);
         // Flow 2 has 1.0 GB left, now at full 1 GB/s -> finishes at 2s.
         let t2 = net.next_event(t1).unwrap();
         assert_eq!(t2, Time::from_secs(2));
@@ -751,7 +741,7 @@ mod tests {
     fn zero_byte_flow_completes_immediately() {
         let mut net = FlowNet::new(vec![1_000_000_000]);
         net.insert(Time::ZERO, 9, 0, &[lid(0)]);
-        assert_eq!(net.take_finished(), vec![9]);
+        assert_eq!(drain(&mut net), vec![9]);
         assert_eq!(net.next_event(Time::ZERO), None);
     }
 
@@ -817,7 +807,7 @@ mod tests {
         assert_eq!(net.active_flows(), 1);
         assert!(net.generation() > gen_before);
         // Aborted flows never surface as finished.
-        assert!(net.take_finished().is_empty());
+        assert!(drain(&mut net).is_empty());
         // Bytes moved before the abort stay accounted on every link.
         assert!(net.link_bytes()[1] > 0.0);
         // Flow 1 now runs alone at the full 1 GB/s: 750 MB left after
@@ -827,7 +817,7 @@ mod tests {
             Some(Time::from_ms(1250))
         );
         net.advance(Time::from_ms(1250));
-        assert_eq!(net.take_finished(), vec![1]);
+        assert_eq!(drain(&mut net), vec![1]);
         // Aborting with no crossing flows is a clean no-op.
         let g = net.generation();
         assert!(net.abort_flows(Time::from_ms(1250), &[lid(1)]).is_empty());
@@ -854,18 +844,21 @@ mod tests {
     }
 
     #[test]
-    fn pop_finished_matches_take_finished_order() {
+    fn pop_finished_drains_in_completion_order() {
         let mut net = FlowNet::new(vec![1_000_000_000]);
         net.insert(Time::ZERO, 7, 0, &[lid(0)]);
         net.insert(Time::ZERO, 8, 0, &[lid(0)]);
         net.insert(Time::ZERO, 9, 500_000_000, &[lid(0)]);
         assert_eq!(net.pop_finished(), Some(7));
+        // A completion that lands mid-drain queues behind the rest.
+        net.insert(Time::ZERO, 10, 0, &[lid(0)]);
         assert_eq!(net.pop_finished(), Some(8));
+        assert_eq!(net.pop_finished(), Some(10));
         assert_eq!(net.pop_finished(), None);
         let t = net.next_event(Time::ZERO).unwrap();
         net.advance(t);
-        // Mixing the two drain styles stays consistent.
-        assert_eq!(net.take_finished(), vec![9]);
+        // The recycled buffer takes completions after a full drain.
+        assert_eq!(net.pop_finished(), Some(9));
         assert_eq!(net.pop_finished(), None);
     }
 
@@ -901,14 +894,14 @@ mod tests {
                         if let Some(t) = net.next_event(now) {
                             now = t;
                             net.advance(now);
-                            net.take_finished();
+                            drain(&mut net);
                         }
                     }
                     // A partial advance that retires nothing for sure.
                     7 => {
                         now += Time::from_ps(g.u64_in(1, 1_000_000));
                         net.advance(now);
-                        net.take_finished();
+                        drain(&mut net);
                     }
                     8 => net.degrade_link(now, lid(g.usize_in(0, nl)), g.f64_in(0.1, 1.0)),
                     _ => net.restore_link(now, lid(g.usize_in(0, nl))),
@@ -974,13 +967,13 @@ mod tests {
                         if let Some(t) = net.next_event(now) {
                             now = t;
                             net.advance(now);
-                            net.take_finished();
+                            drain(&mut net);
                         }
                     }
                     6 => {
                         now += Time::from_ps(g.u64_in(1, 1_000_000));
                         net.advance(now);
-                        net.take_finished();
+                        drain(&mut net);
                     }
                     7..=8 => {
                         let l = pick_link(g);
@@ -1018,7 +1011,7 @@ mod tests {
                 } else if let Some(t) = net.next_event(now) {
                     now = t;
                     net.advance(now);
-                    net.take_finished();
+                    drain(&mut net);
                 }
                 let mut recount = vec![0u32; nl];
                 for f in &net.flows {

@@ -31,7 +31,7 @@
 //! // Move 1 MiB from a to b: two x16 hops under the switch.
 //! let route = topo.route(a, b);
 //! let mut net = FlowNet::new(topo.link_bandwidths());
-//! net.insert_route(Time::ZERO, 1, 1 << 20, &route);
+//! net.insert(Time::ZERO, 1, 1 << 20, &route.links);
 //! let done = net.next_event(Time::ZERO).unwrap() + route.latency;
 //! assert!(done > Time::ZERO);
 //! ```

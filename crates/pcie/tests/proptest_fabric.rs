@@ -92,13 +92,13 @@ fn flow_network_fairness_and_conservation() {
             );
         }
         // Run to completion.
-        let mut done = net.take_finished().len();
+        let mut done = std::iter::from_fn(|| net.pop_finished()).count();
         let mut guard = 0;
         let mut now = Time::ZERO;
         while done < valid.len() {
             now = net.next_event(now).expect("flows pending");
             net.advance(now);
-            done += net.take_finished().len();
+            done += std::iter::from_fn(|| net.pop_finished()).count();
             guard += 1;
             assert!(guard < 10_000, "network did not drain");
         }

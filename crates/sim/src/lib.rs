@@ -74,6 +74,6 @@ pub use queue::{
 };
 pub use resources::{water_fill, FifoServer, PsJobId, PsPool};
 pub use rng::SplitMix64;
-pub use stats::{geomean, BusyTracker, Percentiles, Summary, SummaryCols, TimeWeighted};
+pub use stats::{geomean, Percentiles, Summary, TimeWeighted};
 pub use time::{transfer_time, Time};
 pub use workload::{ArrivalGen, ArrivalProcess, BoundedQueue};

@@ -1,17 +1,14 @@
 //! Time-ordered event queue with FIFO tie-breaking.
 //!
-//! The queue is a two-level calendar: level 0 is a bucket array over a
-//! sliding time window (each bucket a small vec kept sorted so the next
-//! event pops from its back), level 1 is an unsorted overflow holding
-//! everything at or beyond the window. Inserts and pops are O(1)
-//! amortized; when the window drains, [`rebase`](EventQueue) picks a new
-//! bucket width and count from the overflow population and refills. In
-//! debug builds a shadow binary heap — the original implementation —
-//! is popped in lockstep and every delivery is cross-checked against it.
+//! The queue is a binary heap of pending events, each stored with its
+//! timestamp and a schedule counter. It pops the least `(time, seq)`
+//! pair, so events at one instant leave in the order they were
+//! scheduled. A simulation here holds a handful of pending events per
+//! in-flight request, and no run has been seen above 256 at once, so
+//! an O(log n) push and pop over a few dozen entries is the cheap case.
 
 use crate::time::Time;
 use std::cmp::Ordering;
-#[cfg(debug_assertions)]
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
@@ -82,55 +79,39 @@ pub fn set_default_stall_limit(limit: u64) {
     DEFAULT_STALL_LIMIT.store(limit, AtomicOrdering::Relaxed);
 }
 
-/// An ordering key; the payload lives in the slab, so calendar and heap
-/// operations move 24 bytes regardless of payload size.
-#[derive(Clone, Copy)]
-struct Entry {
+/// A pending event. The ordering is reversed, so the earliest
+/// `(time, seq)` compares greatest and the max-heap pops it first.
+struct Entry<E> {
     time: Time,
     seq: u64,
-    slot: u32,
+    payload: E,
 }
 
-impl PartialEq for Entry {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl Eq for Entry {}
-impl PartialOrd for Entry {
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Entry {
-    // Reverse ordering: earliest (time, seq) compares greatest. The
-    // debug shadow heap is a max-heap, and a bucket vec sorted
-    // ascending by this ordering holds its earliest event at the back,
-    // where it pops without shifting the rest.
+impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
-
-/// Fewest buckets the calendar window will use.
-const MIN_BUCKETS: usize = 16;
-/// Most buckets the calendar window will use; bounds rebase cost and
-/// empty-bucket scans for any pending population.
-const MAX_BUCKETS: usize = 4096;
 
 /// The core of a discrete-event simulation: a clock plus a priority queue
 /// of future events.
 ///
 /// Events scheduled for the same instant are delivered in the order they
-/// were scheduled, which keeps simulations deterministic.
-///
-/// Payloads are stored in a slab whose slots are recycled as events are
-/// delivered, so a steady-state simulation reuses the same allocations
-/// for its entire run; the two-level calendar orders small fixed-size
-/// keys in O(1) amortized time per operation.
+/// were scheduled, which keeps simulations deterministic. The pending
+/// events sit in one `BinaryHeap` keyed by `(time, schedule order)`;
+/// its buffer is reused as events come and go, so a steady-state
+/// simulation stops allocating once the heap reaches its peak depth.
 ///
 /// ```
 /// use dmx_sim::{EventQueue, Time};
@@ -144,30 +125,7 @@ const MAX_BUCKETS: usize = 4096;
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// Level 0: buckets over `[base, window_end)`, each sorted ascending
-    /// by the reversed `Entry` ordering (earliest event at the back).
-    buckets: Vec<Vec<Entry>>,
-    /// One bit per bucket: set while the bucket is non-empty.
-    occupied: Vec<u64>,
-    /// Window start in ps, aligned down to the bucket width.
-    base: u64,
-    /// log2 of the bucket width in ps.
-    width_shift: u32,
-    /// Exclusive end of the window in ps (may exceed `u64::MAX`).
-    window_end: u128,
-    /// All buckets below this index are empty.
-    cur: usize,
-    /// Level 1: unsorted events at or beyond `window_end`.
-    overflow: Vec<Entry>,
-    /// Minimum timestamp present in `overflow` (`u64::MAX` when empty).
-    /// Exact: overflow only grows between rebases, and every rebase
-    /// recomputes it.
-    overflow_min: u64,
-    /// Total events pending across both levels.
-    pending: usize,
-    /// Payload storage; `None` slots are free and listed in `free`.
-    slab: Vec<Option<E>>,
-    free: Vec<u32>,
+    heap: BinaryHeap<Entry<E>>,
     now: Time,
     seq: u64,
     popped: u64,
@@ -175,10 +133,6 @@ pub struct EventQueue<E> {
     /// deliveries at one instant. 0 = disabled.
     stall_limit: u64,
     stall_streak: u64,
-    /// Reference implementation, popped in lockstep with the calendar;
-    /// any divergence in delivery order is a bug in the calendar.
-    #[cfg(debug_assertions)]
-    shadow: BinaryHeap<Entry>,
 }
 
 impl<E> Drop for EventQueue<E> {
@@ -197,7 +151,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.pending)
+            .field("pending", &self.heap.len())
             .field("processed", &self.popped)
             .finish()
     }
@@ -208,28 +162,13 @@ impl<E> EventQueue<E> {
     /// no-progress watchdog starts at the process-global default set by
     /// [`set_default_stall_limit`] (disabled unless a harness armed it).
     pub fn new() -> Self {
-        // 16 one-microsecond buckets to start; the first rebase adapts
-        // both knobs to the actual event population.
-        let width_shift = 20;
         EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: vec![0; MIN_BUCKETS.div_ceil(64)],
-            base: 0,
-            width_shift,
-            window_end: (MIN_BUCKETS as u128) << width_shift,
-            cur: 0,
-            overflow: Vec::new(),
-            overflow_min: u64::MAX,
-            pending: 0,
-            slab: Vec::new(),
-            free: Vec::new(),
+            heap: BinaryHeap::new(),
             now: Time::ZERO,
             seq: 0,
             popped: 0,
             stall_limit: DEFAULT_STALL_LIMIT.load(AtomicOrdering::Relaxed),
             stall_streak: 0,
-            #[cfg(debug_assertions)]
-            shadow: BinaryHeap::new(),
         }
     }
 
@@ -253,12 +192,12 @@ impl<E> EventQueue<E> {
 
     /// Number of events still pending.
     pub fn len(&self) -> usize {
-        self.pending
+        self.heap.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending == 0
+        self.heap.is_empty()
     }
 
     /// Schedules `payload` at absolute time `at`.
@@ -275,22 +214,10 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slab[s as usize] = Some(payload);
-                s
-            }
-            None => {
-                let s = u32::try_from(self.slab.len())
-                    .expect("event queue slab overflow: more than u32::MAX events pending at once");
-                self.slab.push(Some(payload));
-                s
-            }
-        };
-        self.push_entry(Entry {
+        self.heap.push(Entry {
             time: at,
             seq,
-            slot,
+            payload,
         });
     }
 
@@ -301,160 +228,7 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        if self.pending == 0 {
-            return None;
-        }
-        if let Some(idx) = self.next_occupied() {
-            let b = &self.buckets[idx];
-            return Some(b[b.len() - 1].time);
-        }
-        Some(Time::from_ps(self.overflow_min))
-    }
-
-    /// Inserts an ordering key into the calendar.
-    fn push_entry(&mut self, e: Entry) {
-        #[cfg(debug_assertions)]
-        self.shadow.push(e);
-        let t = e.time.as_ps();
-        if (t as u128) < self.window_end {
-            // Inserts never predate `base`: `schedule_at` rejects the
-            // past, pops keep `now` at or above the window start.
-            debug_assert!(t >= self.base);
-            let idx = ((t - self.base) >> self.width_shift) as usize;
-            let b = &mut self.buckets[idx];
-            let pos = b.binary_search(&e).unwrap_err();
-            b.insert(pos, e);
-            self.occupied[idx >> 6] |= 1 << (idx & 63);
-            // The cursor may already have passed this (then-empty)
-            // bucket; pull it back so the event is not skipped.
-            if idx < self.cur {
-                self.cur = idx;
-            }
-        } else {
-            self.overflow.push(e);
-            if t < self.overflow_min {
-                self.overflow_min = t;
-            }
-        }
-        self.pending += 1;
-    }
-
-    /// Removes the earliest (time, seq) key.
-    fn pop_entry(&mut self) -> Option<Entry> {
-        if self.pending == 0 {
-            return None;
-        }
-        loop {
-            if let Some(idx) = self.next_occupied() {
-                self.cur = idx;
-                let b = &mut self.buckets[idx];
-                let e = b.pop().expect("occupied bit set on an empty bucket");
-                if b.is_empty() {
-                    self.occupied[idx >> 6] &= !(1 << (idx & 63));
-                }
-                self.pending -= 1;
-                #[cfg(debug_assertions)]
-                {
-                    let r = self
-                        .shadow
-                        .pop()
-                        .expect("calendar has events the reference heap lacks");
-                    debug_assert!(
-                        r.time == e.time && r.seq == e.seq && r.slot == e.slot,
-                        "calendar queue diverged from reference heap: \
-                         calendar ({:?}, seq {}) vs heap ({:?}, seq {})",
-                        e.time,
-                        e.seq,
-                        r.time,
-                        r.seq,
-                    );
-                }
-                return Some(e);
-            }
-            // Window drained but events remain: they are all in the
-            // overflow. Slide the window forward over them.
-            self.rebase();
-        }
-    }
-
-    /// First non-empty bucket at or after the cursor, via the
-    /// occupancy bitmap (word-at-a-time scan).
-    fn next_occupied(&self) -> Option<usize> {
-        let nb = self.buckets.len();
-        let mut w = self.cur >> 6;
-        if w >= self.occupied.len() {
-            return None;
-        }
-        let mut bits = self.occupied[w] & (!0u64 << (self.cur & 63));
-        loop {
-            if bits != 0 {
-                let idx = (w << 6) + bits.trailing_zeros() as usize;
-                return (idx < nb).then_some(idx);
-            }
-            w += 1;
-            if w >= self.occupied.len() {
-                return None;
-            }
-            bits = self.occupied[w];
-        }
-    }
-
-    /// Re-anchors the window at the earliest overflow event, re-sizing
-    /// the bucket array and width to the overflow population, and moves
-    /// every overflow event that now fits into its bucket. Cold: runs
-    /// once per drained window, cost amortized over the events moved.
-    #[cold]
-    fn rebase(&mut self) {
-        debug_assert!(!self.overflow.is_empty(), "rebase with an empty overflow");
-        let m = self.overflow.len();
-        let nb = (2 * m).next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if nb != self.buckets.len() {
-            self.buckets.resize_with(nb, Vec::new);
-            self.occupied.resize(nb.div_ceil(64), 0);
-        }
-        self.occupied.fill(0);
-        let omin = self.overflow_min;
-        let omax = self
-            .overflow
-            .iter()
-            .map(|e| e.time.as_ps())
-            .max()
-            .expect("nonempty");
-        // Widen buckets until the whole overflow span fits the window;
-        // terminates at shift <= 61 because nb >= 16. Clustered spans
-        // leave the tail in the overflow for a later rebase.
-        let mut shift = 0u32;
-        let mut base = omin;
-        while ((omax - base) >> shift) as usize >= nb {
-            shift += 1;
-            base = omin & !((1u64 << shift) - 1);
-        }
-        self.base = base;
-        self.width_shift = shift;
-        self.window_end = base as u128 + ((nb as u128) << shift);
-        let mut remaining_min = u64::MAX;
-        let mut min_idx = nb - 1;
-        let mut i = 0;
-        while i < self.overflow.len() {
-            let t = self.overflow[i].time.as_ps();
-            if (t as u128) < self.window_end {
-                let e = self.overflow.swap_remove(i);
-                let idx = ((t - base) >> shift) as usize;
-                self.buckets[idx].push(e);
-                self.occupied[idx >> 6] |= 1 << (idx & 63);
-                min_idx = min_idx.min(idx);
-            } else {
-                remaining_min = remaining_min.min(t);
-                i += 1;
-            }
-        }
-        self.overflow_min = remaining_min;
-        for idx in min_idx..nb {
-            if self.buckets[idx].len() > 1 {
-                self.buckets[idx].sort_unstable();
-            }
-        }
-        self.cur = min_idx;
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Removes and returns the next event, advancing the clock to its
@@ -473,7 +247,7 @@ impl<E> EventQueue<E> {
     where
         E: std::fmt::Debug,
     {
-        let entry = self.pop_entry()?;
+        let entry = self.heap.pop()?;
         debug_assert!(entry.time >= self.now);
         if self.stall_limit > 0 {
             if entry.time > self.now {
@@ -481,43 +255,32 @@ impl<E> EventQueue<E> {
             } else {
                 self.stall_streak += 1;
                 if self.stall_streak >= self.stall_limit {
-                    self.no_progress_abort(entry);
+                    self.no_progress_abort(&entry);
                 }
             }
         }
         self.now = entry.time;
         self.popped += 1;
-        let payload = self.slab[entry.slot as usize]
-            .take()
-            .expect("event queue corruption: calendar entry references an already-freed slot");
-        self.free.push(entry.slot);
-        Some(payload)
+        Some(entry.payload)
     }
 
-    /// Watchdog trip: render the stuck instant and the head of the
-    /// pending queue (delivery order), then panic. Cold — only reached
-    /// on a genuine livelock.
+    /// Watchdog trip: render the stuck instant, the tripping event and
+    /// the head of the pending queue in delivery order, then panic.
+    /// The heap iterates in no particular order, so the dump sorts by
+    /// `(time, seq)`. Cold — only reached on a genuine livelock.
     #[cold]
-    fn no_progress_abort(&self, tripped: Entry) -> !
+    fn no_progress_abort(&self, tripped: &Entry<E>) -> !
     where
         E: std::fmt::Debug,
     {
         const DUMP: usize = 32;
-        let mut pending: Vec<Entry> = self
-            .buckets
-            .iter()
-            .flatten()
-            .chain(self.overflow.iter())
-            .copied()
+        let mut pending: Vec<&Entry<E>> = self.heap.iter().collect();
+        pending.sort_unstable_by_key(|e| (e.time, e.seq));
+        let dump: String = std::iter::once(tripped)
+            .chain(pending.iter().copied())
+            .take(DUMP)
+            .map(|e| format!("  at {:?} seq {}: {:?}\n", e.time, e.seq, e.payload))
             .collect();
-        pending.sort_by(|a, b| a.time.cmp(&b.time).then(a.seq.cmp(&b.seq)));
-        let mut dump = String::new();
-        for e in std::iter::once(&tripped).chain(pending.iter()).take(DUMP) {
-            dump.push_str(&format!(
-                "  at {:?} seq {}: {:?}\n",
-                e.time, e.seq, self.slab[e.slot as usize]
-            ));
-        }
         let omitted = (pending.len() + 1).saturating_sub(DUMP);
         panic!(
             "event queue made no progress: {} consecutive events delivered at {:?} \
@@ -594,31 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn slab_slots_are_recycled() {
-        let mut q = EventQueue::new();
-        // Steady state: one event in flight at a time. The slab must
-        // not grow beyond the peak concurrency.
-        for i in 0..1000u64 {
-            q.schedule_at(Time::from_ns(i), i);
-            assert_eq!(q.pop(), Some(i));
-        }
-        assert_eq!(q.slab.len(), 1);
-        // Peak of 3 pending -> 3 slots, reused forever after.
-        for i in 0..3u64 {
-            q.schedule_after(Time::from_ns(i + 1), i);
-        }
-        while q.pop().is_some() {}
-        for i in 0..100u64 {
-            q.schedule_after(Time::from_ns(i + 1), i);
-            if i % 2 == 0 {
-                q.pop();
-            }
-        }
-        while q.pop().is_some() {}
-        assert!(q.slab.len() <= 51, "slab grew to {}", q.slab.len());
-    }
-
-    #[test]
     fn delivered_counter_flushes_on_drop() {
         let before = events_delivered();
         {
@@ -686,15 +424,15 @@ mod tests {
     }
 
     #[test]
-    fn far_future_jump_lands_in_overflow_and_back() {
+    fn far_future_jump_and_back() {
         let mut q = EventQueue::new();
-        // A full idle year of the initial window, then a cluster.
+        // Two events 100 s out, then one near the clock.
         q.schedule_at(Time::from_secs(100), 2);
         q.schedule_at(Time::from_secs(100), 3);
         q.schedule_at(Time::from_ns(1), 1);
         assert_eq!(q.peek_time(), Some(Time::from_ns(1)));
         assert_eq!(q.pop(), Some(1));
-        // Insert at `now` after the cursor advanced past its bucket.
+        // An event at `now` still goes ahead of the far pair.
         q.schedule_at(Time::from_ns(1), 10);
         assert_eq!(q.pop(), Some(10));
         assert_eq!(q.peek_time(), Some(Time::from_secs(100)));
@@ -703,95 +441,130 @@ mod tests {
         assert_eq!(q.pop(), None::<u64>);
     }
 
-    /// Minimal ordered reference: a max-heap of the same reversed keys.
-    struct RefQueue {
-        heap: std::collections::BinaryHeap<Entry>,
+    #[test]
+    fn watchdog_dump_lists_tripping_event_then_delivery_order() {
+        let msg = std::panic::catch_unwind(|| {
+            let mut q = EventQueue::new();
+            q.set_stall_limit(3);
+            // The a* events share t = 1: a0 moves the clock, a1..a3 do
+            // not, so a3 trips. The rest are scheduled out of delivery
+            // order, p9 first, and p3a and p3b tie at t = 3.
+            for (ns, name) in [
+                (9, "p9"),
+                (1, "a0"),
+                (3, "p3a"),
+                (7, "p7"),
+                (1, "a1"),
+                (3, "p3b"),
+                (1, "a2"),
+                (5, "p5"),
+                (1, "a3"),
+                (2, "p2"),
+                (8, "p8"),
+                (4, "p4"),
+            ] {
+                q.schedule_at(Time::from_ns(ns), name);
+            }
+            while q.pop().is_some() {}
+        })
+        .expect_err("the watchdog must trip");
+        let msg = msg.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("event queue made no progress"), "{msg}");
+        let dumped: Vec<&str> = msg
+            .lines()
+            .filter(|l| l.starts_with("  at "))
+            .map(|l| l.rsplit(": ").next().expect("payload after the colon"))
+            .map(|p| p.trim_matches('"'))
+            .collect();
+        assert_eq!(
+            dumped,
+            ["a3", "p2", "p3a", "p3b", "p4", "p5", "p7", "p8", "p9"]
+        );
+    }
+
+    /// Independent oracle: the pending `(time, seq)` pairs in a plain
+    /// vector, the next one found by linear scan.
+    #[derive(Default)]
+    struct Oracle {
+        pending: Vec<(Time, u64)>,
         seq: u64,
     }
 
-    impl RefQueue {
-        fn new() -> Self {
-            RefQueue {
-                heap: std::collections::BinaryHeap::new(),
-                seq: 0,
-            }
-        }
+    impl Oracle {
         fn push(&mut self, t: Time) {
-            let seq = self.seq;
+            self.pending.push((t, self.seq));
             self.seq += 1;
-            self.heap.push(Entry {
-                time: t,
-                seq,
-                slot: 0,
-            });
         }
         fn pop(&mut self) -> Option<(Time, u64)> {
-            self.heap.pop().map(|e| (e.time, e.seq))
+            let i = (0..self.pending.len()).min_by_key(|&i| self.pending[i])?;
+            Some(self.pending.swap_remove(i))
         }
     }
 
+    /// Schedules the oracle's next seq as the payload, so a delivered
+    /// payload must equal the seq the oracle pops beside it.
+    fn schedule(q: &mut EventQueue<u64>, o: &mut Oracle, dt: Time) {
+        q.schedule_after(dt, o.seq);
+        o.push(q.now() + dt);
+    }
+
+    /// Pops both sides and checks they agree; false once both are empty.
+    fn check_pop(q: &mut EventQueue<u64>, o: &mut Oracle) -> bool {
+        let want = o.pop();
+        assert_eq!(q.peek_time(), want.map(|(t, _)| t), "peek diverged");
+        match (q.pop(), want) {
+            (None, None) => false,
+            (Some(v), Some((t, seq))) => {
+                assert_eq!(v, seq, "delivery order diverged");
+                assert_eq!(q.now(), t, "clock diverged");
+                assert_eq!(q.len(), o.pending.len(), "length diverged");
+                true
+            }
+            (got, want) => panic!("pop mismatch: {got:?} vs {want:?}"),
+        }
+    }
+
+    // The two properties below keep the names they had when the queue
+    // was a two-level calendar checked against a `BinaryHeap`; both now
+    // check the heap against the linear-scan `Oracle`.
+
     #[test]
     fn calendar_matches_heap_reference_on_random_histories() {
-        run_cases("queue::calendar_vs_heap", crate::check::cases(60), |g| {
+        run_cases("queue::oracle", crate::check::cases(60), |g| {
             let mut q: EventQueue<u64> = EventQueue::new();
-            let mut r = RefQueue::new();
-            let mut label = 0u64;
-            let ops = g.usize_in(1, 400);
-            for _ in 0..ops {
-                match g.usize_in(0, 10) {
+            let mut o = Oracle::default();
+            for _ in 0..g.usize_in(1, 400) {
+                match g.usize_in(0, 11) {
                     // Bursts of same-instant events exercise FIFO ties.
                     0..=2 => {
                         let dt = Time::from_ps(g.u64_in(0, 2_000));
-                        let n = g.usize_in(1, 8);
-                        for _ in 0..n {
-                            q.schedule_after(dt, label);
-                            r.push(q.now() + dt);
-                            label += 1;
+                        for _ in 0..g.usize_in(1, 8) {
+                            schedule(&mut q, &mut o, dt);
                         }
                     }
                     // Near-future single events.
-                    3..=5 => {
-                        let dt = Time::from_ps(g.u64_in(0, 5_000_000));
-                        q.schedule_after(dt, label);
-                        r.push(q.now() + dt);
-                        label += 1;
-                    }
-                    // Far-future events land in the overflow level.
-                    6 => {
-                        let dt = Time::from_us(g.u64_in(1, 10_000_000));
-                        q.schedule_after(dt, label);
-                        r.push(q.now() + dt);
-                        label += 1;
+                    3..=5 => schedule(&mut q, &mut o, Time::from_ps(g.u64_in(0, 5_000_000))),
+                    // Far-future events, up to 10 s out.
+                    6 => schedule(&mut q, &mut o, Time::from_us(g.u64_in(1, 10_000_000))),
+                    // Steady-state churn: pop one, schedule one up to
+                    // 100 us after the clock.
+                    7 => {
+                        for _ in 0..g.usize_in(1, 200) {
+                            check_pop(&mut q, &mut o);
+                            schedule(&mut q, &mut o, Time::from_ns(g.u64_in(0, 100_000)));
+                        }
                     }
                     // Pops, including runs of them.
                     _ => {
-                        let n = g.usize_in(1, 6);
-                        for _ in 0..n {
-                            let got = q.pop();
-                            let want = r.pop();
-                            match (got, want) {
-                                (None, None) => {}
-                                (Some(v), Some((t, seq))) => {
-                                    assert_eq!(v, seq, "payload order diverged");
-                                    assert_eq!(q.now(), t, "clock diverged");
-                                }
-                                (g2, w) => panic!("pop mismatch: {g2:?} vs {w:?}"),
-                            }
+                        for _ in 0..g.usize_in(1, 6) {
+                            check_pop(&mut q, &mut o);
                         }
                     }
                 }
             }
             // Drain; both must agree to the end.
-            loop {
-                match (q.pop(), r.pop()) {
-                    (None, None) => break,
-                    (Some(v), Some((t, seq))) => {
-                        assert_eq!(v, seq);
-                        assert_eq!(q.now(), t);
-                    }
-                    (g2, w) => panic!("drain mismatch: {g2:?} vs {w:?}"),
-                }
-            }
+            while check_pop(&mut q, &mut o) {}
+            assert!(q.is_empty());
         });
     }
 
@@ -799,26 +572,18 @@ mod tests {
     fn calendar_handles_steady_state_churn_across_rebases() {
         run_cases("queue::steady_churn", crate::check::cases(20), |g| {
             let mut q: EventQueue<u64> = EventQueue::new();
-            let mut r = RefQueue::new();
-            // Seed a pending window, then run schedule-one/pop-one for
-            // long enough to cross several rebases.
-            for i in 0..32 {
-                let t = Time::from_ns(g.u64_in(0, 50));
-                q.schedule_at(t, i);
-                r.push(t);
+            let mut o = Oracle::default();
+            // Seed a pending window, then pop one and schedule one for
+            // a long run at a constant population.
+            for _ in 0..32 {
+                schedule(&mut q, &mut o, Time::from_ns(g.u64_in(0, 50)));
             }
-            for i in 32..2_000u64 {
-                let (v, (t, seq)) = (q.pop().unwrap(), r.pop().unwrap());
-                assert_eq!(v, seq);
-                assert_eq!(q.now(), t);
-                let dt = Time::from_ns(g.u64_in(0, 100_000));
-                q.schedule_after(dt, i);
-                r.push(q.now() + dt);
+            for _ in 0..2_000 {
+                assert!(check_pop(&mut q, &mut o), "queue drained early");
+                schedule(&mut q, &mut o, Time::from_ns(g.u64_in(0, 100_000)));
             }
-            while let Some(v) = q.pop() {
-                assert_eq!(v, r.pop().unwrap().1);
-            }
-            assert!(r.pop().is_none());
+            while check_pop(&mut q, &mut o) {}
+            assert!(q.is_empty());
         });
     }
 }

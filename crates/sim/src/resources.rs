@@ -78,11 +78,6 @@ impl FifoServer {
         done
     }
 
-    /// Earliest time at which some server is free.
-    pub fn next_free(&self) -> Time {
-        self.free_at.iter().copied().min().unwrap_or(Time::ZERO)
-    }
-
     /// Total service time accumulated across all servers.
     pub fn busy_time(&self) -> Time {
         self.busy
@@ -130,7 +125,7 @@ struct PsJob {
 ///
 /// 1. mutate ([`PsPool::insert`]) or observe a tick,
 /// 2. call [`PsPool::advance`] to the current time,
-/// 3. drain [`PsPool::take_finished`],
+/// 3. drain [`PsPool::pop_finished`] until it returns `None`,
 /// 4. ask [`PsPool::next_event`] and schedule a tick at that time,
 ///    tagged with [`PsPool::generation`]; stale ticks (mismatched
 ///    generation) must be ignored by the owner.
@@ -302,17 +297,9 @@ impl PsPool {
         self.generation += 1;
     }
 
-    /// Drains the set of jobs that completed since the last call.
-    pub fn take_finished(&mut self) -> Vec<PsJobId> {
-        let out = self.finished.split_off(self.finished_head);
-        self.finished.clear();
-        self.finished_head = 0;
-        out
-    }
-
     /// Pops the next completed job in completion (FIFO) order, or `None`
-    /// when drained. The allocation-free equivalent of
-    /// [`PsPool::take_finished`]: the buffer is recycled once empty.
+    /// when drained. The buffer is recycled once empty, so steady-state
+    /// draining never allocates.
     pub fn pop_finished(&mut self) -> Option<PsJobId> {
         if self.finished_head < self.finished.len() {
             let id = self.finished[self.finished_head];
@@ -424,6 +411,10 @@ fn water_fill_into(capacity: f64, caps: &[f64], order: &mut Vec<usize>, rates: &
 mod tests {
     use super::*;
 
+    fn drain(pool: &mut PsPool) -> Vec<PsJobId> {
+        std::iter::from_fn(|| pool.pop_finished()).collect()
+    }
+
     #[test]
     fn fifo_single_server_queues() {
         let mut s = FifoServer::new(1);
@@ -481,7 +472,7 @@ mod tests {
         let t = pool.next_event(Time::ZERO).unwrap();
         assert_eq!(t, Time::from_us(4));
         pool.advance(t);
-        assert_eq!(pool.take_finished(), vec![7]);
+        assert_eq!(drain(&mut pool), vec![7]);
         assert_eq!(pool.active_jobs(), 0);
     }
 
@@ -496,7 +487,7 @@ mod tests {
         let t = pool.next_event(Time::ZERO).unwrap();
         assert_eq!(t, Time::from_us(8));
         pool.advance(t);
-        let mut done = pool.take_finished();
+        let mut done = drain(&mut pool);
         done.sort_unstable();
         assert_eq!(done, (0..8).collect::<Vec<_>>());
     }
@@ -505,7 +496,7 @@ mod tests {
     fn ps_zero_work_finishes_immediately() {
         let mut pool = PsPool::new(1.0);
         pool.insert(Time::ZERO, 1, Time::ZERO, 1.0);
-        assert_eq!(pool.take_finished(), vec![1]);
+        assert_eq!(drain(&mut pool), vec![1]);
         assert_eq!(pool.next_event(Time::ZERO), None);
     }
 
@@ -533,7 +524,7 @@ mod tests {
         let t = pool.next_event(Time::from_us(5)).unwrap();
         assert_eq!(t, Time::from_us(15));
         pool.advance(t);
-        assert_eq!(pool.take_finished(), vec![1]);
+        assert_eq!(drain(&mut pool), vec![1]);
         // B has 10 - 5 = 5us left, alone now -> 15 + 5 = 20us.
         let t2 = pool.next_event(t).unwrap();
         assert_eq!(t2, Time::from_us(20));

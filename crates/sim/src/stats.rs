@@ -1,5 +1,5 @@
-//! Measurement utilities: scalar summaries, time-weighted values, and
-//! busy-interval accumulators used for utilization and energy accounting.
+//! Measurement utilities: scalar summaries, time-weighted values and
+//! percentiles.
 
 use crate::time::Time;
 
@@ -101,106 +101,6 @@ impl Summary {
     }
 }
 
-/// Struct-of-arrays [`Summary`]: one running scalar summary per series,
-/// stored as parallel columns indexed by series id.
-///
-/// Hot simulation loops record into one series per sample; keeping each
-/// statistic in its own contiguous column means a per-sample update
-/// touches exactly the cache lines of the statistics it writes, and a
-/// report pass over all series of one statistic streams a single array
-/// instead of striding over an array of structs.
-///
-/// ```
-/// use dmx_sim::SummaryCols;
-/// let mut s = SummaryCols::new(2);
-/// s.record(0, 1.0);
-/// s.record(0, 3.0);
-/// s.record(1, 10.0);
-/// assert_eq!(s.mean(0), 2.0);
-/// assert_eq!(s.count(1), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SummaryCols {
-    count: Vec<u64>,
-    sum: Vec<f64>,
-    sum_sq: Vec<f64>,
-    min: Vec<f64>,
-    max: Vec<f64>,
-}
-
-impl SummaryCols {
-    /// Creates `n` empty series.
-    pub fn new(n: usize) -> Self {
-        SummaryCols {
-            count: vec![0; n],
-            sum: vec![0.0; n],
-            sum_sq: vec![0.0; n],
-            min: vec![f64::INFINITY; n],
-            max: vec![f64::NEG_INFINITY; n],
-        }
-    }
-
-    /// Number of series.
-    pub fn series(&self) -> usize {
-        self.count.len()
-    }
-
-    /// Records one sample into series `i`.
-    pub fn record(&mut self, i: usize, v: f64) {
-        self.count[i] += 1;
-        self.sum[i] += v;
-        self.sum_sq[i] += v * v;
-        self.min[i] = self.min[i].min(v);
-        self.max[i] = self.max[i].max(v);
-    }
-
-    /// Number of samples in series `i`.
-    pub fn count(&self, i: usize) -> u64 {
-        self.count[i]
-    }
-
-    /// Sum of series `i`.
-    pub fn sum(&self, i: usize) -> f64 {
-        self.sum[i]
-    }
-
-    /// Mean of series `i`; zero when empty.
-    pub fn mean(&self, i: usize) -> f64 {
-        if self.count[i] == 0 {
-            0.0
-        } else {
-            self.sum[i] / self.count[i] as f64
-        }
-    }
-
-    /// Population variance of series `i`; zero below two samples.
-    pub fn variance(&self, i: usize) -> f64 {
-        if self.count[i] < 2 {
-            return 0.0;
-        }
-        let n = self.count[i] as f64;
-        (self.sum_sq[i] / n - (self.sum[i] / n).powi(2)).max(0.0)
-    }
-
-    /// Smallest sample of series `i`; zero when empty.
-    pub fn min(&self, i: usize) -> f64 {
-        if self.count[i] == 0 {
-            0.0
-        } else {
-            self.min[i]
-        }
-    }
-
-    /// Largest sample of series `i`; zero when empty.
-    pub fn max(&self, i: usize) -> f64 {
-        if self.count[i] == 0 {
-            0.0
-        } else {
-            self.max[i]
-        }
-    }
-}
-
 /// Geometric mean of a slice of positive values; `None` when empty or
 /// when any value is non-positive.
 ///
@@ -212,62 +112,6 @@ pub fn geomean(values: &[f64]) -> Option<f64> {
     }
     let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
     Some((log_sum / values.len() as f64).exp())
-}
-
-/// Accumulates disjoint busy intervals of a device; used for utilization
-/// and `power x busy_time` energy integration.
-#[derive(Debug, Clone, Default)]
-pub struct BusyTracker {
-    busy: Time,
-    intervals: u64,
-    last_end: Time,
-}
-
-impl BusyTracker {
-    /// Creates an idle tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a busy interval `[start, end)`.
-    ///
-    /// Intervals may be recorded out of order but must not overlap; the
-    /// tracker does not attempt to merge them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end < start`.
-    pub fn record(&mut self, start: Time, end: Time) {
-        assert!(end >= start, "busy interval ends before it starts");
-        self.busy += end - start;
-        self.intervals += 1;
-        self.last_end = self.last_end.max(end);
-    }
-
-    /// Total accumulated busy time.
-    pub fn busy_time(&self) -> Time {
-        self.busy
-    }
-
-    /// Number of recorded intervals.
-    pub fn intervals(&self) -> u64 {
-        self.intervals
-    }
-
-    /// Latest interval end seen.
-    pub fn last_end(&self) -> Time {
-        self.last_end
-    }
-
-    /// Busy fraction over `[0, horizon]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is zero.
-    pub fn utilization(&self, horizon: Time) -> f64 {
-        assert!(!horizon.is_zero(), "horizon must be nonzero");
-        self.busy.ratio(horizon)
-    }
 }
 
 /// Time-weighted average of a piecewise-constant signal (queue depths,
@@ -355,50 +199,6 @@ mod tests {
     fn geomean_of_identical_values() {
         let g = geomean(&[6.5; 5]).unwrap();
         assert!((g - 6.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_cols_match_row_summaries() {
-        // The columnar form must agree with N independent `Summary`s.
-        let mut cols = SummaryCols::new(3);
-        let mut rows = [Summary::new(), Summary::new(), Summary::new()];
-        let mut x = 7u64;
-        for k in 0..200 {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            let i = (x >> 33) as usize % 3;
-            let v = (k as f64) - 100.0;
-            cols.record(i, v);
-            rows[i].record(v);
-        }
-        assert_eq!(cols.series(), 3);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(cols.count(i), row.count());
-            assert_eq!(cols.sum(i), row.sum());
-            assert_eq!(cols.mean(i), row.mean());
-            assert_eq!(cols.variance(i), row.variance());
-            assert_eq!(cols.min(i), row.min());
-            assert_eq!(cols.max(i), row.max());
-        }
-    }
-
-    #[test]
-    fn summary_cols_empty_series_are_zero() {
-        let s = SummaryCols::new(1);
-        assert_eq!(s.count(0), 0);
-        assert_eq!(s.mean(0), 0.0);
-        assert_eq!(s.min(0), 0.0);
-        assert_eq!(s.max(0), 0.0);
-    }
-
-    #[test]
-    fn busy_tracker_accumulates() {
-        let mut b = BusyTracker::new();
-        b.record(Time::from_ns(0), Time::from_ns(10));
-        b.record(Time::from_ns(20), Time::from_ns(30));
-        assert_eq!(b.busy_time(), Time::from_ns(20));
-        assert_eq!(b.intervals(), 2);
-        assert_eq!(b.last_end(), Time::from_ns(30));
-        assert!((b.utilization(Time::from_ns(40)) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -107,12 +107,12 @@ fn ps_pool_conserves_work() {
             pool.insert(Time::ZERO, i as u64, Time::from_ps(*work_ps), *cap as f64);
             total_work += work_ps;
         }
-        let mut done = pool.take_finished().len();
+        let mut done = std::iter::from_fn(|| pool.pop_finished()).count();
         let mut guard = 0;
         while done < jobs.len() {
             let t = pool.next_event(Time::ZERO).expect("jobs pending");
             pool.advance(t);
-            done += pool.take_finished().len();
+            done += std::iter::from_fn(|| pool.pop_finished()).count();
             guard += 1;
             assert!(guard < 10_000, "pool did not converge");
         }
