@@ -65,8 +65,11 @@ impl Partition for BenchRing {
 }
 
 fn main() {
-    // Steady-state event churn: 100k pop-one/schedule-one steps over a
-    // 64-deep pending heap, with a 32-byte payload that every sift moves.
+    // Steady-state event churn: 100k pop-one/schedule-one steps over 64
+    // pending events with a 32-byte payload. Each push is due after all
+    // 64, so it lands at the far end of the queue and shifts every
+    // entry: the worst case, where the simulator's pushes land a mean
+    // of 1.5-4 entries from the delivery end (DESIGN §11).
     bench("queue_churn_100k", || {
         let mut q: EventQueue<[u64; 4]> = EventQueue::new();
         for i in 0..64u64 {

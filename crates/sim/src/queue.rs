@@ -1,15 +1,14 @@
 //! Time-ordered event queue with FIFO tie-breaking.
 //!
-//! The queue is a binary heap of pending events, each stored with its
-//! timestamp and a schedule counter. It pops the least `(time, seq)`
-//! pair, so events at one instant leave in the order they were
-//! scheduled. A simulation here holds a handful of pending events per
-//! in-flight request, and no run has been seen above 256 at once, so
-//! an O(log n) push and pop over a few dozen entries is the cheap case.
+//! The queue is one vector of pending events kept in reverse delivery
+//! order, so the next event is the last entry and a pop is
+//! `Vec::pop`. A push walks back from that end past every event due at
+//! or before it and inserts there, which also places it behind the
+//! events already scheduled for its instant. A simulation here holds a
+//! few dozen pending events, and most pushes land within a few entries
+//! of the delivery end, so the walk and the shift are short.
 
 use crate::time::Time;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// Process-global count of delivered events, accumulated as queues are
@@ -79,29 +78,10 @@ pub fn set_default_stall_limit(limit: u64) {
     DEFAULT_STALL_LIMIT.store(limit, AtomicOrdering::Relaxed);
 }
 
-/// A pending event. The ordering is reversed, so the earliest
-/// `(time, seq)` compares greatest and the max-heap pops it first.
+/// A pending event.
 struct Entry<E> {
     time: Time,
-    seq: u64,
     payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
 }
 
 /// The core of a discrete-event simulation: a clock plus a priority queue
@@ -109,9 +89,11 @@ impl<E> Ord for Entry<E> {
 ///
 /// Events scheduled for the same instant are delivered in the order they
 /// were scheduled, which keeps simulations deterministic. The pending
-/// events sit in one `BinaryHeap` keyed by `(time, schedule order)`;
-/// its buffer is reused as events come and go, so a steady-state
-/// simulation stops allocating once the heap reaches its peak depth.
+/// events sit in one `Vec` in reverse delivery order; a push inserts
+/// behind every event due at or before it, so ties keep their schedule
+/// order by position alone. The buffer is reused as events come and
+/// go, so a steady-state simulation stops allocating once the queue
+/// reaches its peak depth.
 ///
 /// ```
 /// use dmx_sim::{EventQueue, Time};
@@ -125,9 +107,9 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// Pending events, the next one last.
+    pending: Vec<Entry<E>>,
     now: Time,
-    seq: u64,
     popped: u64,
     /// No-progress watchdog: abort after this many consecutive
     /// deliveries at one instant. 0 = disabled.
@@ -151,7 +133,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field("pending", &self.pending.len())
             .field("processed", &self.popped)
             .finish()
     }
@@ -163,9 +145,8 @@ impl<E> EventQueue<E> {
     /// [`set_default_stall_limit`] (disabled unless a harness armed it).
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            pending: Vec::new(),
             now: Time::ZERO,
-            seq: 0,
             popped: 0,
             stall_limit: DEFAULT_STALL_LIMIT.load(AtomicOrdering::Relaxed),
             stall_streak: 0,
@@ -192,15 +173,17 @@ impl<E> EventQueue<E> {
 
     /// Number of events still pending.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.pending.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.pending.is_empty()
     }
 
-    /// Schedules `payload` at absolute time `at`.
+    /// Schedules `payload` at absolute time `at`, to be delivered after
+    /// every pending event due at or before `at`. The push costs one
+    /// compare and one move for each of those events.
     ///
     /// # Panics
     ///
@@ -212,13 +195,9 @@ impl<E> EventQueue<E> {
             "cannot schedule event in the past: at={at:?} now={:?}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            payload,
-        });
+        let last_due_after = self.pending.iter().rposition(|e| e.time > at);
+        let i = last_due_after.map_or(0, |i| i + 1);
+        self.pending.insert(i, Entry { time: at, payload });
     }
 
     /// Schedules `payload` at `self.now() + delay`.
@@ -228,7 +207,7 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.time)
+        self.pending.last().map(|e| e.time)
     }
 
     /// Removes and returns the next event, advancing the clock to its
@@ -247,7 +226,7 @@ impl<E> EventQueue<E> {
     where
         E: std::fmt::Debug,
     {
-        let entry = self.heap.pop()?;
+        let entry = self.pending.pop()?;
         debug_assert!(entry.time >= self.now);
         if self.stall_limit > 0 {
             if entry.time > self.now {
@@ -266,22 +245,19 @@ impl<E> EventQueue<E> {
 
     /// Watchdog trip: render the stuck instant, the tripping event and
     /// the head of the pending queue in delivery order, then panic.
-    /// The heap iterates in no particular order, so the dump sorts by
-    /// `(time, seq)`. Cold — only reached on a genuine livelock.
+    /// Cold — only reached on a genuine livelock.
     #[cold]
     fn no_progress_abort(&self, tripped: &Entry<E>) -> !
     where
         E: std::fmt::Debug,
     {
         const DUMP: usize = 32;
-        let mut pending: Vec<&Entry<E>> = self.heap.iter().collect();
-        pending.sort_unstable_by_key(|e| (e.time, e.seq));
         let dump: String = std::iter::once(tripped)
-            .chain(pending.iter().copied())
+            .chain(self.pending.iter().rev())
             .take(DUMP)
-            .map(|e| format!("  at {:?} seq {}: {:?}\n", e.time, e.seq, e.payload))
+            .map(|e| format!("  at {:?}: {:?}\n", e.time, e.payload))
             .collect();
-        let omitted = (pending.len() + 1).saturating_sub(DUMP);
+        let listed = self.pending.len() + 1;
         panic!(
             "event queue made no progress: {} consecutive events delivered at {:?} \
              (stall limit {}); the simulation is livelocked. Next {} pending events \
@@ -289,8 +265,8 @@ impl<E> EventQueue<E> {
             self.stall_streak,
             self.now,
             self.stall_limit,
-            (pending.len() + 1).min(DUMP),
-            omitted,
+            listed.min(DUMP),
+            listed.saturating_sub(DUMP),
             dump
         );
     }
@@ -482,6 +458,29 @@ mod tests {
         );
     }
 
+    #[test]
+    fn zero_delay_event_goes_behind_its_instant() {
+        let mut q = EventQueue::new();
+        q.schedule_at(Time::from_ns(9), 90);
+        for i in 0..4 {
+            q.schedule_at(Time::from_ns(5), i);
+        }
+        assert_eq!((q.peek_time(), q.len()), (Some(Time::from_ns(5)), 5));
+        assert_eq!(q.pop(), Some(0));
+        // Scheduled at `now` while 1, 2 and 3 still wait at t = 5, and a
+        // second one after 1 has gone.
+        q.schedule_after(Time::ZERO, 4);
+        assert_eq!((q.peek_time(), q.len()), (Some(Time::from_ns(5)), 5));
+        assert_eq!(q.pop(), Some(1));
+        q.schedule_after(Time::ZERO, 5);
+        for (left, want, ns) in [(5, 2, 5), (4, 3, 5), (3, 4, 5), (2, 5, 5), (1, 90, 9)] {
+            assert_eq!((q.peek_time(), q.len()), (Some(Time::from_ns(ns)), left));
+            assert_eq!(q.pop(), Some(want));
+            assert_eq!(q.now(), Time::from_ns(ns));
+        }
+        assert_eq!((q.peek_time(), q.len()), (None, 0));
+    }
+
     /// Independent oracle: the pending `(time, seq)` pairs in a plain
     /// vector, the next one found by linear scan.
     #[derive(Default)]
@@ -526,7 +525,7 @@ mod tests {
 
     // The two properties below keep the names they had when the queue
     // was a two-level calendar checked against a `BinaryHeap`; both now
-    // check the heap against the linear-scan `Oracle`.
+    // check the queue against the linear-scan `Oracle`.
 
     #[test]
     fn calendar_matches_heap_reference_on_random_histories() {
