@@ -64,6 +64,38 @@ impl Partition for BenchRing {
     }
 }
 
+/// 200 flows of 4-8 MB over a 32-link server topology (8 root ports,
+/// 8 switch links, 16 device links), at most two live at once, with
+/// the rates read after every insert and retirement. Consecutive flows
+/// take different links, except that `shared_switch` sends every flow
+/// through switch link 8.
+fn sparse_solves(shared_switch: bool) -> f64 {
+    let mut net = FlowNet::new(vec![4_000_000_000; 32]);
+    let mut now = Time::ZERO;
+    let mut acc = 0.0f64;
+    for id in 0..200u64 {
+        let device = LinkId::from_index(16 + (id * 5 % 16) as usize);
+        let switch = LinkId::from_index(8 + if shared_switch { 0 } else { (id % 8) as usize });
+        let root = LinkId::from_index((id * 3 % 8) as usize);
+        let bytes = 4_000_000 + (id % 5) * 1_000_000;
+        if id % 3 == 0 {
+            net.insert(now, id, bytes, &[device, switch]);
+        } else {
+            net.insert(now, id, bytes, &[device, switch, root]);
+        }
+        acc += net.rates().iter().sum::<f64>();
+        if net.active_flows() >= 2 {
+            if let Some(t) = net.next_event(now) {
+                now = t;
+                net.advance(now);
+                while net.pop_finished().is_some() {}
+                acc += net.rates().iter().sum::<f64>();
+            }
+        }
+    }
+    acc
+}
+
 fn main() {
     // Steady-state event churn: 100k pop-one/schedule-one steps over 64
     // pending events with a 32-byte payload. Each push is due after all
@@ -118,35 +150,15 @@ fn main() {
     });
 
     // The shape `robust` and `fleet` re-solve: one or two flows over a
-    // 32-link server topology (8 root ports, 8 switch links, 16 device
-    // links), re-solved after every insert and retirement. Most links
-    // carry nothing, so this row times the per-solve set-up.
-    bench("flow_solver_sparse", || {
-        let mut net = FlowNet::new(vec![4_000_000_000; 32]);
-        let mut now = Time::ZERO;
-        let mut acc = 0.0f64;
-        for id in 0..200u64 {
-            let device = LinkId::from_index(16 + (id * 5 % 16) as usize);
-            let switch = LinkId::from_index(8 + (id % 8) as usize);
-            let root = LinkId::from_index((id * 3 % 8) as usize);
-            let bytes = 4_000_000 + (id % 5) * 1_000_000;
-            if id % 3 == 0 {
-                net.insert(now, id, bytes, &[device, switch]);
-            } else {
-                net.insert(now, id, bytes, &[device, switch, root]);
-            }
-            acc += net.rates().iter().sum::<f64>();
-            if net.active_flows() >= 2 {
-                if let Some(t) = net.next_event(now) {
-                    now = t;
-                    net.advance(now);
-                    while net.pop_finished().is_some() {}
-                    acc += net.rates().iter().sum::<f64>();
-                }
-            }
-        }
-        acc
-    });
+    // 32-link server topology, re-solved after every insert and
+    // retirement. Live flows never share a link, so every solve takes
+    // the closed form (each route's narrowest link).
+    bench("flow_solver_sparse", || sparse_solves(false));
+
+    // The same shape with every flow crossing one switch link, so the
+    // two live flows share it and each two-flow solve runs the sparse
+    // water-fill, set-up included.
+    bench("flow_solver_shared", || sparse_solves(true));
 
     // Route resolution over a two-level tree, every (endpoint, peer)
     // pair queried 50 times — the memo's hit pattern in a run.

@@ -167,7 +167,7 @@ impl Sim<'_> {
         // live on switches/root and keep the fabric.
         if let Some(node) = self.unit_node(unit) {
             let links = self.layout.topo.subtree_links(node);
-            torn.extend(self.abort_flows_on(&links));
+            torn.extend(self.abort_flows_on(&links)?);
         }
         for (id, r) in self.reqs.iter() {
             if r.step >= self.steps[r.app].len() {
@@ -201,7 +201,7 @@ impl Sim<'_> {
             self.dead_units.insert(unit);
         }
         let links = self.layout.topo.subtree_links(root);
-        let mut torn = self.abort_flows_on(&links);
+        let mut torn = self.abort_flows_on(&links)?;
         for (id, r) in self.reqs.iter() {
             if r.step >= self.steps[r.app].len() {
                 continue;
@@ -276,7 +276,7 @@ impl Sim<'_> {
 
     /// Kills every in-flight flow crossing `links` and returns the ids
     /// of the requests that owned them.
-    fn abort_flows_on(&mut self, links: &[LinkId]) -> Vec<u64> {
+    fn abort_flows_on(&mut self, links: &[LinkId]) -> Result<Vec<u64>, SimError> {
         let now = self.q.now();
         let mut owners = Vec::new();
         for fid in self.flows.abort_flows(now, links) {
@@ -284,8 +284,8 @@ impl Sim<'_> {
                 owners.push(id);
             }
         }
-        self.reschedule_flows();
-        owners
+        self.flows_changed()?;
+        Ok(owners)
     }
 
     /// Migrates every request in `ids` off its crashed component. The

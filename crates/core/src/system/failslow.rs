@@ -469,8 +469,7 @@ impl Sim<'_> {
             let jid = self.job_id();
             self.hedge_jobs.insert(jid, id);
             self.cpu.insert(now, jid, Time::from_secs_f64(work), cap);
-            self.drain_cpu_finished()?;
-            self.reschedule_cpu();
+            self.cpu_changed()?;
         }
         Ok(())
     }
@@ -496,9 +495,9 @@ impl Sim<'_> {
 
     /// Applies degrade event `i`'s bandwidth cut to its links (stacking
     /// with retrains and other degrades, like overlapping real faults).
-    fn degrade_apply(&mut self, i: usize) {
+    fn degrade_apply(&mut self, i: usize) -> Result<(), SimError> {
         if self.degrade_on[i] {
-            return;
+            return Ok(());
         }
         let now = self.q.now();
         let scale = 1.0 / self.degrade_sched[i].slowdown;
@@ -507,7 +506,7 @@ impl Sim<'_> {
             self.fsreport.link_degrades += 1;
         }
         self.degrade_on[i] = true;
-        self.reschedule_flows();
+        self.flows_changed()
     }
 
     /// Lifts degrade event `i`'s bandwidth cut.
@@ -520,16 +519,14 @@ impl Sim<'_> {
             self.flows.restore_link(now, link);
         }
         self.degrade_on[i] = false;
-        self.drain_flow_finished()?;
-        self.reschedule_flows();
-        Ok(())
+        self.flows_changed()
     }
 
     /// Degrade event `i`'s window opens: cut bandwidth, start its duty
     /// cycle (if any), and arm the window end.
-    pub(super) fn degrade_start(&mut self, i: usize) {
+    pub(super) fn degrade_start(&mut self, i: usize) -> Result<(), SimError> {
         let ev = self.degrade_sched[i];
-        self.degrade_apply(i);
+        self.degrade_apply(i)?;
         if let Some(d) = ev.duty {
             if !d.period.is_zero() && d.on_fraction < 1.0 {
                 let off_at = ev.at + d.period.scale(d.on_fraction);
@@ -541,6 +538,7 @@ impl Sim<'_> {
         if let Some(end) = ev.ends_at() {
             self.q.schedule_at(end, Ev::DegradeEnd(i));
         }
+        Ok(())
     }
 
     /// Degrade event `i`'s duty cycle flips phase: lift or re-apply the
@@ -564,7 +562,7 @@ impl Sim<'_> {
             let k = elapsed / d.period.as_ps() + 1;
             ev.at + Time::from_ps(k * d.period.as_ps())
         } else {
-            self.degrade_apply(i);
+            self.degrade_apply(i)?;
             now + d.period.scale(d.on_fraction)
         };
         if ev.ends_at().map(|end| next < end).unwrap_or(true) {

@@ -688,6 +688,15 @@ enum Ev {
     HedgeDone(u64, u32),
 }
 
+/// A fluid resource whose completions `Sim` learns from ticks: the host
+/// core pool, the PCIe flow network, or shared DRX pool `i`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Res {
+    Cpu,
+    Flows,
+    Shared(usize),
+}
+
 /// Struct-of-arrays per-app accumulators, one column per statistic
 /// indexed by app id. The completion hot path touches only the columns
 /// it writes, and the report pass streams one contiguous column per
@@ -827,6 +836,10 @@ struct Sim<'a> {
     /// scheduled `ChunkTick`, so re-arming after observation-free
     /// mutations cannot double-schedule the same boundary.
     chunk_sched: Option<(Time, u64)>,
+    /// Resources changed in the current instant, in last-change order;
+    /// [`Sim::flush_ticks`] schedules one tick for each once the
+    /// instant is over.
+    dirty: Vec<Res>,
     /// Externally-driven mode (fleet servers): arrivals come from
     /// [`Stepped::inject_arrival_tagged`] instead of per-tenant
     /// generators, and every request resolution is recorded in
@@ -982,6 +995,7 @@ impl<'a> Sim<'a> {
             fsreport: FailSlowReport::default(),
             hedge_jobs: FastMap::default(),
             chunk_sched: None,
+            dirty: Vec::new(),
             external,
             resolutions: Vec::new(),
         }
@@ -1006,21 +1020,51 @@ impl<'a> Sim<'a> {
         self.next_job
     }
 
-    fn reschedule_cpu(&mut self) {
-        let now = self.q.now();
-        if let Some(t) = self.cpu.next_event(now) {
-            self.q.schedule_at(t, Ev::CpuTick(self.cpu.generation()));
+    /// Notes that `r` changed in the current instant. Its tick waits
+    /// for [`Sim::flush_ticks`], so a resource changed many times in
+    /// one instant gets one tick instead of a stale tick per change.
+    /// The list keeps last-change order, the order in which ticks
+    /// pushed at each change would have fired.
+    fn mark(&mut self, r: Res) {
+        if self.dirty.last() == Some(&r) {
+            return;
         }
+        if let Some(i) = self.dirty.iter().position(|&d| d == r) {
+            self.dirty.remove(i);
+        }
+        self.dirty.push(r);
     }
 
-    fn reschedule_flows(&mut self) {
+    /// Schedules one tick per changed resource, in last-change order,
+    /// once the instant is over: [`Sim::handle`] calls it when the
+    /// queue head has left the current instant, and [`Sim::seed`] at
+    /// its end. Every change advanced its resource to `now` and
+    /// `next_event` adds at least 1 ps, so each tick is due after the
+    /// instant that made it.
+    fn flush_ticks(&mut self) {
         let now = self.q.now();
-        if let Some(t) = self.flows.next_event(now) {
-            self.q.schedule_at(t, Ev::FlowTick(self.flows.generation()));
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for r in dirty.drain(..) {
+            let (at, tick) = match r {
+                Res::Cpu => (self.cpu.next_event(now), Ev::CpuTick(self.cpu.generation())),
+                Res::Flows => (
+                    self.flows.next_event(now),
+                    Ev::FlowTick(self.flows.generation()),
+                ),
+                Res::Shared(pool) => (
+                    self.shared[pool].next_event(now),
+                    Ev::SharedTick(pool, self.shared[pool].generation()),
+                ),
+            };
+            if let Some(at) = at {
+                debug_assert!(at > now, "{tick:?} due in the instant that made it");
+                self.q.schedule_at(at, tick);
+            }
+            if r == Res::Flows && self.cfg.chunk_exact {
+                self.reschedule_chunks();
+            }
         }
-        if self.cfg.chunk_exact {
-            self.reschedule_chunks();
-        }
+        self.dirty = dirty;
     }
 
     /// Chunk-exact mode: arms the next chunk-boundary observation
@@ -1037,14 +1081,6 @@ impl<'a> Sim<'a> {
                 self.chunk_sched = Some((t, gen));
                 self.q.schedule_at(t, Ev::ChunkTick(gen));
             }
-        }
-    }
-
-    fn reschedule_shared(&mut self, pool: usize) {
-        let now = self.q.now();
-        if let Some(t) = self.shared[pool].next_event(now) {
-            self.q
-                .schedule_at(t, Ev::SharedTick(pool, self.shared[pool].generation()));
         }
     }
 
@@ -1072,12 +1108,12 @@ impl<'a> Sim<'a> {
         self.cpu
             .insert(now, jid, Time::from_secs_f64(work_secs), cap);
         // Zero-work jobs may complete instantly.
-        self.drain_cpu_finished()?;
-        self.reschedule_cpu();
-        Ok(())
+        self.cpu_changed()
     }
 
-    fn drain_cpu_finished(&mut self) -> Result<(), SimError> {
+    /// Settles the host core pool after a change: turns the jobs it
+    /// finished into step completions and marks it for a tick.
+    fn cpu_changed(&mut self) -> Result<(), SimError> {
         let now = self.q.now();
         while let Some(jid) = self.cpu.pop_finished() {
             if self.cancelled_jobs.remove(&jid) {
@@ -1100,6 +1136,7 @@ impl<'a> Sim<'a> {
                 .ok_or(SimError::UntrackedJob(jid))?;
             self.schedule_step_done(now + lat, req)?;
         }
+        self.mark(Res::Cpu);
         Ok(())
     }
 
@@ -1150,9 +1187,7 @@ impl<'a> Sim<'a> {
         }
         self.flow_jobs.insert(fid, (req, route.latency + extra));
         self.flows.try_insert(now, fid, bytes, &route.links)?;
-        self.drain_flow_finished()?;
-        self.reschedule_flows();
-        Ok(())
+        self.flows_changed()
     }
 
     /// Extra latency from segmenting a batch across DRX data-queue
@@ -1167,7 +1202,12 @@ impl<'a> Sim<'a> {
         self.cfg.driver.irq_latency * segments.saturating_sub(1)
     }
 
-    fn drain_flow_finished(&mut self) -> Result<(), SimError> {
+    /// Settles the flow network after a change; every `FlowNet`
+    /// mutation in `Sim` ends here. Any mutation advances the network
+    /// to `now` and may retire flows finishing in this instant, so
+    /// their completions are drained into step completions before the
+    /// network is marked for a tick.
+    fn flows_changed(&mut self) -> Result<(), SimError> {
         let now = self.q.now();
         while let Some(fid) = self.flows.pop_finished() {
             if self.cancelled_jobs.remove(&fid) {
@@ -1179,6 +1219,7 @@ impl<'a> Sim<'a> {
                 .ok_or(SimError::UntrackedJob(fid))?;
             self.schedule_step_done(now + lat, req)?;
         }
+        self.mark(Res::Flows);
         Ok(())
     }
 
@@ -1507,9 +1548,7 @@ impl<'a> Sim<'a> {
         let jid = self.job_id();
         self.shared_jobs[pool].insert(jid, id);
         self.shared[pool].insert(now, jid, service, 1.0);
-        self.drain_shared_finished(pool)?;
-        self.reschedule_shared(pool);
-        Ok(())
+        self.shared_changed(pool)
     }
 
     /// Sets up one DRX batch of `(app, e)` on `unit` and returns its
@@ -1598,7 +1637,10 @@ impl<'a> Sim<'a> {
         self.gate(|g| g.cancel(now, unit, id, bytes))
     }
 
-    fn drain_shared_finished(&mut self, pool: usize) -> Result<(), SimError> {
+    /// Settles shared DRX pool `pool` after a change: turns the
+    /// batches it finished into step completions and marks it for a
+    /// tick.
+    fn shared_changed(&mut self, pool: usize) -> Result<(), SimError> {
         let now = self.q.now();
         while let Some(jid) = self.shared[pool].pop_finished() {
             if self.cancelled_jobs.remove(&jid) {
@@ -1609,6 +1651,7 @@ impl<'a> Sim<'a> {
                 .ok_or(SimError::UntrackedJob(jid))?;
             self.schedule_step_done(now, req)?;
         }
+        self.mark(Res::Shared(pool));
         Ok(())
     }
 
@@ -1925,11 +1968,13 @@ impl<'a> Sim<'a> {
                 }
             }
         }
+        self.flush_ticks();
         Ok(())
     }
 
     /// Dispatches one popped event — the engine's single step, shared
-    /// by [`Sim::run`] and the stepped (fleet-partition) driver.
+    /// by [`Sim::run`] and [`Stepped::pump_until`] — then schedules the
+    /// changed resources' ticks if that ended the instant.
     fn handle(&mut self, ev: Ev) -> Result<(), SimError> {
         match ev {
             Ev::StepDone(id, epoch) => self.step_done(id, epoch, false)?,
@@ -1937,15 +1982,13 @@ impl<'a> Sim<'a> {
             Ev::CpuTick(gen) => {
                 if gen == self.cpu.generation() {
                     self.cpu.advance(self.q.now());
-                    self.drain_cpu_finished()?;
-                    self.reschedule_cpu();
+                    self.cpu_changed()?;
                 }
             }
             Ev::FlowTick(gen) => {
                 if gen == self.flows.generation() {
                     self.flows.advance(self.q.now());
-                    self.drain_flow_finished()?;
-                    self.reschedule_flows();
+                    self.flows_changed()?;
                 }
             }
             Ev::ChunkTick(gen) => {
@@ -1959,8 +2002,7 @@ impl<'a> Sim<'a> {
             Ev::SharedTick(pool, gen) => {
                 if gen == self.shared[pool].generation() {
                     self.shared[pool].advance(self.q.now());
-                    self.drain_shared_finished(pool)?;
-                    self.reschedule_shared(pool);
+                    self.shared_changed(pool)?;
                 }
             }
             Ev::UnitDeath(unit) => self.unit_death(unit)?,
@@ -1970,14 +2012,18 @@ impl<'a> Sim<'a> {
             Ev::Resume(id, epoch) => self.resume(id, epoch)?,
             Ev::LinkRestore(l) => {
                 self.flows.restore_link(self.q.now(), LinkId::from_index(l));
-                self.drain_flow_finished()?;
-                self.reschedule_flows();
+                self.flows_changed()?;
             }
-            Ev::DegradeStart(i) => self.degrade_start(i),
+            Ev::DegradeStart(i) => self.degrade_start(i)?,
             Ev::DegradeToggle(i) => self.degrade_toggle(i)?,
             Ev::DegradeEnd(i) => self.degrade_lift(i)?,
             Ev::HedgeCheck(id, seq) => self.hedge_check(id, seq)?,
             Ev::HedgeDone(id, epoch) => self.step_done(id, epoch, true)?,
+        }
+        // The instant is over once the queue head has left it; until
+        // then a later event may change the same resources again.
+        if !self.dirty.is_empty() && self.q.peek_time() != Some(self.q.now()) {
+            self.flush_ticks();
         }
         Ok(())
     }
@@ -2256,7 +2302,10 @@ impl<'a> Stepped<'a> {
         self.sim.q.schedule_at(at, Ev::Arrival(app, tag));
     }
 
-    /// Processes every pending event strictly before `horizon`.
+    /// Processes every pending event strictly before `horizon`. The
+    /// ticks of every resource those events changed are scheduled
+    /// before it returns, so [`next_time`](Stepped::next_time) sees
+    /// them.
     ///
     /// # Errors
     ///
@@ -2584,6 +2633,89 @@ mod tests {
             "ledger leak: {i:?} {:?}",
             r.crashes
         );
+    }
+
+    #[test]
+    fn seed_schedules_one_tick_per_changed_resource() {
+        // Twelve closed-loop requests each start a host-pool kernel at
+        // t = 0: the core pool changes twelve times in that instant and
+        // gets one tick, not one per change.
+        let mut cfg = SystemConfig::latency(Mode::AllCpu, apps(3));
+        cfg.inflight_per_app = 4;
+        let mut sim = Sim::new(&cfg, false);
+        sim.seed().unwrap();
+        assert_eq!(sim.cpu.active_jobs(), 12);
+        assert_eq!(sim.q.len(), 1);
+        assert!(matches!(sim.q.pop(), Some(Ev::CpuTick(_))));
+    }
+
+    #[test]
+    fn marks_keep_last_change_order() {
+        // Ticks flush in the order of each resource's last change: the
+        // order ticks pushed at every change would have fired in when
+        // two fall due at one instant.
+        let cfg = SystemConfig::latency(Mode::Dmx(Placement::PcieIntegrated), apps(2));
+        let mut sim = Sim::new(&cfg, false);
+        for r in [Res::Cpu, Res::Flows, Res::Shared(0), Res::Cpu] {
+            sim.mark(r);
+        }
+        sim.mark(Res::Flows);
+        sim.mark(Res::Flows);
+        assert_eq!(sim.dirty, [Res::Shared(0), Res::Cpu, Res::Flows]);
+    }
+
+    #[test]
+    fn flow_retired_by_a_degrade_completes_in_that_instant() {
+        // A link degrade delivered in the instant a transfer finishes,
+        // ahead of the transfer's tick, retires the flow inside
+        // `degrade_link`'s advance. Its completion must be handled in
+        // that instant, not left for the next flow change: this run has
+        // none, so the request would never finish.
+        let mut cfg = SystemConfig::latency(Mode::MultiAxl, apps(1));
+        cfg.requests_per_app = 1;
+        cfg.faults = Some(FaultConfig {
+            degrades: vec![DegradeEvent {
+                target: DegradeTarget::Link(0),
+                at: Time::ZERO,
+                down_for: None,
+                slowdown: 2.0,
+                jitter: 0.0,
+                duty: None,
+            }],
+            ..FaultConfig::none()
+        });
+        // Without the degrade: the first transfer, and the instant it
+        // finishes computed on a clone of the network.
+        let mut probe = Sim::new(&cfg, false);
+        probe.degrade_sched.clear();
+        probe.seed().unwrap();
+        while probe.flow_jobs.is_empty() {
+            let ev = probe.q.pop().expect("a transfer starts");
+            probe.handle(ev).unwrap();
+        }
+        let fid = *probe.flow_jobs.keys().next().unwrap();
+        let mut net = probe.flows.clone();
+        let done = net.next_event(probe.q.now()).unwrap();
+        net.advance(done);
+        assert_eq!(net.pop_finished(), Some(fid));
+        // The same run with the degrade seeded at that instant, so it
+        // is delivered before the transfer's tick.
+        let mut sim = Sim::new(&cfg, false);
+        sim.degrade_sched[0].at = done;
+        sim.seed().unwrap();
+        while sim.q.peek_time().is_some_and(|t| t <= done) {
+            let ev = sim.q.pop().unwrap();
+            sim.handle(ev).unwrap();
+        }
+        assert_eq!(sim.fsreport.link_degrades, 1);
+        assert!(
+            !sim.flow_jobs.contains_key(&fid),
+            "the finished transfer waits for a later flow change"
+        );
+        while let Some(ev) = sim.q.pop() {
+            sim.handle(ev).unwrap();
+        }
+        assert_eq!(sim.remaining, 0, "a request never finished");
     }
 
     #[test]

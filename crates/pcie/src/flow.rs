@@ -55,9 +55,11 @@ struct RateScratch {
 /// Max-min fair fluid flow network over a set of capacitated links.
 ///
 /// Driving protocol (same pattern as `dmx_sim::PsPool`):
-/// mutate → [`FlowNet::advance`] → drain [`FlowNet::pop_finished`] →
-/// [`FlowNet::next_event`] → schedule a tick tagged with
-/// [`FlowNet::generation`], ignoring stale ticks.
+/// mutate → [`FlowNet::advance`] → drain [`FlowNet::pop_finished`];
+/// then, once per simulated instant and after its last change, ask
+/// [`FlowNet::next_event`] and schedule one tick tagged with
+/// [`FlowNet::generation`], ignoring stale ticks. A tick scheduled
+/// before a later change in the same instant would only go stale.
 ///
 /// ```
 /// use dmx_pcie::{FlowNet, LinkId};
@@ -177,7 +179,8 @@ impl FlowNet {
     ///
     /// Water-filling: repeatedly find the most contended link, freeze
     /// the flows crossing it at its fair share, remove their bandwidth,
-    /// and continue until all flows are frozen.
+    /// and continue until all flows are frozen. While no link carries
+    /// two flows this is each route's narrowest link, computed directly.
     ///
     /// The allocation is memoized between state changes and re-solved
     /// incrementally from the maintained per-link flow counts; debug
@@ -196,6 +199,14 @@ impl FlowNet {
         s.rates
     }
 
+    /// Closed form first: each flow's rate is its route's narrowest
+    /// link. That is the max-min allocation, bit for bit, whenever no
+    /// link carries two flows: the water-fill would freeze each flow at
+    /// its narrowest link's share `cap / 1` and never subtract from a
+    /// link another flow uses. The same pass checks the maintained
+    /// per-link counts and falls through to the water-fill only when
+    /// some crossed link is shared.
+    ///
     /// Incremental water-fill: starts from the maintained per-link flow
     /// counts and decrements them as flows freeze, instead of rebuilding
     /// the count table from every flow on every bottleneck level. The
@@ -210,6 +221,20 @@ impl FlowNet {
     /// values from earlier solves and are never read: every link the
     /// water-fill visits is on some flow's route.
     fn solve_rates_into(&self, s: &mut RateScratch) {
+        s.rates.clear();
+        'closed_form: {
+            for f in &self.flows {
+                let mut rate = f64::INFINITY;
+                for &l in &f.links {
+                    if self.link_flows[l] > 1 {
+                        break 'closed_form;
+                    }
+                    rate = rate.min(self.link_bw[l]);
+                }
+                s.rates.push(rate);
+            }
+            return;
+        }
         let nf = self.flows.len();
         let nl = self.link_bw.len();
         s.rates.clear();
@@ -669,6 +694,40 @@ mod tests {
         std::iter::from_fn(|| net.pop_finished()).collect()
     }
 
+    /// Max-min optimality certificate, judged without the reference
+    /// solver: every flow runs at a positive rate, no link carries more
+    /// than its bandwidth, and every flow crosses a saturated link on
+    /// which no other flow runs faster (its bottleneck). Comparisons
+    /// allow a relative error of 1e-9 for float rounding.
+    fn assert_max_min(net: &FlowNet) {
+        const TOL: f64 = 1e-9;
+        let rates = net.rates();
+        let mut load = vec![0.0f64; net.link_bw.len()];
+        let mut fastest = vec![0.0f64; net.link_bw.len()];
+        for (f, &r) in net.flows.iter().zip(&rates) {
+            assert!(r > 0.0 && r.is_finite(), "flow {} runs at {r}", f.id);
+            for &l in &f.links {
+                load[l] += r;
+                fastest[l] = fastest[l].max(r);
+            }
+        }
+        for (l, (&used, &bw)) in load.iter().zip(&net.link_bw).enumerate() {
+            assert!(
+                used <= bw * (1.0 + TOL),
+                "link {l} carries {used} B/s over its {bw}"
+            );
+        }
+        // Link `l` bottlenecks a flow at rate `r`: saturated, and no
+        // flow on it runs faster.
+        let bottleneck = |l: usize, r: f64| {
+            load[l] >= net.link_bw[l] * (1.0 - TOL) && fastest[l] <= r * (1.0 + TOL)
+        };
+        for (f, &r) in net.flows.iter().zip(&rates) {
+            let found = f.links.iter().any(|&l| bottleneck(l, r));
+            assert!(found, "flow {} at {r} B/s has no bottleneck", f.id);
+        }
+    }
+
     #[test]
     fn single_flow_full_rate() {
         let mut net = FlowNet::new(vec![1_000_000_000]);
@@ -912,6 +971,7 @@ mod tests {
                     assert_eq!(fast, reference, "solvers diverged");
                     assert_eq!(net.rates(), fast, "memoized rates stale");
                 }
+                assert_max_min(&net);
             }
         });
     }
@@ -991,6 +1051,7 @@ mod tests {
                 let reference = bits(&net.solve_rates_reference());
                 assert_eq!(bits(&net.rates()), reference, "memoized rates diverged");
                 assert_eq!(bits(&net.solve_rates()), reference, "fresh solve diverged");
+                assert_max_min(&net);
             }
         });
     }
@@ -1071,7 +1132,8 @@ mod tests {
 
     #[test]
     fn rates_never_oversubscribe_links() {
-        // Randomized-ish structural check over a fixed scenario set.
+        // A fixed scenario where every link is shared, so the
+        // water-fill, not the closed form, sets the rates.
         let mut net = FlowNet::new(vec![3_000_000_000, 1_000_000_000, 2_000_000_000]);
         let routes: Vec<Vec<LinkId>> = vec![
             vec![lid(0)],
@@ -1083,17 +1145,6 @@ mod tests {
         for (i, r) in routes.iter().enumerate() {
             net.insert(Time::ZERO, i as u64, 1_000_000_000, r);
         }
-        let rates = net.rates();
-        let mut per_link = [0.0f64; 3];
-        for (f, r) in routes.iter().zip(&rates) {
-            for l in f {
-                per_link[l.index()] += r;
-            }
-        }
-        assert!(per_link[0] <= 3e9 * (1.0 + 1e-9));
-        assert!(per_link[1] <= 1e9 * (1.0 + 1e-9));
-        assert!(per_link[2] <= 2e9 * (1.0 + 1e-9));
-        // Every flow gets a nonzero rate (work conservation).
-        assert!(rates.iter().all(|r| *r > 0.0));
+        assert_max_min(&net);
     }
 }

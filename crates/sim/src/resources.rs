@@ -126,9 +126,11 @@ struct PsJob {
 /// 1. mutate ([`PsPool::insert`]) or observe a tick,
 /// 2. call [`PsPool::advance`] to the current time,
 /// 3. drain [`PsPool::pop_finished`] until it returns `None`,
-/// 4. ask [`PsPool::next_event`] and schedule a tick at that time,
+/// 4. once per simulated instant, after its last change, ask
+///    [`PsPool::next_event`] and schedule one tick at that time,
 ///    tagged with [`PsPool::generation`]; stale ticks (mismatched
-///    generation) must be ignored by the owner.
+///    generation) must be ignored by the owner. A tick scheduled
+///    before a later change in the same instant would only go stale.
 ///
 /// ```
 /// use dmx_sim::{PsPool, Time};
