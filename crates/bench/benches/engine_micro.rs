@@ -9,7 +9,7 @@ use dmx_sim::partition::{run_conservative, Outbox, Partition, XMsg};
 use dmx_sim::{EventQueue, Percentiles, Time};
 use std::hint::black_box;
 
-/// Token-ring partition for the barrier rows: each received token is
+/// Token-ring partition for the window rows: each received token is
 /// folded into a checksum and forwarded one hop with `LINK_NS` link
 /// latency, so with lookahead == link latency every conservative
 /// window carries exactly one hop of real work.
@@ -186,26 +186,21 @@ fn main() {
         black_box(hops)
     });
 
-    // Conservative-window barrier overhead: an n-partition token ring
-    // where each window moves exactly one token one hop, so the work
-    // per window is negligible and the row times the synchronization
-    // machinery itself — global-min reduction, horizon publication,
-    // channel collection, inbox sorting, and (sharded rows) two
-    // `std::sync::Barrier` waits per window. `serial` runs the same
-    // window loop inline on one thread; the sharded row pays the real
-    // cross-thread barrier cost, so serial-vs-sharded is the per-window
-    // price of parallelism and `2p`→`8p` scales the reduction width.
+    // Conservative-window overhead: an n-partition token ring where
+    // each window moves exactly one token one hop, so the work per
+    // window is negligible and the row times the window machinery
+    // itself — global-min reduction, active-set scan, channel
+    // collection and inbox sorting. `2p`→`8p` scales the reduction
+    // width.
     const TOKENS: u64 = 5_000;
     for n in [2usize, 4, 8] {
-        for (mode, shards) in [("serial", 1usize), ("sharded", n)] {
-            bench(&format!("barrier_ring{n}p_{mode}"), || {
-                let mut parts: Vec<BenchRing> =
-                    (0..n).map(|id| BenchRing::new(id, n, TOKENS)).collect();
-                let stats = run_conservative(&mut parts, Time::from_ns(LINK_NS), shards);
-                let sum: u64 = parts.iter().map(|p| p.sum).sum();
-                black_box((stats.windows, stats.messages, sum))
-            });
-        }
+        bench(&format!("window_ring{n}p"), || {
+            let mut parts: Vec<BenchRing> =
+                (0..n).map(|id| BenchRing::new(id, n, TOKENS)).collect();
+            let stats = run_conservative(&mut parts, Time::from_ns(LINK_NS));
+            let sum: u64 = parts.iter().map(|p| p.sum).sum();
+            black_box((stats.windows, stats.messages, sum))
+        });
     }
 
     // Quantile snapshot: 10k samples, the three tail queries per

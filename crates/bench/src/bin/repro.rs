@@ -5,20 +5,13 @@
 //! cargo run -p dmx-bench --release --bin repro -- fig11 fig12
 //! cargo run -p dmx-bench --release --bin repro -- --seed 7 overload
 //! cargo run -p dmx-bench --release --bin repro -- --threads 4 all
-//! cargo run -p dmx-bench --release --bin repro -- --partitions 4 fleet
 //! cargo run -p dmx-bench --release --bin repro -- bench
 //! ```
 //!
 //! `--seed N` threads an explicit seed into the experiments that take
 //! one (`faults`, `overload`). `--threads N` fans independent
 //! experiments across `N` worker threads; the output is byte-identical
-//! to a serial run regardless of `N`. `--partitions N` shards each
-//! partitioned simulation (the `fleet` and `failover` experiments)
-//! across `N` OS threads synchronized at conservative window barriers;
-//! output is byte-identical for any `N`. `--force-speedup-probe` makes
-//! the `fleet` experiment run its wall-clock speedup probe even on
-//! hosts with fewer than 4 cores (the probe then only requires
-//! byte-identity, not a speedup). `bench` times every experiment
+//! to a serial run regardless of `N`. `bench` times every experiment
 //! (serial and parallel), prints a wall-clock/events-per-second/RSS
 //! table, and writes `BENCH_<date>.json`. `bench --check BASELINE.json`
 //! additionally compares the hot-experiment events/sec geomean against
@@ -34,8 +27,8 @@ use dmx_sim::par_map;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--seed N] [--threads N] [--partitions N] [--force-speedup-probe] \
-         <experiment>... | all | bench [--check BASELINE.json] [experiment]..."
+        "usage: repro [--seed N] [--threads N] <experiment>... | all | \
+         bench [--check BASELINE.json] [experiment]..."
     );
     eprintln!("experiments: {}", EXPERIMENTS.join(" "));
     std::process::exit(2);
@@ -70,20 +63,6 @@ fn main() {
                     eprintln!("--threads needs an unsigned integer, got `{v}`");
                     usage()
                 }));
-            }
-            "--partitions" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--partitions needs a value");
-                    usage()
-                });
-                let n: usize = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--partitions needs an unsigned integer, got `{v}`");
-                    usage()
-                });
-                dmx_sim::partition::set_partitions(n);
-            }
-            "--force-speedup-probe" => {
-                dmx_core::experiments::fleet::set_force_speedup_probe(true);
             }
             "bench" => do_bench = true,
             "--check" => {

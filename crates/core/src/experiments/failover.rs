@@ -32,10 +32,10 @@
 //!   cell;
 //! * the inert failover config and fault plan are byte-identical to
 //!   the layer-absent fleet;
-//! * a faulted, hedged cell renders byte-identically on 1, 2, and 4
-//!   shards, and a same-seed re-run reproduces it exactly.
+//! * a same-seed serial re-run of a faulted, hedged cell reproduces it
+//!   exactly.
 
-use super::{shard_identity, Calibration, Checks, Suite};
+use super::{Calibration, Checks, Suite};
 use crate::fleet::{
     run_fleet, ClassPolicy, FailoverConfig, FleetConfig, FleetFaultPlan, FleetResult,
     LbHealthParams, RequestClass, ServerGray, ServerKill, ServerOutage,
@@ -227,15 +227,13 @@ fn cell_cfg(
     }
 }
 
-/// Runs the sweep under the default [`SEED`] with the process-global
-/// shard count (`--partitions`).
+/// Runs the sweep under the default [`SEED`].
 pub fn run(suite: &Suite) -> FailoverSweep {
     run_with_seed(suite, SEED)
 }
 
 /// Runs the sweep under an explicit seed.
 pub fn run_with_seed(suite: &Suite, seed: u64) -> FailoverSweep {
-    let shards = dmx_sim::partition::partitions();
     let cal = Calibration::new(suite);
 
     let grid: Vec<(usize, Fault, Retry)> = SERVERS
@@ -250,10 +248,7 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FailoverSweep {
         servers,
         fault,
         policy,
-        result: run_fleet(
-            &cell_cfg(&cal, seed, servers, Some(fault), Some(policy)),
-            shards,
-        ),
+        result: run_fleet(&cell_cfg(&cal, seed, servers, Some(fault), Some(policy))),
     });
 
     // ---- embedded checks ---------------------------------------------
@@ -294,16 +289,18 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FailoverSweep {
         ..absent.clone()
     };
 
-    // Partition identity on a faulted, hedged cell. The serial run
-    // re-simulates the (4, kill, retry+hedge) grid cell, so it doubles
-    // as the same-seed determinism check.
-    let (serial, partitions_identical) = shard_identity(&cell_cfg(
-        &cal,
-        seed,
-        4,
-        Some(Fault::Kill),
-        Some(Retry::RetryHedge),
-    ));
+    // Same-seed determinism on a faulted, hedged cell: a serial re-run
+    // of the (4, kill, retry+hedge) grid cell, outside the worker pool.
+    let rerun = format!(
+        "{:?}",
+        run_fleet(&cell_cfg(
+            &cal,
+            seed,
+            4,
+            Some(Fault::Kill),
+            Some(Retry::RetryHedge),
+        ))
+    );
 
     let checks = Checks(vec![
         (
@@ -330,13 +327,11 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FailoverSweep {
         ),
         (
             "inert layers byte-identical to absent",
-            format!("{:?}", run_fleet(&absent, shards))
-                == format!("{:?}", run_fleet(&inert, shards)),
+            format!("{:?}", run_fleet(&absent)) == format!("{:?}", run_fleet(&inert)),
         ),
-        ("partitions 1/2/4 byte-identical", partitions_identical),
         (
             "same-seed re-run byte-identical",
-            format!("{:?}", kill_cell(Retry::RetryHedge)) == serial,
+            format!("{:?}", kill_cell(Retry::RetryHedge)) == rerun,
         ),
     ]);
 
@@ -354,8 +349,8 @@ impl FailoverSweep {
         self.checks.all()
     }
 
-    /// Renders the report (deterministic: identical for any host,
-    /// `--threads`, or `--partitions`).
+    /// Renders the report (deterministic: identical for any host or
+    /// `--threads`).
     pub fn render(&self) -> String {
         let mut t = Table::new(
             [

@@ -7,7 +7,7 @@
 //! front-end load balancer dispatching over a 25GbE rack fabric to
 //! 1/2/4 identical servers. Every server runs the full engine —
 //! admission, EDF dispatch, chains, all five robustness layers — as
-//! one partition of a single conservative parallel simulation
+//! one partition of a single conservative window loop
 //! (`dmx_sim::partition`), with the fabric's base latency as the
 //! lookahead.
 //!
@@ -16,27 +16,17 @@
 //!
 //! * conservation: every arrival offered at the LB resolves exactly
 //!   once (goodput + late + shed) on every cell;
-//! * partition-count identity: the 4-server cell renders
-//!   byte-identically executed on 1, 2, and 4 shards — the `--threads`
-//!   contract, extended to `--partitions`;
-//! * same-seed determinism: an independent re-run of the largest cell
-//!   is byte-identical;
+//! * same-seed determinism: an independent serial re-run of the
+//!   largest cell is byte-identical;
 //! * fleet scaling: 4 servers at fixed per-server load complete at
 //!   least 3x the goodput of 1 server;
 //! * tenant affinity pins: tenant `t` dispatches only to server
 //!   `t % servers`.
-//!
-//! A wall-clock speedup probe (4 shards vs 1 on a scaled-up cell) runs
-//! when the host has enough cores; its measurement goes to stderr and
-//! into [`FleetSweep::speedup`], never into [`FleetSweep::render`] —
-//! rendered output stays byte-identical across machines and shard
-//! counts.
 
-use super::{shard_identity, Calibration, Checks, Suite, TENANTS};
+use super::{Calibration, Checks, Suite, TENANTS};
 use crate::fleet::{run_fleet, FleetConfig, FleetResult, LbPolicy};
 use crate::report::{ms, pct, Table};
 use dmx_sim::{par_map, Time};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Default seed for every run in this experiment.
 pub const SEED: u64 = 0xF1EE;
@@ -53,9 +43,9 @@ pub const LOADS: [f64; 3] = [0.5, 1.5, 3.0];
 /// work scales with fleet size, keeping per-server work comparable).
 const ARRIVALS_PER_TENANT_PER_SERVER: usize = 10;
 
-/// Load used for the policy comparison, the identity checks and the
-/// speedup probe: the middle of [`LOADS`], where queues are busy
-/// enough for dispatch policy to matter but shedding is not dominant.
+/// Load used for the policy comparison and the same-seed check: the
+/// middle of [`LOADS`], where queues are busy enough for dispatch
+/// policy to matter but shedding is not dominant.
 pub const POLICY_LOAD: f64 = 1.5;
 
 /// One cell of the servers × load sweep.
@@ -78,27 +68,6 @@ pub struct PolicyRow {
     pub result: FleetResult,
 }
 
-/// Wall-clock probe of the partitioned engine (4 shards vs 1 on an
-/// enlarged 4-server cell). Never rendered — it depends on the host.
-#[derive(Debug, Clone, Copy)]
-pub struct SpeedupProbe {
-    /// Aggregate engine events in the probe run.
-    pub events: u64,
-    /// Wall-clock seconds at 1 shard.
-    pub serial_secs: f64,
-    /// Wall-clock seconds at 4 shards.
-    pub parallel_secs: f64,
-    /// Outputs of the two runs were byte-identical.
-    pub identical: bool,
-}
-
-impl SpeedupProbe {
-    /// Events/sec ratio of 4 shards over 1.
-    pub fn ratio(&self) -> f64 {
-        self.serial_secs / self.parallel_secs.max(1e-12)
-    }
-}
-
 /// Full fleet-sweep results.
 #[derive(Debug, Clone)]
 pub struct FleetSweep {
@@ -112,35 +81,15 @@ pub struct FleetSweep {
     pub policies: Vec<PolicyRow>,
     /// The embedded acceptance checks.
     pub checks: Checks,
-    /// Wall-clock speedup probe; `None` on hosts without enough cores.
-    /// Excluded from [`render`](FleetSweep::render).
-    pub speedup: Option<SpeedupProbe>,
 }
 
-/// When set, the wall-clock speedup probe runs even on hosts with
-/// fewer than 4 cores (`repro fleet --force-speedup-probe`). The
-/// probe's byte-identity check still applies; the speedup *floor* does
-/// not — a 2-core host legitimately cannot show a 4-shard speedup.
-static FORCE_PROBE: AtomicBool = AtomicBool::new(false);
-
-/// Forces the speedup probe on (or back off) regardless of core count.
-pub fn set_force_speedup_probe(on: bool) {
-    FORCE_PROBE.store(on, Ordering::Relaxed);
-}
-
-fn force_probe() -> bool {
-    FORCE_PROBE.load(Ordering::Relaxed)
-}
-
-/// Runs the sweep under the default [`SEED`] with the process-global
-/// shard count (`--partitions`).
+/// Runs the sweep under the default [`SEED`].
 pub fn run(suite: &Suite) -> FleetSweep {
     run_with_seed(suite, SEED)
 }
 
 /// Runs the sweep under an explicit seed.
 pub fn run_with_seed(suite: &Suite, seed: u64) -> FleetSweep {
-    let shards = dmx_sim::partition::partitions();
     let cal = Calibration::new(suite);
     let cell = |servers: usize, load: f64, policy: LbPolicy| FleetConfig {
         policy,
@@ -148,9 +97,7 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FleetSweep {
     };
 
     // The servers × load grid under least-loaded dispatch. Cells are
-    // independent, so they fan out across the worker pool; each cell's
-    // *internal* parallelism follows `--partitions` (shards collapse to
-    // 1 inside a par_map worker, same as nested par_map).
+    // independent, so they fan out across the worker pool.
     let grid: Vec<(usize, f64)> = SERVERS
         .iter()
         .flat_map(|&s| LOADS.iter().map(move |&l| (s, l)))
@@ -158,7 +105,7 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FleetSweep {
     let cells: Vec<Cell> = par_map(&grid, |_, &(servers, load)| Cell {
         servers,
         load,
-        result: run_fleet(&cell(servers, load, LbPolicy::LeastLoaded), shards),
+        result: run_fleet(&cell(servers, load, LbPolicy::LeastLoaded)),
     });
 
     // Policy comparison at the largest fleet, POLICY_LOAD.
@@ -170,16 +117,16 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FleetSweep {
     let max_servers = *SERVERS.last().expect("fleet sizes");
     let policies: Vec<PolicyRow> = par_map(&policy_list, |_, &policy| PolicyRow {
         policy,
-        result: run_fleet(&cell(max_servers, POLICY_LOAD, policy), shards),
+        result: run_fleet(&cell(max_servers, POLICY_LOAD, policy)),
     });
 
     // ---- embedded checks ---------------------------------------------
-    // Partition-count identity: the same 4-server cell, executed
-    // serially and on 2 and 4 shards, must produce byte-identical
-    // results. The serial run doubles as an independent same-seed
-    // re-simulation of the least-loaded policy row.
-    let (serial, partitions_identical) =
-        shard_identity(&cell(max_servers, POLICY_LOAD, LbPolicy::LeastLoaded));
+    // An independent same-seed re-simulation of the least-loaded
+    // policy row, run serially outside the worker pool.
+    let rerun = format!(
+        "{:?}",
+        run_fleet(&cell(max_servers, POLICY_LOAD, LbPolicy::LeastLoaded))
+    );
     let row = |policy: LbPolicy| {
         &policies
             .iter()
@@ -213,10 +160,9 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FleetSweep {
                 .chain(policies.iter().map(|p| &p.result))
                 .all(FleetResult::conserved),
         ),
-        ("partitions 1/2/4 byte-identical", partitions_identical),
         (
             "same-seed re-run byte-identical",
-            format!("{:?}", row(LbPolicy::LeastLoaded)) == serial,
+            format!("{:?}", row(LbPolicy::LeastLoaded)) == rerun,
         ),
         (
             "4-server goodput >= 3x 1-server",
@@ -228,76 +174,23 @@ pub fn run_with_seed(suite: &Suite, seed: u64) -> FleetSweep {
         ),
     ]);
 
-    // ---- wall-clock speedup probe (host-dependent; stderr only) ------
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let speedup = (cores >= 4 || force_probe()).then(|| {
-        let probe_cfg = cal.fleet_cell(
-            seed,
-            4,
-            POLICY_LOAD,
-            8 * ARRIVALS_PER_TENANT_PER_SERVER,
-            true,
-        );
-        let t0 = std::time::Instant::now();
-        let a = run_fleet(&probe_cfg, 1);
-        let serial_secs = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
-        let b = run_fleet(&probe_cfg, 4);
-        let parallel_secs = t1.elapsed().as_secs_f64();
-        let probe = SpeedupProbe {
-            events: a.events,
-            serial_secs,
-            parallel_secs,
-            identical: format!("{a:?}") == format!("{b:?}"),
-        };
-        eprintln!(
-            "fleet speedup probe: {} events, 1 shard {:.3}s ({:.2}M ev/s), \
-             4 shards {:.3}s ({:.2}M ev/s), speedup {:.2}x, identical: {}",
-            probe.events,
-            serial_secs,
-            probe.events as f64 / serial_secs.max(1e-12) / 1e6,
-            parallel_secs,
-            probe.events as f64 / parallel_secs.max(1e-12) / 1e6,
-            probe.ratio(),
-            probe.identical,
-        );
-        probe
-    });
-
     FleetSweep {
         seed,
         clean_mean: cal.mean,
         cells,
         policies,
         checks,
-        speedup,
     }
 }
 
 impl FleetSweep {
-    /// True when every embedded acceptance check passed — and, when
-    /// the host had the cores to measure it, the 4-shard probe ran
-    /// byte-identically and beat the serial run (≥3x on hosts with
-    /// headroom beyond the 4 worker threads, ≥2x at exactly 4 cores,
-    /// where the main thread contends with the shard workers). A probe
-    /// *forced* onto a smaller host (`--force-speedup-probe`) must
-    /// still be byte-identical, but no speedup floor applies — the
-    /// cores to beat serial aren't there.
+    /// True when every embedded acceptance check passed.
     pub fn ok(&self) -> bool {
-        let speedup_ok = self.speedup.is_none_or(|s| {
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let floor = match cores {
-                _ if cores >= 6 => 3.0,
-                _ if cores >= 4 => 2.0,
-                _ => 0.0,
-            };
-            s.identical && s.ratio() >= floor
-        });
-        self.checks.all() && speedup_ok
+        self.checks.all()
     }
 
-    /// Renders the report (deterministic: identical for any host,
-    /// `--threads`, or `--partitions`).
+    /// Renders the report (deterministic: identical for any host or
+    /// `--threads`).
     pub fn render(&self) -> String {
         let mut sweep = Table::new(
             [

@@ -27,7 +27,7 @@ pub mod summary;
 pub mod tab1;
 
 use crate::apps::{BenchmarkId, BenchmarkRef};
-use crate::fleet::{run_fleet, FleetConfig, LbPolicy};
+use crate::fleet::{FleetConfig, LbPolicy};
 use crate::overload::{AdmissionParams, OverloadConfig, ShedPolicy};
 use crate::placement::{Mode, Placement};
 use crate::system::{simulate, RunResult, SystemConfig};
@@ -303,17 +303,6 @@ impl Calibration {
             fault_plan: None,
         }
     }
-}
-
-/// Runs `cfg` on 1, 2 and 4 shards. Returns the 1-shard result's
-/// `{:?}` render and whether 2 and 4 shards reproduced it byte for
-/// byte: the `--threads` contract, extended to `--partitions`.
-pub(crate) fn shard_identity(cfg: &FleetConfig) -> (String, bool) {
-    let serial = format!("{:?}", run_fleet(cfg, 1));
-    let same = [2, 4]
-        .iter()
-        .all(|&n| format!("{:?}", run_fleet(cfg, n)) == serial);
-    (serial, same)
 }
 
 /// A sweep's embedded acceptance checks: `(label, verdict)` pairs in

@@ -10,11 +10,12 @@
 //! and goodput.
 //!
 //! The whole fleet is **one** simulation, executed on the conservative
-//! partitioned engine (`dmx_sim::partition`): each server is a
-//! partition wrapping a [`Stepped`] engine, the LB is one more
-//! partition, and the fabric's base latency is the lookahead bounding
-//! every safe window. Output is byte-identical for any shard count —
-//! `run_fleet(cfg, 1)` and `run_fleet(cfg, 8)` render the same report.
+//! window loop (`dmx_sim::partition`): each server is a partition
+//! wrapping a [`Stepped`] engine, the LB is one more partition, and the
+//! fabric's base latency is the lookahead bounding every safe window.
+//! Where the windows fall never reaches a result: at any lookahead up
+//! to the fabric's, every [`FleetResult`] field but `windows` is the
+//! same. That window invariance is the fleet's determinism oracle.
 //!
 //! ## Load-balancing policies
 //!
@@ -40,11 +41,13 @@
 //!
 //! The balancer is the same with or without them: it tags every
 //! dispatch attempt and matches each resolution to its own dispatch by
-//! that tag. Both layers compose with partitioned execution unchanged:
-//! a failed-over fleet is still byte-identical for any `shards`.
+//! that tag. Both layers compose with the window loop unchanged: a
+//! failed-over fleet is still window-invariant.
 
 pub mod failover;
 pub mod plan;
+#[cfg(test)]
+mod window_invariance;
 
 pub use failover::{
     ClassPolicy, ClassTotals, FailoverConfig, FailoverReport, LbHealthParams, RequestClass,
@@ -224,7 +227,7 @@ impl<S: Partition<Msg = FleetMsg>> Partition for FleetPart<S> {
 
 /// Results of one fleet run. Every field is a pure function of the
 /// config — wall-clock measurements live outside, next to the caller's
-/// stopwatch — so rendering it is byte-identical across shard counts.
+/// stopwatch — so rendering it is byte-identical across runs and hosts.
 #[derive(Debug, Clone)]
 pub struct FleetResult {
     /// Arrivals offered at the LB.
@@ -300,19 +303,28 @@ impl FleetResult {
     }
 }
 
-/// Runs a fleet simulation on `shards` worker threads. Output is
-/// byte-identical for any `shards` (the logical partition structure —
-/// `servers + 1` partitions, lookahead windows, channel order — never
-/// depends on it).
+/// Runs a fleet simulation. The second argument is ignored: the window
+/// loop is serial. It remains only because the benchmark package
+/// (`perfbench/`) still passes a shard count.
 ///
 /// # Errors
 ///
 /// `NoApps` / `NoOverload` from server construction; fleet configs with
-/// zero servers, zero tenants, or an empty arrival list are rejected as
-/// `NoApps`.
-pub fn try_run_fleet(cfg: &FleetConfig, shards: usize) -> Result<FleetResult, SimError> {
-    if cfg.servers == 0 || cfg.arrivals.is_empty() || cfg.requests_per_tenant == 0 {
+/// zero servers or an empty arrival list are rejected as `NoApps`, and
+/// zero `requests_per_tenant` as `NoRequests`.
+pub fn try_run_fleet(cfg: &FleetConfig, _shards: usize) -> Result<FleetResult, SimError> {
+    run_at(cfg, cfg.fabric.lookahead())
+}
+
+/// [`try_run_fleet`] with the window loop's `lookahead`, which must not
+/// exceed the fabric's base latency. The window-invariance properties
+/// run fleets at fractions of it.
+fn run_at(cfg: &FleetConfig, lookahead: Time) -> Result<FleetResult, SimError> {
+    if cfg.servers == 0 || cfg.arrivals.is_empty() {
         return Err(SimError::NoApps);
+    }
+    if cfg.requests_per_tenant == 0 {
+        return Err(SimError::NoRequests);
     }
     // An inert plan is filtered here, and the balancer treats an inert
     // failover config as off, so `Some(inert)` and `None` run the exact
@@ -347,7 +359,7 @@ pub fn try_run_fleet(cfg: &FleetConfig, shards: usize) -> Result<FleetResult, Si
     }
     parts.push(FleetPart::Lb(Box::new(LbPart::new(cfg, outages))));
 
-    let windows = run_conservative(&mut parts, cfg.fabric.lookahead(), shards);
+    let windows = run_conservative(&mut parts, lookahead);
 
     let Some(FleetPart::Lb(mut lb)) = parts.pop() else {
         unreachable!("the LB is the last partition");
@@ -383,8 +395,8 @@ pub fn try_run_fleet(cfg: &FleetConfig, shards: usize) -> Result<FleetResult, Si
 }
 
 /// Panicking variant of [`try_run_fleet`].
-pub fn run_fleet(cfg: &FleetConfig, shards: usize) -> FleetResult {
-    match try_run_fleet(cfg, shards) {
+pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
+    match run_at(cfg, cfg.fabric.lookahead()) {
         Ok(r) => r,
         Err(e) => panic!("{e}"),
     }
@@ -397,6 +409,7 @@ mod tests {
     use crate::overload::{AdmissionParams, OverloadConfig, ShedPolicy};
     use crate::placement::{Mode, Placement};
     use dmx_sim::EventQueue;
+    use window_invariance::window_invariant;
 
     fn small_fleet(servers: usize, policy: LbPolicy, rate: f64) -> FleetConfig {
         let apps: Vec<_> = (0..3).map(|i| BenchmarkId::FIVE[i].build()).collect();
@@ -457,7 +470,7 @@ mod tests {
 
     #[test]
     fn fleet_conserves_and_balances() {
-        let r = run_fleet(&small_fleet(3, LbPolicy::RoundRobin, 2000.0), 1);
+        let r = run_fleet(&small_fleet(3, LbPolicy::RoundRobin, 2000.0));
         assert!(
             r.conserved(),
             "offered {} resolved {}",
@@ -478,19 +491,18 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_are_byte_identical() {
-        let cfg = small_fleet(4, LbPolicy::LeastLoaded, 4000.0);
-        let serial = format!("{:?}", run_fleet(&cfg, 1));
-        for shards in [2, 4, 8] {
-            let sharded = format!("{:?}", run_fleet(&cfg, shards));
-            assert_eq!(sharded, serial, "shards={shards}");
-        }
+    fn results_are_window_invariant() {
+        let r = window_invariant(
+            &small_fleet(4, LbPolicy::LeastLoaded, 4000.0),
+            &[2, 4, 1000],
+        );
+        assert!(r.conserved());
     }
 
     #[test]
     fn policies_differ_and_affinity_pins() {
-        let rr = run_fleet(&small_fleet(2, LbPolicy::RoundRobin, 3000.0), 1);
-        let aff = run_fleet(&small_fleet(2, LbPolicy::TenantAffinity, 3000.0), 1);
+        let rr = run_fleet(&small_fleet(2, LbPolicy::RoundRobin, 3000.0));
+        let aff = run_fleet(&small_fleet(2, LbPolicy::TenantAffinity, 3000.0));
         assert!(rr.conserved() && aff.conserved());
         // Three tenants on two servers: affinity puts tenants 0 and 2
         // (16 requests) on server 0, tenant 1 (8) on server 1.
@@ -500,7 +512,7 @@ mod tests {
 
     #[test]
     fn single_server_fleet_runs() {
-        let r = run_fleet(&small_fleet(1, LbPolicy::LeastLoaded, 1000.0), 1);
+        let r = run_fleet(&small_fleet(1, LbPolicy::LeastLoaded, 1000.0));
         assert!(r.conserved());
         assert_eq!(r.dispatched, vec![24]);
     }
@@ -510,6 +522,13 @@ mod tests {
         let mut cfg = small_fleet(1, LbPolicy::RoundRobin, 100.0);
         cfg.servers = 0;
         assert!(try_run_fleet(&cfg, 1).is_err());
+    }
+
+    #[test]
+    fn zero_requests_rejected_as_no_requests() {
+        let mut cfg = small_fleet(1, LbPolicy::RoundRobin, 100.0);
+        cfg.requests_per_tenant = 0;
+        assert_eq!(try_run_fleet(&cfg, 1).err(), Some(SimError::NoRequests));
     }
 
     #[test]
@@ -596,7 +615,7 @@ mod tests {
             FleetPart::Server(Box::default()),
             FleetPart::Lb(Box::new(LbPart::new(&cfg, vec![Vec::new()]))),
         ];
-        run_conservative(&mut parts, cfg.fabric.lookahead(), 1);
+        run_conservative(&mut parts, cfg.fabric.lookahead());
         let [FleetPart::<Script>::Server(server), FleetPart::Lb(lb)] = &mut parts[..] else {
             unreachable!("the slice was built as server, LB");
         };
@@ -615,8 +634,8 @@ mod tests {
         inert.failover = Some(FailoverConfig::none());
         inert.fault_plan = Some(FleetFaultPlan::none());
         assert_eq!(
-            format!("{:?}", run_fleet(&absent, 1)),
-            format!("{:?}", run_fleet(&inert, 1)),
+            format!("{:?}", run_fleet(&absent)),
+            format!("{:?}", run_fleet(&inert)),
         );
     }
 
@@ -626,7 +645,7 @@ mod tests {
         // with no faults and no saturation, no per-attempt timer fires.
         let mut cfg = small_fleet(2, LbPolicy::LeastLoaded, 30.0);
         cfg.failover = Some(two_classes(false));
-        let r = run_fleet(&cfg, 1);
+        let r = run_fleet(&cfg);
         let f = r.failover.as_ref().expect("failover report");
         assert!(r.conserved_with_duplicates(), "{f:?}");
         assert_eq!(f.stranded, 0);
@@ -660,13 +679,13 @@ mod tests {
             }],
             ..FleetFaultPlan::none()
         });
-        let r = run_fleet(&cfg, 1);
+        // At a third of the lookahead the kill falls in other windows.
+        let r = window_invariant(&cfg, &[3]);
         assert!(r.conserved());
         assert_eq!(r.dispatched, vec![16, 8]);
         assert!(r.servers[1].makespan < kill_at, "server 1 idle at the kill");
         assert!(r.servers[0].makespan > kill_at, "the run outlives the kill");
         assert_eq!(r.servers[1].crashes.crashes, 1);
-        assert_eq!(format!("{:?}", run_fleet(&cfg, 3)), format!("{r:?}"));
     }
 
     #[test]
@@ -687,9 +706,9 @@ mod tests {
             }],
             ..FleetFaultPlan::none()
         });
-        let off = run_fleet(&cfg, 1);
+        let off = run_fleet(&cfg);
         cfg.failover = Some(two_classes(false));
-        let r = run_fleet(&cfg, 1);
+        let r = run_fleet(&cfg);
         let f = r.failover.as_ref().expect("failover report");
         assert!(r.conserved_with_duplicates(), "{f:?}");
         assert_eq!(f.stranded, 0);
@@ -726,7 +745,7 @@ mod tests {
             }],
             ..FleetFaultPlan::none()
         });
-        let r = run_fleet(&cfg, 1);
+        let r = run_fleet(&cfg);
         let f = r.failover.as_ref().expect("failover report");
         assert!(r.conserved_with_duplicates(), "{f:?}");
         assert_eq!(f.stranded, 0);
@@ -754,7 +773,7 @@ mod tests {
             }],
             ..FleetFaultPlan::none()
         });
-        let r = run_fleet(&cfg, 1);
+        let r = run_fleet(&cfg);
         let f = r.failover.as_ref().expect("failover report");
         assert!(r.conserved_with_duplicates(), "{f:?}");
         assert_eq!(f.stranded, 0);
@@ -763,7 +782,7 @@ mod tests {
     }
 
     #[test]
-    fn failover_fleet_is_byte_identical_across_shards() {
+    fn failover_fleet_is_window_invariant() {
         let mut cfg = small_fleet(4, LbPolicy::LeastLoaded, 4000.0);
         cfg.requests_per_tenant = 12;
         cfg.failover = Some(two_classes(true));
@@ -785,10 +804,7 @@ mod tests {
                 down_for: Some(Time::from_ms(6)),
             }],
         });
-        let serial = format!("{:?}", run_fleet(&cfg, 1));
-        for shards in [2, 4, 8] {
-            let sharded = format!("{:?}", run_fleet(&cfg, shards));
-            assert_eq!(sharded, serial, "shards={shards}");
-        }
+        let r = window_invariant(&cfg, &[2, 4, 1000]);
+        assert!(r.conserved_with_duplicates());
     }
 }

@@ -109,15 +109,6 @@ pub struct SystemConfig {
     /// of the fault layer ([`FaultConfig`]'s `degrades`) and slows
     /// devices/links whether or not this layer watches for it.
     pub failslow: Option<FailSlowConfig>,
-    /// Materialize one observation event per [`ReplayParams::chunk_bytes`]
-    /// of DMA progress instead of fast-forwarding a transfer to its
-    /// single closed-form completion event (the default). Chunk events
-    /// are pure observations — they never advance the fluid accounting,
-    /// so every result is bit-identical with the flag on or off; the
-    /// mode exists to validate the fast-forward invariant and to give
-    /// chunk-granular hooks (tracing, future per-chunk models) a place
-    /// to attach. Costs one event per 256 KB in flight.
-    pub chunk_exact: bool,
 }
 
 impl SystemConfig {
@@ -141,7 +132,6 @@ impl SystemConfig {
             overload: None,
             integrity: None,
             failslow: None,
-            chunk_exact: false,
         }
     }
 
@@ -644,12 +634,6 @@ enum Ev {
     StepDone(u64, u32),
     CpuTick(u64),
     FlowTick(u64),
-    /// Chunk-exact mode only: one in-flight transfer crossed a
-    /// `chunk_bytes` delivery boundary (generation-tagged like
-    /// `FlowTick`; stale ticks are dropped). Pure observation —
-    /// the handler never advances the fluid accounting, which is
-    /// what keeps chunk-exact runs bit-identical to fast ones.
-    ChunkTick(u64),
     SharedTick(usize, u64),
     /// A DRX unit permanently dies.
     UnitDeath(u64),
@@ -832,10 +816,6 @@ struct Sim<'a> {
     /// Host-side hedge duplicates in flight: CPU job id → request id.
     /// (Peer-DRX hedges schedule `HedgeDone` directly and need no map.)
     hedge_jobs: FastMap<u64, u64>,
-    /// Chunk-exact mode: the (time, generation) of the one
-    /// scheduled `ChunkTick`, so re-arming after observation-free
-    /// mutations cannot double-schedule the same boundary.
-    chunk_sched: Option<(Time, u64)>,
     /// Resources changed in the current instant, in last-change order;
     /// [`Sim::flush_ticks`] schedules one tick for each once the
     /// instant is over.
@@ -994,7 +974,6 @@ impl<'a> Sim<'a> {
                 .map(|f| (f, HealthScorer::new(f.scorer))),
             fsreport: FailSlowReport::default(),
             hedge_jobs: FastMap::default(),
-            chunk_sched: None,
             dirty: Vec::new(),
             external,
             resolutions: Vec::new(),
@@ -1043,8 +1022,7 @@ impl<'a> Sim<'a> {
     /// instant that made it.
     fn flush_ticks(&mut self) {
         let now = self.q.now();
-        let mut dirty = std::mem::take(&mut self.dirty);
-        for r in dirty.drain(..) {
+        for r in self.dirty.drain(..) {
             let (at, tick) = match r {
                 Res::Cpu => (self.cpu.next_event(now), Ev::CpuTick(self.cpu.generation())),
                 Res::Flows => (
@@ -1059,27 +1037,6 @@ impl<'a> Sim<'a> {
             if let Some(at) = at {
                 debug_assert!(at > now, "{tick:?} due in the instant that made it");
                 self.q.schedule_at(at, tick);
-            }
-            if r == Res::Flows && self.cfg.chunk_exact {
-                self.reschedule_chunks();
-            }
-        }
-        self.dirty = dirty;
-    }
-
-    /// Chunk-exact mode: arms the next chunk-boundary observation
-    /// event, unless the same (time, generation) tick is already in
-    /// the queue.
-    fn reschedule_chunks(&mut self) {
-        let now = self.q.now();
-        let gen = self.flows.generation();
-        if let Some(t) = self
-            .flows
-            .next_chunk_event(now, self.cfg.replay.chunk_bytes)
-        {
-            if self.chunk_sched != Some((t, gen)) {
-                self.chunk_sched = Some((t, gen));
-                self.q.schedule_at(t, Ev::ChunkTick(gen));
             }
         }
     }
@@ -1991,14 +1948,6 @@ impl<'a> Sim<'a> {
                     self.flows_changed()?;
                 }
             }
-            Ev::ChunkTick(gen) => {
-                // Observation only: the fluid state is untouched, so
-                // a chunk-exact run computes bit-identical results.
-                if gen == self.flows.generation() {
-                    self.chunk_sched = None;
-                    self.reschedule_chunks();
-                }
-            }
             Ev::SharedTick(pool, gen) => {
                 if gen == self.shared[pool].generation() {
                     self.shared[pool].advance(self.q.now());
@@ -2226,7 +2175,7 @@ fn check_apps(cfg: &SystemConfig) -> Result<(), SimError> {
 ///
 /// The caller's obligations mirror the engine's lookahead promise:
 /// injections must be timestamped at or after every horizon already
-/// pumped past (cross-partition messages delivered at window barriers
+/// pumped past (cross-partition messages delivered at window starts
 /// satisfy this by construction).
 pub struct Stepped<'a> {
     sim: Sim<'a>,

@@ -1,102 +1,36 @@
-//! Property suite of the partitioned parallel engine: a fleet run must
-//! be byte-identical for any shard count and any worker-thread count,
-//! under any composition of the fault layers — crash-stop schedules,
-//! fail-slow degrades, and silent-data-corruption rates with per-hop
-//! integrity checking — and must conserve every dispatched request.
-//! Runs on the in-tree deterministic harness (`dmx_sim::check`).
+//! The fleet inside the sweep worker pool: fleet runs fanned out by
+//! `par_map` must be byte-identical to the same runs made serially.
+//! The fleet's own determinism oracle, window invariance, is the
+//! property suite in `dmx_core::fleet`'s unit tests.
 
 use dmx_core::experiments::Suite;
-use dmx_core::fleet::{
-    run_fleet, ClassPolicy, FailoverConfig, FleetConfig, FleetFaultPlan, LbHealthParams, LbPolicy,
-    RequestClass, ServerGray, ServerKill, ServerOutage,
-};
+use dmx_core::fleet::{run_fleet, FleetConfig, LbPolicy};
 use dmx_core::integrity::{ChecksumMode, IntegrityConfig};
 use dmx_core::overload::{AdmissionParams, OverloadConfig, ShedPolicy};
 use dmx_core::placement::{Mode, Placement};
-use dmx_core::system::{simulate, units, SystemConfig};
+use dmx_core::system::{simulate, SystemConfig};
 use dmx_pcie::InterNodeFabric;
-use dmx_sim::{
-    cases, run_cases, ArrivalProcess, CrashEvent, CrashTarget, DegradeEvent, DegradeTarget,
-    FaultConfig, Gen, Time,
-};
+use dmx_sim::{ArrivalProcess, FaultConfig};
 
 const TENANTS: usize = 3;
 
-fn n_cases() -> usize {
-    cases(if cfg!(feature = "heavy-tests") { 24 } else { 8 })
-}
-
-/// A random crash-stop schedule: up to two outages over the horizon.
-fn gen_crashes(g: &mut Gen, horizon: Time) -> Vec<CrashEvent> {
-    let n = g.usize_in(0, 3);
-    (0..n)
-        .map(|_| {
-            let at = horizon.scale(g.f64_in(0.05, 0.5));
-            let down_for = Some(horizon.scale(g.f64_in(0.02, 0.2)));
-            match g.usize_in(0, 3) {
-                0 => CrashEvent {
-                    target: CrashTarget::Driver,
-                    at,
-                    down_for,
-                },
-                1 => CrashEvent {
-                    target: CrashTarget::Subtree(g.usize_in(0, 2)),
-                    at,
-                    down_for,
-                },
-                _ => CrashEvent {
-                    target: CrashTarget::Device(units::bitw(g.usize_in(0, TENANTS), 0)),
-                    at,
-                    down_for,
-                },
-            }
-        })
-        .collect()
-}
-
-/// A random fail-slow schedule: up to two degrade windows.
-fn gen_degrades(g: &mut Gen, horizon: Time) -> Vec<DegradeEvent> {
-    let n = g.usize_in(0, 3);
-    (0..n)
-        .map(|_| DegradeEvent {
-            target: if g.chance(0.5) {
-                DegradeTarget::Device(units::bitw(g.usize_in(0, TENANTS), 0))
-            } else {
-                DegradeTarget::Subtree(g.usize_in(0, 2))
-            },
-            at: horizon.scale(g.f64_in(0.05, 0.4)),
-            down_for: Some(horizon.scale(g.f64_in(0.05, 0.3))),
-            slowdown: g.f64_in(1.5, 6.0),
-            jitter: if g.chance(0.5) {
-                g.f64_in(0.0, 0.5)
-            } else {
-                0.0
-            },
-            duty: None,
-        })
-        .collect()
-}
-
-/// A per-server system with the full fault stack composed in: crashes,
-/// degrades, SDC injection with per-hop integrity checks, admission
-/// and EDF shedding.
-fn server_cfg(
-    suite: &Suite,
-    seed: u64,
-    slowest: Time,
-    sdc_rate: f64,
-    crashes: Vec<CrashEvent>,
-    degrades: Vec<DegradeEvent>,
-) -> SystemConfig {
+#[test]
+fn fleet_identity_composes_with_par_map() {
+    // Each pool task runs its own fleet; results stay byte-identical
+    // with the pool on or off.
+    let suite = Suite::new();
+    let clean = simulate(&SystemConfig::latency(
+        Mode::Dmx(Placement::BumpInTheWire),
+        suite.mix(TENANTS),
+    ));
+    let mean = clean.mean_latency();
+    let slowest = clean.apps.iter().map(|a| a.latency).max().unwrap();
+    let rate = 6.0 / (mean.as_secs_f64() * TENANTS as f64);
     let mut faults = FaultConfig::none();
-    faults.seed = seed;
-    faults.sdc.spad_flip_rate = sdc_rate;
-    faults.sdc.dma_flip_rate = sdc_rate / 2.0;
-    faults.crashes = crashes;
-    faults.degrades = degrades;
+    faults.seed = 7;
     let mut integ = IntegrityConfig::checked(ChecksumMode::PerHop);
     integ.max_reexec = 4;
-    SystemConfig {
+    let server = SystemConfig {
         faults: Some(faults),
         integrity: Some(integ),
         overload: Some(OverloadConfig {
@@ -111,112 +45,10 @@ fn server_cfg(
             ..OverloadConfig::none()
         }),
         ..SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), suite.mix(TENANTS))
-    }
-}
-
-#[test]
-fn fleet_byte_identical_across_shards_threads_and_faults() {
-    let suite = Suite::new();
-    let clean = simulate(&SystemConfig::latency(
-        Mode::Dmx(Placement::BumpInTheWire),
-        suite.mix(TENANTS),
-    ));
-    let mean = clean.mean_latency();
-    let slowest = clean.apps.iter().map(|a| a.latency).max().unwrap();
-
-    run_cases("partition::fleet_identity_under_chaos", n_cases(), |g| {
-        let seed = g.u64_in(0, u64::MAX);
-        let servers = g.usize_in(1, 4);
-        let per_tenant = g.usize_in(3, 6);
-        let load = g.f64_in(0.5, 2.5);
-        let sdc_rate = if g.chance(0.3) {
-            0.0
-        } else {
-            g.f64_in(1e-8, 5e-7)
-        };
-        // The schedule horizon covers the per-server request stream.
-        let horizon = mean * (per_tenant as u64 * 3);
-        let crashes = gen_crashes(g, horizon);
-        let degrades = gen_degrades(g, horizon);
-        let rate = load * 6.0 / (mean.as_secs_f64() * TENANTS as f64) * servers as f64;
-        let policy = *g.pick(&[
-            LbPolicy::RoundRobin,
-            LbPolicy::LeastLoaded,
-            LbPolicy::TenantAffinity,
-        ]);
-        let cfg = FleetConfig {
-            servers,
-            server: server_cfg(&suite, seed, slowest, sdc_rate, crashes.clone(), degrades),
-            policy,
-            fabric: InterNodeFabric::default(),
-            seed,
-            arrivals: vec![ArrivalProcess::Poisson { rate_rps: rate }; TENANTS],
-            requests_per_tenant: per_tenant * servers,
-            request_bytes: 64 << 10,
-            response_bytes: 16 << 10,
-            failover: None,
-            fault_plan: None,
-        };
-
-        // Baseline: serial shards, serial workers.
-        let prev = dmx_sim::par::set_threads(1);
-        let base = run_fleet(&cfg, 1);
-        let base_dbg = format!("{base:?}");
-
-        // Conservation under the full fault stack: every arrival the
-        // LB offered resolves exactly once, even when crash-stop kills
-        // requests mid-flight and integrity quarantines poisoned
-        // tenants.
-        assert!(
-            base.conserved(),
-            "conservation violated: offered {} goodput {} late {} shed {} \
-             (servers {servers}, load {load:.2}, crashes {crashes:?})",
-            base.offered,
-            base.goodput,
-            base.late,
-            base.shed
-        );
-
-        // Byte-identity across random shard counts (may exceed the
-        // partition count; excess shards idle).
-        let shards = g.usize_in(2, 8);
-        assert_eq!(
-            format!("{:?}", run_fleet(&cfg, shards)),
-            base_dbg,
-            "shards {shards} diverged from serial (servers {servers}, seed {seed:#x})"
-        );
-
-        // Byte-identity with the worker pool active: the partitioned
-        // engine must not couple to the `--threads` knob.
-        let threads = g.usize_in(2, 4);
-        dmx_sim::par::set_threads(threads);
-        let shards2 = g.usize_in(1, 8);
-        assert_eq!(
-            format!("{:?}", run_fleet(&cfg, shards2)),
-            base_dbg,
-            "threads {threads} x shards {shards2} diverged (servers {servers}, seed {seed:#x})"
-        );
-        dmx_sim::par::set_threads(prev);
-    });
-}
-
-#[test]
-fn fleet_identity_composes_with_par_map() {
-    // The partitioned engine inside the sweep worker pool: each task
-    // runs its own multi-shard fleet; nested parallelism collapses to
-    // serial windows and results stay byte-identical with the pool on
-    // or off.
-    let suite = Suite::new();
-    let clean = simulate(&SystemConfig::latency(
-        Mode::Dmx(Placement::BumpInTheWire),
-        suite.mix(TENANTS),
-    ));
-    let mean = clean.mean_latency();
-    let slowest = clean.apps.iter().map(|a| a.latency).max().unwrap();
-    let rate = 6.0 / (mean.as_secs_f64() * TENANTS as f64);
+    };
     let cfg = |servers: usize| FleetConfig {
         servers,
-        server: server_cfg(&suite, 7, slowest, 0.0, Vec::new(), Vec::new()),
+        server: server.clone(),
         policy: LbPolicy::LeastLoaded,
         fabric: InterNodeFabric::default(),
         seed: 7,
@@ -236,144 +68,10 @@ fn fleet_identity_composes_with_par_map() {
     let prev = dmx_sim::par::set_threads(1);
     let serial: Vec<String> = [1usize, 2, 4]
         .iter()
-        .map(|&s| format!("{:?}", run_fleet(&cfg(s), 4)))
+        .map(|&s| format!("{:?}", run_fleet(&cfg(s))))
         .collect();
     dmx_sim::par::set_threads(4);
-    let pooled = dmx_sim::par_map(&[1usize, 2, 4], |_, &s| {
-        format!("{:?}", run_fleet(&cfg(s), 4))
-    });
+    let pooled = dmx_sim::par_map(&[1usize, 2, 4], |_, &s| format!("{:?}", run_fleet(&cfg(s))));
     dmx_sim::par::set_threads(prev);
     assert_eq!(serial, pooled);
-}
-
-/// A random fleet-level fault plan: up to two server kills, one gray
-/// window, and one network cut, all inside the horizon.
-fn gen_fleet_plan(g: &mut Gen, servers: usize, horizon: Time) -> FleetFaultPlan {
-    let mut plan = FleetFaultPlan::none();
-    for _ in 0..g.usize_in(0, 3) {
-        plan.kills.push(ServerKill {
-            server: g.usize_in(0, servers),
-            at: horizon.scale(g.f64_in(0.05, 0.5)),
-            down_for: g.chance(0.5).then(|| horizon.scale(g.f64_in(0.05, 0.3))),
-        });
-    }
-    if g.chance(0.5) {
-        plan.grays.push(ServerGray {
-            server: g.usize_in(0, servers),
-            at: horizon.scale(g.f64_in(0.0, 0.4)),
-            down_for: g.chance(0.7).then(|| horizon.scale(g.f64_in(0.1, 0.4))),
-            slowdown: g.f64_in(2.0, 30.0),
-        });
-    }
-    if g.chance(0.5) {
-        plan.outages.push(ServerOutage {
-            server: g.usize_in(0, servers),
-            at: horizon.scale(g.f64_in(0.0, 0.4)),
-            down_for: g.chance(0.7).then(|| horizon.scale(g.f64_in(0.1, 0.4))),
-        });
-    }
-    plan
-}
-
-/// A random per-class SLO/retry policy set. Timeouts sit well above
-/// healthy resolution latency so they fire only on genuinely lost or
-/// crawling attempts; sim time is free.
-fn gen_failover(g: &mut Gen) -> FailoverConfig {
-    let retries = g.usize_in(0, 4) as u32;
-    FailoverConfig {
-        health: LbHealthParams::default(),
-        classes: vec![
-            ClassPolicy {
-                class: RequestClass::LatencySensitive,
-                slo: Time::from_secs_f64(g.f64_in(60.0, 200.0)),
-                timeout: Time::from_secs_f64(g.f64_in(10.0, 40.0)),
-                retries,
-                hedge_after: g.chance(0.5).then(|| Time::from_ms(g.u64_in(5, 50))),
-            },
-            ClassPolicy {
-                class: RequestClass::Batch,
-                slo: Time::from_secs_f64(g.f64_in(200.0, 500.0)),
-                timeout: Time::from_secs_f64(g.f64_in(40.0, 80.0)),
-                retries: g.usize_in(0, 4) as u32,
-                hedge_after: None,
-            },
-        ],
-    }
-}
-
-#[test]
-fn failover_fleet_byte_identical_and_ledger_conserved() {
-    // The failover property suite: random server counts x kill/gray/cut
-    // schedules x retry budgets x hedge coins. Every draw must (a) be
-    // byte-identical across random shard and thread counts, (b) keep
-    // the duplicates-aware conservation ledger, and (c) strand nothing.
-    let suite = Suite::new();
-    let clean = simulate(&SystemConfig::latency(
-        Mode::Dmx(Placement::BumpInTheWire),
-        suite.mix(TENANTS),
-    ));
-    let mean = clean.mean_latency();
-    let slowest = clean.apps.iter().map(|a| a.latency).max().unwrap();
-
-    run_cases("partition::failover_identity_and_ledger", n_cases(), |g| {
-        let seed = g.u64_in(0, u64::MAX);
-        let servers = g.usize_in(2, 4);
-        let per_tenant = g.usize_in(3, 6);
-        let load = g.f64_in(0.3, 1.5);
-        let horizon = mean * (per_tenant as u64 * 3);
-        let rate = load * 6.0 / (mean.as_secs_f64() * TENANTS as f64) * servers as f64;
-        let policy = *g.pick(&[
-            LbPolicy::RoundRobin,
-            LbPolicy::LeastLoaded,
-            LbPolicy::TenantAffinity,
-        ]);
-        let cfg = FleetConfig {
-            servers,
-            server: server_cfg(&suite, seed, slowest, 0.0, Vec::new(), Vec::new()),
-            policy,
-            fabric: InterNodeFabric::default(),
-            seed,
-            arrivals: vec![ArrivalProcess::Poisson { rate_rps: rate }; TENANTS],
-            requests_per_tenant: per_tenant * servers,
-            request_bytes: 64 << 10,
-            response_bytes: 16 << 10,
-            failover: Some(gen_failover(g)),
-            fault_plan: Some(gen_fleet_plan(g, servers, horizon)),
-        };
-
-        let prev = dmx_sim::par::set_threads(1);
-        let base = run_fleet(&cfg, 1);
-        let base_dbg = format!("{base:?}");
-
-        let f = base.failover.as_ref().expect("failover report");
-        assert!(
-            base.conserved_with_duplicates(),
-            "ledger violated: offered {} goodput {} late {} shed {} report {f:?} \
-             (servers {servers}, seed {seed:#x})",
-            base.offered,
-            base.goodput,
-            base.late,
-            base.shed,
-        );
-        assert_eq!(
-            f.stranded, 0,
-            "stranded requests under re-dispatch (servers {servers}, seed {seed:#x}): {f:?}"
-        );
-
-        let shards = g.usize_in(2, 8);
-        assert_eq!(
-            format!("{:?}", run_fleet(&cfg, shards)),
-            base_dbg,
-            "shards {shards} diverged from serial (servers {servers}, seed {seed:#x})"
-        );
-        let threads = g.usize_in(2, 4);
-        dmx_sim::par::set_threads(threads);
-        let shards2 = g.usize_in(1, 8);
-        assert_eq!(
-            format!("{:?}", run_fleet(&cfg, shards2)),
-            base_dbg,
-            "threads {threads} x shards {shards2} diverged (servers {servers}, seed {seed:#x})"
-        );
-        dmx_sim::par::set_threads(prev);
-    });
 }

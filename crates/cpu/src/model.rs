@@ -88,13 +88,6 @@ impl HostCpuConfig {
         let secs = self.restructure_core_seconds(profile) / self.restructure_core_cap(profile);
         (profile.input_bytes + profile.output_bytes) as f64 / secs
     }
-
-    /// Single-core seconds for an *application kernel* run on the CPU
-    /// (the All-CPU configuration of Fig. 3), given the kernel's
-    /// accelerator latency and its accelerator speedup over the CPU.
-    pub fn kernel_core_seconds(&self, accel_seconds: f64, accel_speedup: f64) -> f64 {
-        accel_seconds * accel_speedup
-    }
 }
 
 #[cfg(test)]

@@ -70,12 +70,6 @@ impl DrxEnergyModel {
         self.static_watts * secs
     }
 
-    /// Total energy of a run on `config` (dynamic + static over the
-    /// run's duration).
-    pub fn run_energy(&self, stats: &ExecStats, config: &DrxConfig) -> Joules {
-        self.dynamic_energy(stats) + self.static_energy(stats.time(config).as_secs_f64())
-    }
-
     /// Average power while restructuring at full tilt on `config`
     /// (used by system-level sanity checks; a 128-lane ASIC DRX lands
     /// in the handful-of-watts range, far below a Xeon socket).

@@ -80,12 +80,6 @@ impl Access {
         }
     }
 
-    /// The same access shifted by `delta` elements.
-    pub fn with_offset(mut self, delta: i64) -> Access {
-        self.offset += delta;
-        self
-    }
-
     /// A broadcast access (all strides zero) at a fixed element.
     pub fn broadcast(buf: BufId, ndims: usize, offset: i64) -> Access {
         Access {

@@ -22,7 +22,6 @@ pub type FlowId = u64;
 struct Flow {
     id: FlowId,
     remaining: f64, // bytes
-    total: f64,     // bytes at insert, for chunk-boundary observation
     links: Vec<usize>,
 }
 
@@ -554,7 +553,6 @@ impl FlowNet {
             self.flows.push(Flow {
                 id,
                 remaining: bytes as f64,
-                total: bytes as f64,
                 links,
             });
             self.invalidate_rates();
@@ -630,55 +628,6 @@ impl FlowNet {
         }
         let dt = Time::from_secs_f64(best).max(Time::from_ps(1));
         Some((self.last + dt).max(now))
-    }
-
-    /// Absolute time strictly after `now` at which any active flow
-    /// crosses its next `chunk_bytes` delivery boundary, or `None`
-    /// when no crossing is pending.
-    ///
-    /// This is a *pure observation*: it mutates nothing, and in
-    /// particular does not advance the fluid accounting, so a caller
-    /// materializing per-chunk progress events observes exactly the
-    /// state the fast-forwarded (single completion event) run computes.
-    /// Each flow's delivery position is derived in closed form from the
-    /// anchor state of the last real mutation (`advance`/insert/retire/
-    /// degrade): `delivered(t) = (total - remaining) + rate * (t -
-    /// last)`. Any flow-set or bandwidth change moves the anchor and
-    /// bumps [`FlowNet::generation`], so chunk events scheduled against
-    /// a stale anchor can be recognized and dropped.
-    pub fn next_chunk_event(&self, now: Time, chunk_bytes: u64) -> Option<Time> {
-        if self.flows.is_empty() || chunk_bytes == 0 {
-            return None;
-        }
-        let chunk = chunk_bytes as f64;
-        let horizon = (now - self.last).as_secs_f64();
-        self.ensure_rates();
-        let s = self.scratch.borrow();
-        let mut best = f64::INFINITY;
-        for (f, r) in self.flows.iter().zip(&s.rates) {
-            if *r <= 0.0 {
-                continue;
-            }
-            // First whole-chunk boundary still ahead of the flow's
-            // position at `now` (delivery is linear between anchors).
-            let delivered_now = (f.total - f.remaining) + r * horizon;
-            let k = (delivered_now / chunk).floor() + 1.0;
-            let target = k * chunk;
-            if target >= f.total {
-                // The tail is the completion event's job, not a chunk's.
-                continue;
-            }
-            let dt = (target - (f.total - f.remaining)) / r;
-            best = best.min(dt);
-        }
-        if !best.is_finite() {
-            return None;
-        }
-        let dt = Time::from_secs_f64(best).max(Time::from_ps(1));
-        let t = self.last + dt;
-        // Strictly-after guarantee: a tick delivered exactly on a
-        // boundary must not reschedule itself at the same instant.
-        Some(t.max(now + Time::from_ps(1)))
     }
 }
 
@@ -1083,51 +1032,6 @@ mod tests {
                 assert_eq!(net.link_flows, recount, "link counts drifted");
             }
         });
-    }
-
-    #[test]
-    fn chunk_events_walk_boundaries_without_mutation() {
-        // 1 MB over a 1 MB/s link with 256 KB chunks: boundaries at
-        // 0.25s, 0.5s, 0.75s; the 1.0s tail belongs to the completion.
-        let chunk = 256 * 1024;
-        let mut net = FlowNet::new(vec![1_048_576]);
-        net.insert(Time::ZERO, 1, 1_048_576, &[lid(0)]);
-        let gen = net.generation();
-        let mut now = Time::ZERO;
-        let mut ticks = Vec::new();
-        while let Some(t) = net.next_chunk_event(now, chunk) {
-            ticks.push(t);
-            now = t;
-            assert!(ticks.len() < 10, "chunk ticks must terminate");
-        }
-        assert_eq!(ticks.len(), 3);
-        assert_eq!(ticks[0], Time::from_ms(250));
-        assert_eq!(ticks[1], Time::from_ms(500));
-        assert_eq!(ticks[2], Time::from_ms(750));
-        // Observation only: no state moved, no generation bump.
-        assert_eq!(net.generation(), gen);
-        assert_eq!(net.active_flows(), 1);
-        assert_eq!(net.next_event(now), Some(Time::from_secs(1)));
-    }
-
-    #[test]
-    fn chunk_events_follow_rate_changes() {
-        // Two flows share the link: boundaries land at half speed.
-        let chunk = 500_000;
-        let mut net = FlowNet::new(vec![1_000_000]);
-        net.insert(Time::ZERO, 1, 1_000_000, &[lid(0)]);
-        net.insert(Time::ZERO, 2, 2_000_000, &[lid(0)]);
-        // Each runs at 500 KB/s; flow 1's 500 KB boundary is its only
-        // interior one (total 1 MB), reached at t=1s.
-        assert_eq!(
-            net.next_chunk_event(Time::ZERO, chunk),
-            Some(Time::from_secs(1))
-        );
-        // Sub-chunk transfers produce no chunk events at all.
-        let mut small = FlowNet::new(vec![1_000_000]);
-        small.insert(Time::ZERO, 1, 100_000, &[lid(0)]);
-        assert_eq!(small.next_chunk_event(Time::ZERO, chunk), None);
-        assert_eq!(small.next_chunk_event(Time::ZERO, 0), None);
     }
 
     #[test]

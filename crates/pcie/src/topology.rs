@@ -246,11 +246,6 @@ impl Topology {
         id
     }
 
-    /// Number of nodes (including the root).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of links.
     pub fn link_count(&self) -> usize {
         self.links.len()
@@ -271,11 +266,6 @@ impl Topology {
         self.nodes[node.0].parent
     }
 
-    /// The link spec of a link.
-    pub fn link_spec(&self, link: LinkId) -> LinkSpec {
-        self.links[link.0].spec
-    }
-
     /// Bandwidths of every link, indexed by [`LinkId::index`]; the shape
     /// expected by [`crate::FlowNet::new`].
     pub fn link_bandwidths(&self) -> Vec<u64> {
@@ -288,11 +278,6 @@ impl Topology {
         for l in &mut self.links {
             l.spec = l.spec.with_gen(gen);
         }
-    }
-
-    /// Iterates over all node ids.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len()).map(NodeId)
     }
 
     /// Computes the unique tree route from `src` to `dst`.

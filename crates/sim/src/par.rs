@@ -51,14 +51,6 @@ pub fn threads() -> usize {
     THREADS.load(Ordering::Relaxed)
 }
 
-/// True while the current thread is inside a [`par_map`] fan-out.
-/// Other parallel runners (the partitioned engine) consult this to
-/// collapse to their serial path instead of oversubscribing the pool,
-/// the same rule nested `par_map` calls follow.
-pub fn in_parallel() -> bool {
-    IN_PAR.with(|g| g.get())
-}
-
 /// Maps `f` over `items` with the global worker count, collecting
 /// results in input order. See [`par_map_with`].
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>

@@ -1,4 +1,4 @@
-//! Conservative parallel discrete-event execution across partitions.
+//! Conservative discrete-event execution across partitions.
 //!
 //! A partitioned run splits one simulation into N logical partitions —
 //! one per server of a fleet, or per PCIe subtree — each owning its own
@@ -13,7 +13,7 @@
 //! in-flight messages. Nothing anywhere in the system can affect a
 //! partition before that horizon.
 //!
-//! The engine loop alternates windows and barriers:
+//! The engine loop runs one window at a time, on the caller's thread:
 //!
 //! 1. compute `t_min` over every partition's next event time and every
 //!    undelivered channel message (`None` everywhere → the run is done);
@@ -21,10 +21,10 @@
 //!    destination partitions, sorted by `(time, src, seq)`;
 //! 3. advance every partition with work — an inbox, or a pending event
 //!    before the horizon — up to the exclusive horizon
-//!    `t_min + lookahead`, possibly in parallel, one shard of
-//!    partitions per worker. The others are skipped: advancing them
-//!    would be a no-op (the three rules on [`Partition`]);
-//! 4. barrier: collect newly sent messages into the channels.
+//!    `t_min + lookahead`, in partition order. The others are skipped:
+//!    advancing them would be a no-op (the three rules on
+//!    [`Partition`]);
+//! 4. move each advanced partition's sends into the channels.
 //!
 //! Each partition's times and each channel's earliest message are
 //! cached and refreshed only when they can change, so a window costs
@@ -32,44 +32,32 @@
 //!
 //! ## Determinism contract
 //!
-//! Output is byte-identical for any shard count, the same contract
-//! [`par_map`](crate::par::par_map) holds for `--threads`:
+//! A run is a pure function of its partitions and the lookahead:
 //!
-//! * the horizon is a pure function of global simulation state, never
-//!   of execution order;
+//! * the horizon is a pure function of global simulation state;
 //! * each partition is internally sequential and deterministic given
 //!   its inbox sequence;
 //! * inboxes are sorted by `(time, src, seq)` where `seq` counts sends
-//!   per source partition in send order — a total order independent of
-//!   which worker ran which partition when;
-//! * with one shard the exact same window/barrier loop runs inline on
-//!   the caller's thread.
+//!   per source partition in send order — a total order over every
+//!   message in the run.
 //!
-//! The engine *verifies* the lookahead promise at every barrier: a
+//! Any lookahead no larger than the partitions' real minimum latency
+//! is valid; a smaller one only cuts the run into more windows. A
+//! partition whose behaviour does not depend on where windows fall
+//! gives the same results at every valid lookahead, and only
+//! [`WindowStats`] moves. The fleet's property suite checks exactly
+//! that of the fleet's servers and balancer (window invariance).
+//!
+//! The engine *verifies* the lookahead promise after every advance: a
 //! message timestamped before the window horizon is a causality
 //! violation and panics rather than silently corrupting the run.
 
 use crate::time::Time;
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
-/// Process-global default shard count used by fleet runs (the
-/// `--partitions` knob); 1 = serial execution of the window loop.
-static PARTITIONS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-global shard count used by partitioned runs that
-/// ask for [`partitions`]. Zero is clamped to one. Returns the
-/// previous value.
-pub fn set_partitions(n: usize) -> usize {
-    PARTITIONS.swap(n.max(1), Ordering::Relaxed)
-}
-
-/// The current process-global shard count.
-pub fn partitions() -> usize {
-    PARTITIONS.load(Ordering::Relaxed)
-}
+/// Does nothing: the window loop always runs serially on the caller's
+/// thread. Kept only because the benchmark package (`perfbench/`)
+/// still calls it.
+pub fn set_partitions(_n: usize) {}
 
 /// One cross-partition message in flight.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,8 +94,8 @@ impl<M> Outbox<M> {
     }
 
     /// Queues `payload` for partition `dst`, arriving at absolute time
-    /// `at`. The engine checks `at` against the window horizon at the
-    /// barrier — senders must respect the lookahead promise.
+    /// `at`. The engine checks `at` against the window horizon after
+    /// the advance — senders must respect the lookahead promise.
     pub fn send(&mut self, dst: usize, at: Time, payload: M) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -122,7 +110,7 @@ impl<M> Outbox<M> {
         ));
     }
 
-    /// Messages queued since the last barrier.
+    /// Messages queued since the partition's last advance.
     pub fn len(&self) -> usize {
         self.msgs.len()
     }
@@ -155,9 +143,9 @@ impl<M> Outbox<M> {
 ///
 /// The loop caches both times and refreshes them only after the
 /// partition advances; nothing else may change them.
-pub trait Partition: Send {
+pub trait Partition {
     /// Cross-partition message payload.
-    type Msg: Send;
+    type Msg;
 
     /// Timestamp of this partition's next pending local event, or
     /// `None` when it is quiescent (it may still be woken by an
@@ -192,7 +180,7 @@ pub trait Partition: Send {
 /// Counters from one conservative run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowStats {
-    /// Safe windows executed (== barriers).
+    /// Safe windows executed.
     pub windows: u64,
     /// Cross-partition messages delivered.
     pub messages: u64,
@@ -201,24 +189,16 @@ pub struct WindowStats {
 }
 
 /// Runs `parts` to quiescence under conservative synchronization with
-/// the given `lookahead`, executing each window's partitions on
-/// `shards` worker threads (partition `i` belongs to shard
-/// `i % shards`). Each window advances only the partitions with an
-/// inbox or a pending event before its horizon (see [`Partition`]).
-/// Output is byte-identical for any `shards`.
+/// the given `lookahead`. Each window advances only the partitions with
+/// an inbox or a pending event before its horizon (see [`Partition`]).
 ///
 /// # Panics
 ///
 /// Panics if `lookahead` is zero (windows could not advance), or if a
 /// partition violates the lookahead promise by sending a message
 /// timestamped before the window horizon. A panic inside a
-/// partition's `advance` propagates with its own payload. At any
-/// shard count these end the run; no worker is left waiting.
-pub fn run_conservative<P: Partition>(
-    parts: &mut [P],
-    lookahead: Time,
-    shards: usize,
-) -> WindowStats {
+/// partition's `advance` propagates with its own payload.
+pub fn run_conservative<P: Partition>(parts: &mut [P], lookahead: Time) -> WindowStats {
     assert!(
         !lookahead.is_zero(),
         "conservative execution needs a positive lookahead"
@@ -227,156 +207,22 @@ pub fn run_conservative<P: Partition>(
     if n == 0 {
         return WindowStats::default();
     }
-    // Nested inside a par_map fan-out the pool is already saturated;
-    // collapse to the serial window loop, mirroring par_map's own
-    // nested-call rule. Output is identical either way.
-    let shards = if crate::par::in_parallel() {
-        1
-    } else {
-        shards.clamp(1, n)
-    };
     let mut w = Windows::new(parts, lookahead);
-
-    if shards <= 1 {
-        let mut outboxes: Vec<Outbox<P::Msg>> = (0..n).map(Outbox::new).collect();
-        let mut inbox = Vec::new();
-        while let Some(horizon) = w.horizon() {
-            for (i, p) in parts.iter_mut().enumerate() {
-                if !w.is_active(i, horizon) {
-                    continue;
-                }
-                w.deliver(i, horizon, &mut inbox);
-                p.advance(horizon, &mut inbox, &mut outboxes[i]);
-                inbox.clear();
-                w.advanced(i, times(p), &mut outboxes[i], horizon);
+    let mut outboxes: Vec<Outbox<P::Msg>> = (0..n).map(Outbox::new).collect();
+    let mut inbox = Vec::new();
+    while let Some(horizon) = w.horizon() {
+        for (i, p) in parts.iter_mut().enumerate() {
+            if !w.is_active(i, horizon) {
+                continue;
             }
-            w.stats.windows += 1;
+            w.deliver(i, horizon, &mut inbox);
+            p.advance(horizon, &mut inbox, &mut outboxes[i]);
+            inbox.clear();
+            w.advanced(i, times(p), &mut outboxes[i], horizon);
         }
-        return w.stats;
-    }
-
-    // Parallel path: persistent shard workers under std::thread::scope,
-    // two barrier crossings per window (release + join). The main
-    // thread computes horizons, owns the channels and marks each
-    // window's active slots; workers own their partitions for the
-    // whole run, advance the marked ones and publish their new times.
-    //
-    // A panic on any thread must end the run, not strand the others on
-    // the barrier. A worker catches its partition's panic, keeps the
-    // first payload and still meets the join barrier; the main thread
-    // catches its own (a lookahead violation) the same way. Either
-    // way the main thread then leaves the window loop, releases every
-    // worker through the `done` path, and re-raises the panic once the
-    // scope has joined them.
-    let barrier = Barrier::new(shards + 1);
-    let done = AtomicBool::new(false);
-    let failure: Mutex<Option<Panic>> = Mutex::new(None);
-    // Horizon in ps, published before the release barrier.
-    let horizon_ps = AtomicU64::new(0);
-    let slots: Vec<Mutex<Slot<P::Msg>>> = (0..n).map(|i| Mutex::new(Slot::new(i))).collect();
-    let mut active: Vec<usize> = Vec::with_capacity(n);
-
-    // Hand each shard its partitions. Round-robin keeps heterogeneous
-    // partitions (one hot LB, many servers) spread across workers.
-    let mut shard_parts: Vec<Vec<(usize, &mut P)>> = (0..shards).map(|_| Vec::new()).collect();
-    for (i, p) in parts.iter_mut().enumerate() {
-        shard_parts[i % shards].push((i, p));
-    }
-
-    std::thread::scope(|scope| {
-        for mine in shard_parts {
-            let barrier = &barrier;
-            let done = &done;
-            let failure = &failure;
-            let horizon_ps = &horizon_ps;
-            let slots = &slots;
-            let mut mine = mine;
-            scope.spawn(move || loop {
-                barrier.wait(); // release: horizon + inboxes are ready
-                if done.load(Ordering::Acquire) {
-                    break;
-                }
-                let horizon = Time::from_ps(horizon_ps.load(Ordering::Acquire));
-                let window = catch_unwind(AssertUnwindSafe(|| {
-                    for (i, p) in &mut mine {
-                        let mut slot = lock(&slots[*i]);
-                        if !slot.active {
-                            continue;
-                        }
-                        let Slot { inbox, out, .. } = &mut *slot;
-                        p.advance(horizon, inbox, out);
-                        inbox.clear();
-                        slot.times = times(*p);
-                    }
-                }));
-                if let Err(e) = window {
-                    lock(failure).get_or_insert(e);
-                }
-                barrier.wait(); // join: window complete
-            });
-        }
-
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            while let Some(horizon) = w.horizon() {
-                horizon_ps.store(horizon.as_ps(), Ordering::Release);
-                active.clear();
-                for (i, slot) in slots.iter().enumerate() {
-                    if w.is_active(i, horizon) {
-                        let mut slot = lock(slot);
-                        w.deliver(i, horizon, &mut slot.inbox);
-                        slot.active = true;
-                        active.push(i);
-                    }
-                }
-                barrier.wait(); // release
-                barrier.wait(); // join
-                if lock(&failure).is_some() {
-                    return; // A worker's partition panicked.
-                }
-                for &i in &active {
-                    let mut slot = lock(&slots[i]);
-                    slot.active = false;
-                    let Slot { out, times, .. } = &mut *slot;
-                    w.advanced(i, *times, out, horizon);
-                }
-                w.stats.windows += 1;
-            }
-        }));
-        if let Err(e) = run {
-            lock(&failure).get_or_insert(e);
-        }
-        done.store(true, Ordering::Release);
-        barrier.wait(); // release workers into their exit path
-    });
-    if let Some(e) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
-        resume_unwind(e);
+        w.stats.windows += 1;
     }
     w.stats
-}
-
-/// A caught panic's payload, carried to the end of the run.
-type Panic = Box<dyn Any + Send>;
-
-/// One partition's hand-off point between the main thread and its
-/// shard worker in the parallel loop.
-struct Slot<M> {
-    /// Set by the main thread for the partitions this window advances.
-    active: bool,
-    inbox: Vec<XMsg<M>>,
-    out: Outbox<M>,
-    /// The partition's times after its last advance.
-    times: Times,
-}
-
-impl<M> Slot<M> {
-    fn new(i: usize) -> Slot<M> {
-        Slot {
-            active: false,
-            inbox: Vec::new(),
-            out: Outbox::new(i),
-            times: (None, None),
-        }
-    }
 }
 
 /// A partition's `(next_time, earliest_pending)`.
@@ -384,10 +230,6 @@ type Times = (Option<Time>, Option<Time>);
 
 fn times<P: Partition>(p: &P) -> Times {
     (p.next_time(), p.earliest_pending())
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The window loop's view of the run: the channels and each
@@ -505,8 +347,8 @@ fn safe_horizon(t_min: Time, lookahead: Time) -> Time {
     t_min.checked_add(lookahead).unwrap_or(Time::MAX)
 }
 
-/// Moves a barrier's sends into the channels, enforcing the lookahead
-/// promise.
+/// Moves one advance's sends into the channels, enforcing the
+/// lookahead promise.
 fn collect_outbox<M>(ob: &mut Outbox<M>, horizon: Time, chan: &mut [Channel<M>]) {
     for (dst, msg) in ob.msgs.drain(..) {
         assert!(
@@ -614,21 +456,22 @@ mod tests {
 
     type RingRun = (Vec<Vec<(Time, u64)>>, WindowStats);
 
-    /// Runs an `n`-partition ring on `shards` workers, or on the dense
-    /// reference loop when `shards` is `None`.
-    fn run_ring(n: usize, bound: u64, shards: Option<usize>) -> RingRun {
+    /// Runs an `n`-partition ring on the active-set loop, or on the
+    /// dense reference loop when `dense` is set.
+    fn run_ring(n: usize, bound: u64, dense: bool) -> RingRun {
         let lat = Time::from_us(3);
         let mut parts: Vec<Ring> = (0..n).map(|i| Ring::new(i, n, bound, lat)).collect();
-        let stats = match shards {
-            Some(shards) => run_conservative(&mut parts, lat, shards),
-            None => run_dense(&mut parts, lat),
+        let stats = if dense {
+            run_dense(&mut parts, lat)
+        } else {
+            run_conservative(&mut parts, lat)
         };
         (parts.into_iter().map(|p| p.log).collect(), stats)
     }
 
     #[test]
     fn ring_token_visits_every_partition_in_order() {
-        let (logs, stats) = run_ring(4, 10, Some(1));
+        let (logs, stats) = run_ring(4, 10, false);
         // Token 0..=10: partition i sees values i, i+4, ...
         assert_eq!(
             logs[0].iter().map(|(_, v)| *v).collect::<Vec<_>>(),
@@ -647,19 +490,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_are_byte_identical() {
-        // Logs and every `WindowStats` field, which fleet digests render.
-        let serial = run_ring(5, 40, Some(1));
-        assert_eq!(serial, run_ring(5, 40, None), "serial vs dense reference");
-        for shards in [2, 3, 5, 8] {
-            assert_eq!(run_ring(5, 40, Some(shards)), serial, "shards={shards}");
-        }
-    }
-
-    #[test]
     fn empty_partition_set_terminates() {
         let mut parts: Vec<Ring> = Vec::new();
-        let stats = run_conservative(&mut parts, Time::from_ns(1), 4);
+        let stats = run_conservative(&mut parts, Time::from_ns(1));
         assert_eq!(stats, WindowStats::default());
     }
 
@@ -669,7 +502,7 @@ mod tests {
             .map(|i| Ring::new(i, 4, 0, Time::from_us(1)))
             .collect();
         // No partition 0, so nothing is ever scheduled.
-        let stats = run_conservative(&mut parts, Time::from_us(1), 2);
+        let stats = run_conservative(&mut parts, Time::from_us(1));
         assert_eq!(stats.windows, 0);
     }
 
@@ -677,41 +510,7 @@ mod tests {
     #[should_panic(expected = "positive lookahead")]
     fn zero_lookahead_is_rejected() {
         let mut parts = vec![Ring::new(0, 1, 1, Time::from_us(1))];
-        run_conservative(&mut parts, Time::ZERO, 1);
-    }
-
-    /// Runs the partitions `make` builds at 1, 2 and 3 shards, each on
-    /// its own thread under a watchdog. Every run must panic — not
-    /// finish, and not hang with a thread parked on the barrier — and
-    /// with the same message; the first panic is then re-raised for
-    /// the caller's `should_panic`.
-    fn panics_at_every_shard_count<P: Partition + 'static>(make: fn() -> Vec<P>) {
-        let mut payloads = Vec::new();
-        for shards in [1, 2, 3] {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let runner = std::thread::spawn(move || {
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    run_conservative(&mut make(), Time::from_us(1), shards)
-                }));
-                tx.send(run.err()).expect("the test is waiting");
-            });
-            // A hung runner cannot be joined; it is left parked.
-            let run = rx
-                .recv_timeout(std::time::Duration::from_secs(20))
-                .unwrap_or_else(|_| panic!("shards={shards}: the run hung"));
-            runner.join().expect("the runner caught the run's panic");
-            payloads.push(run.unwrap_or_else(|| panic!("shards={shards}: the run finished")));
-        }
-        let message = |e: &Panic| {
-            e.downcast_ref::<String>()
-                .cloned()
-                .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-        };
-        let first = message(&payloads[0]);
-        for (e, shards) in payloads.iter().zip([1, 2, 3]) {
-            assert_eq!(message(e), first, "shards={shards}");
-        }
-        resume_unwind(payloads.swap_remove(0));
+        run_conservative(&mut parts, Time::ZERO);
     }
 
     /// A partition that (incorrectly) sends with less latency than the
@@ -736,9 +535,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "lookahead violation")]
     fn lookahead_violations_are_caught() {
-        // Three cheaters, so two and three shards really run sharded:
-        // the main thread catches the violation at the barrier.
-        panics_at_every_shard_count(|| (0..3).map(|_| Cheater { fired: false }).collect());
+        let mut parts: Vec<Cheater> = (0..3).map(|_| Cheater { fired: false }).collect();
+        run_conservative(&mut parts, Time::from_us(1));
     }
 
     /// A partition whose `advance` panics when it is `armed`.
@@ -761,9 +559,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "partition blew up")]
     fn panicking_partitions_end_the_run() {
-        // The armed partition is 1, so at two and three shards it runs
-        // on a worker while the others wait on the barrier.
-        panics_at_every_shard_count(|| (0..3).map(|i| Bomb { armed: i == 1 }).collect());
+        let mut parts: Vec<Bomb> = (0..3).map(|i| Bomb { armed: i == 1 }).collect();
+        run_conservative(&mut parts, Time::from_us(1));
     }
 
     #[test]
@@ -831,7 +628,7 @@ mod tests {
         assert_eq!(chan[0].msgs[0].seq, 0);
         assert_eq!(chan[1].msgs[0].seq, 1);
         assert_eq!(chan[1].msgs[0].src, 3);
-        // Sequence numbers keep counting across barriers.
+        // Sequence numbers keep counting across windows.
         ob.send(0, Time::from_ns(200), 33);
         collect_outbox(&mut ob, Time::from_ns(150), &mut chan);
         assert_eq!(chan[0].msgs[1].seq, 2);
@@ -839,28 +636,16 @@ mod tests {
     }
 
     #[test]
-    fn partitions_knob_roundtrip() {
-        let prev = set_partitions(4);
-        assert_eq!(partitions(), 4);
-        assert_eq!(set_partitions(0), 4); // clamped to 1
-        assert_eq!(partitions(), 1);
-        set_partitions(prev.max(1));
-    }
-
-    #[test]
     fn ring_property_vs_serial_reference() {
+        // Logs and every `WindowStats` field, which fleet digests render.
         run_cases("partition::ring_vs_serial", crate::check::cases(30), |g| {
             let n = g.usize_in(2, 6);
             let bound = g.u64_in(1, 60);
-            let shards = g.usize_in(1, 8);
-            let serial = run_ring(n, bound, Some(1));
             assert_eq!(
-                serial,
-                run_ring(n, bound, None),
-                "n={n} bound={bound} dense"
+                run_ring(n, bound, false),
+                run_ring(n, bound, true),
+                "n={n} bound={bound}"
             );
-            let par = run_ring(n, bound, Some(shards));
-            assert_eq!(par, serial, "n={n} bound={bound} shards={shards}");
         });
     }
 
@@ -899,27 +684,24 @@ mod tests {
     fn idle_partitions_are_never_advanced() {
         let lat = Time::from_us(3);
         for n in [2, 4, 8] {
-            let reference = run_ring(n, 50, None);
-            for shards in [1, 2, n] {
-                let mut parts: Vec<Counting<Ring>> = (0..n)
-                    .map(|i| Counting {
-                        inner: Ring::new(i, n, 50, lat),
-                        advances: 0,
-                    })
-                    .collect();
-                let stats = run_conservative(&mut parts, lat, shards);
-                // One token: exactly one partition has work per window.
-                let advances: u64 = parts.iter().map(|p| p.advances).sum();
-                assert_eq!(advances, stats.windows, "n={n} shards={shards}");
-                let logs: Vec<_> = parts.into_iter().map(|p| p.inner.log).collect();
-                assert_eq!((logs, stats), reference, "n={n} shards={shards}");
-            }
+            let mut parts: Vec<Counting<Ring>> = (0..n)
+                .map(|i| Counting {
+                    inner: Ring::new(i, n, 50, lat),
+                    advances: 0,
+                })
+                .collect();
+            let stats = run_conservative(&mut parts, lat);
+            // One token: exactly one partition has work per window.
+            let advances: u64 = parts.iter().map(|p| p.advances).sum();
+            assert_eq!(advances, stats.windows, "n={n}");
+            let logs: Vec<_> = parts.into_iter().map(|p| p.inner.log).collect();
+            assert_eq!((logs, stats), run_ring(n, 50, true), "n={n}");
         }
         let mut hosts: Vec<Counting<Host>> = Host::script(true)
             .into_iter()
             .map(|inner| Counting { inner, advances: 0 })
             .collect();
-        run_conservative(&mut hosts, Host::LAT, 2);
+        run_conservative(&mut hosts, Host::LAT);
         assert_eq!(hosts[1].inner.chores, 1);
     }
 
@@ -1043,18 +825,15 @@ mod tests {
         assert_eq!((dense[1].chores, dense[2].chores), (1, 0));
         let replies: Vec<Job> = dense[0].log.iter().map(|e| e.2).collect();
         assert!(replies.contains(&Job::Reply(10)) && replies.contains(&Job::Reply(20)));
-        for shards in [1, 2, 3] {
-            let mut hosts = Host::script(true);
-            let stats = run_conservative(&mut hosts, Host::LAT, shards);
-            assert_eq!(stats, dense_stats, "shards={shards}");
-            for (h, d) in hosts.iter().zip(&dense) {
-                assert_eq!(h.log, d.log, "partition {} shards={shards}", h.id);
-            }
+        let mut hosts = Host::script(true);
+        assert_eq!(run_conservative(&mut hosts, Host::LAT), dense_stats);
+        for (h, d) in hosts.iter().zip(&dense) {
+            assert_eq!(h.log, d.log, "partition {}", h.id);
         }
         // Skipping on `next_time()` alone loses the chore, as it would
         // a fleet server's scheduled crash.
         let mut hiding = Host::script(false);
-        run_conservative(&mut hiding, Host::LAT, 1);
+        run_conservative(&mut hiding, Host::LAT);
         assert_eq!(hiding[1].chores, 0);
     }
 }

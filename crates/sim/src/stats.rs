@@ -77,11 +77,6 @@ impl Summary {
         (self.sum_sq / n - (self.sum / n).powi(2)).max(0.0)
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample; zero when empty.
     pub fn min(&self) -> f64 {
         if self.count == 0 {
