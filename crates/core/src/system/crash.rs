@@ -5,8 +5,8 @@
 //! plan's `crashes`, fixed at build; with none, `begin_or_park` starts
 //! every step at once.
 
-use super::{units, Ev, Outcome, Sim, SimError, Step};
-use crate::placement::{Mode, Placement};
+use super::{Ev, Outcome, Res, Sim, SimError, Step};
+use crate::placement::Engine;
 use dmx_pcie::{LinkId, NodeId};
 use dmx_sim::{CrashTarget, Time};
 
@@ -87,12 +87,11 @@ impl Sim<'_> {
         match step {
             Step::Kernel(k) => within(self.layout.accel_nodes[app][k]),
             Step::ToRestr(e) => {
-                within(self.layout.accel_nodes[app][e]) || self.restr_node(app, e).is_ok_and(within)
+                within(self.layout.accel_nodes[app][e]) || within(self.restr_node(app, e))
             }
-            Step::Restr(e) => self.restr_node(app, e).is_ok_and(within),
+            Step::Restr(e) => within(self.restr_node(app, e)),
             Step::ToNext(e) => {
-                self.restr_node(app, e).is_ok_and(within)
-                    || within(self.layout.accel_nodes[app][e + 1])
+                within(self.restr_node(app, e)) || within(self.layout.accel_nodes[app][e + 1])
             }
             Step::DriverPost(_) | Step::DriverPre(_) => false,
         }
@@ -162,10 +161,15 @@ impl Sim<'_> {
             return Ok(());
         }
         let mut torn: Vec<u64> = Vec::new();
-        // Bump-in-the-wire engines and standalone cards own a fabric
-        // node; DMA over its links dies with the device. Pool units
-        // live on switches/root and keep the fabric.
-        if let Some(node) = self.unit_node(unit) {
+        // Bump-in-the-wire engines and standalone cards are their own
+        // endpoints; DMA over their links dies with the device. Pool
+        // units live on switches/root and keep the fabric.
+        let endpoint = self
+            .layout
+            .units
+            .iter()
+            .find(|u| u.id == unit && matches!(u.engine, Engine::Endpoint { .. }));
+        if let Some(node) = endpoint.map(|u| u.node) {
             let links = self.layout.topo.subtree_links(node);
             torn.extend(self.abort_flows_on(&links)?);
         }
@@ -226,65 +230,27 @@ impl Sim<'_> {
         self.tear_requests(torn)
     }
 
-    /// The fabric node a DRX unit occupies, when it has one of its own.
-    fn unit_node(&self, unit: u64) -> Option<NodeId> {
-        match self.cfg.mode {
-            Mode::Dmx(Placement::BumpInTheWire) => {
-                for (app, bench) in self.cfg.apps.iter().enumerate() {
-                    for e in 0..bench.edges.len() {
-                        if units::bitw(app, e) == unit {
-                            return self.layout.drx_nodes[app][e];
-                        }
-                    }
-                }
-                None
-            }
-            Mode::Dmx(Placement::Standalone) => {
-                for app in 0..self.cfg.apps.len() {
-                    if units::card(app) == unit {
-                        return self.layout.card_nodes[app];
-                    }
-                }
-                None
-            }
-            _ => None,
-        }
-    }
-
-    /// Every deployed DRX unit living under `root` — node-owning units
-    /// by ancestry, shared pools by their switch.
+    /// Every deployed DRX unit whose batches land under `root`.
     fn units_in_subtree(&self, root: NodeId) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .deployed_units()
-            .into_iter()
-            .filter(|&u| {
-                self.unit_node(u)
-                    .is_some_and(|n| self.layout.topo.in_subtree(n, root))
-            })
-            .collect();
-        if self.cfg.mode == Mode::Dmx(Placement::PcieIntegrated) {
-            for (i, &sw) in self.layout.switches.iter().enumerate() {
-                if self.layout.topo.in_subtree(sw, root) {
-                    out.push(units::pool(i));
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+        self.layout
+            .units
+            .iter()
+            .filter(|u| self.layout.topo.in_subtree(u.node, root))
+            .map(|u| u.id)
+            .collect()
     }
 
     /// Kills every in-flight flow crossing `links` and returns the ids
     /// of the requests that owned them.
-    fn abort_flows_on(&mut self, links: &[LinkId]) -> Result<Vec<u64>, SimError> {
+    pub(super) fn abort_flows_on(&mut self, links: &[LinkId]) -> Result<Vec<u64>, SimError> {
         let now = self.q.now();
         let mut owners = Vec::new();
         for fid in self.flows.abort_flows(now, links) {
-            if let Some((id, _)) = self.flow_jobs.remove(&fid) {
+            if let Some((id, ..)) = self.jobs.remove(&fid) {
                 owners.push(id);
             }
         }
-        self.flows_changed()?;
+        self.settle(Res::Flows)?;
         Ok(owners)
     }
 

@@ -29,7 +29,8 @@
 //! including the hedge conservation law
 //! `hedged == won_primary + won_hedge + cancelled`.
 
-use super::{Ev, Sim, SimError, Step};
+use super::{Ev, Res, Sim, SimError, Step};
+use crate::placement::{DrxUnit, Engine};
 use dmx_drx::Derate;
 use dmx_pcie::LinkId;
 use dmx_sim::health::{Health, Route};
@@ -385,50 +386,45 @@ impl Sim<'_> {
         service
     }
 
-    /// A healthy same-kind peer DRX that demoted/hedged batches of
-    /// `unit` can run on. Only node-owning kinds (bump-in-the-wire,
-    /// standalone cards) are redirect targets — shared pools already
-    /// spread load internally, so their batches fall back to the host.
-    /// The pick rotates deterministically by `key`.
-    pub(super) fn healthy_peer(&self, unit: u64, key: u64) -> Option<u64> {
-        let kind = unit >> 24;
-        if kind != 1 && kind != 2 {
-            return None;
-        }
-        let peers: Vec<u64> = self
-            .deployed_units()
-            .into_iter()
-            .filter(|&u| u >> 24 == kind && u != unit)
-            .filter(|u| !self.dead_units.contains(u))
-            .filter(|&u| !self.fs.as_ref().is_some_and(|(_, s)| s.suspected(u)))
-            .collect();
-        if peers.is_empty() {
-            None
-        } else {
-            Some(peers[(key % peers.len() as u64) as usize])
-        }
+    /// A healthy peer DRX that demoted/hedged batches of `unit` can run
+    /// on, as its index in the unit table. Only endpoint units
+    /// (bump-in-the-wire, standalone cards) are redirect targets —
+    /// shared pools already spread load internally, so their batches
+    /// fall back to the host. A placement deploys one kind of unit, so
+    /// every other live endpoint is a same-kind peer. The pick rotates
+    /// deterministically by `key`.
+    pub(super) fn healthy_peer(&self, unit: u64, key: u64) -> Option<usize> {
+        let peer = |(_, u): &(usize, &DrxUnit)| {
+            matches!(u.engine, Engine::Endpoint { .. })
+                && u.id != unit
+                && !self.dead_units.contains(&u.id)
+                && !self.fs.as_ref().is_some_and(|(_, s)| s.suspected(u.id))
+        };
+        let peers = || self.layout.units.iter().enumerate().filter(peer);
+        let n = peers().count() as u64;
+        let pick = key.checked_rem(n)?;
+        peers().nth(pick as usize).map(|(i, _)| i)
     }
 
-    /// Services a restructure batch of `(app, e)` on peer DRX `peer`:
-    /// redirect handshake, the peer's own degrade factor, dynamic
-    /// energy, and (for demoted primaries, not hedge duplicates —
-    /// those re-read the checkpointed staging copy) scratchpad SDC
-    /// exposure. Returns the completion instant.
+    /// Services a restructure batch of `(app, e)` on peer DRX `peer`
+    /// (its index in the unit table): redirect handshake, the peer's own
+    /// degrade factor, dynamic energy, and (for demoted primaries, not
+    /// hedge duplicates — those re-read the checkpointed staging copy)
+    /// scratchpad SDC exposure. Returns the completion instant.
     pub(super) fn peer_restr_done(
         &mut self,
         id: u64,
         app: usize,
         e: usize,
-        peer: u64,
+        peer: usize,
         expose: bool,
     ) -> Time {
         let now = self.q.now();
         let (_, service) = self.drx_batch(id, app, e, peer, expose);
-        let done = self
-            .unit_server(peer)
-            .expect("healthy_peer only returns node-owning units")
-            .submit(now, service);
-        done + self.cfg.driver.irq_latency
+        let Engine::Endpoint { fifo, .. } = &mut self.layout.units[peer].engine else {
+            unreachable!("healthy_peer returns endpoint units only");
+        };
+        fifo.submit(now, service) + self.cfg.driver.irq_latency
     }
 
     /// The hedge timer fired: if the batch dispatched under `seq` is
@@ -467,9 +463,9 @@ impl Sim<'_> {
             let work = self.cfg.cpu.restructure_core_seconds(&edge.profile);
             let cap = self.cfg.cpu.restructure_core_cap(&edge.profile);
             let jid = self.job_id();
-            self.hedge_jobs.insert(jid, id);
+            self.jobs.insert(jid, (id, Time::ZERO, true));
             self.cpu.insert(now, jid, Time::from_secs_f64(work), cap);
-            self.cpu_changed()?;
+            self.settle(Res::Cpu)?;
         }
         Ok(())
     }
@@ -506,7 +502,7 @@ impl Sim<'_> {
             self.fsreport.link_degrades += 1;
         }
         self.degrade_on[i] = true;
-        self.flows_changed()
+        self.settle(Res::Flows)
     }
 
     /// Lifts degrade event `i`'s bandwidth cut.
@@ -519,7 +515,7 @@ impl Sim<'_> {
             self.flows.restore_link(now, link);
         }
         self.degrade_on[i] = false;
-        self.flows_changed()
+        self.settle(Res::Flows)
     }
 
     /// Degrade event `i`'s window opens: cut bandwidth, start its duty

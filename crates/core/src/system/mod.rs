@@ -32,17 +32,16 @@ use crate::params::{
     DriverParams, DrxFleetParams, RecoveryParams, LATENCY_REQUESTS, THROUGHPUT_INFLIGHT,
     THROUGHPUT_REQUESTS,
 };
-use crate::placement::{build_layout, Mode, Placement, ServerLayout};
+use crate::placement::{build_layout, Engine, Mode, Placement, ServerLayout};
 use dmx_cpu::{CpuEnergyModel, HostCpuConfig};
 use dmx_drx::{DrxConfig, DrxEnergyModel};
 use dmx_pcie::{
-    transfer_faults, FabricError, FlowId, FlowNet, Gen, LinkId, NodeId, PcieEnergyModel,
-    ReplayParams,
+    transfer_faults, FabricError, FlowNet, Gen, LinkId, NodeId, PcieEnergyModel, ReplayParams,
 };
 use dmx_sim::health::Route;
 use dmx_sim::{
     CrashEvent, DegradeEvent, DegradeTarget, EventQueue, FastMap, FastSet, FaultConfig, FaultPlan,
-    FifoServer, IdMap, PsJobId, PsPool, SdcDomain, Time,
+    FifoServer, IdMap, PsPool, SdcDomain, Time,
 };
 use failslow::{FailSlowConfig, FailSlowReport, HealthScorer};
 use integrity::{IntegrityConfig, IntegrityReport};
@@ -160,20 +159,14 @@ pub enum SimError {
     UnknownRequest(u64),
     /// A finished job was not in the tracking map.
     UntrackedJob(u64),
-    /// The layout is missing the DRX unit a step needs.
-    MissingDrxUnit {
-        /// Application index.
-        app: usize,
-        /// Pipeline edge index.
-        stage: usize,
-    },
     /// A routing or flow-network error from the PCIe fabric.
     Fabric(FabricError),
     /// A stepped (externally-driven) simulation needs a live overload
     /// section: the admission machinery is what accepts injections.
     NoOverload,
-    /// The app at this index has no stages, or not exactly one edge
-    /// between each pair of consecutive stages.
+    /// The app at this index has no stages, not exactly one edge
+    /// between each pair of consecutive stages, or more than 256 edges,
+    /// the most a [`units::bitw`] id can number.
     MalformedApp(usize),
 }
 
@@ -188,13 +181,11 @@ impl fmt::Display for SimError {
                 write!(f, "stepped simulation requires a non-inert overload config")
             }
             SimError::UntrackedJob(id) => write!(f, "finished job {id} was never tracked"),
-            SimError::MissingDrxUnit { app, stage } => {
-                write!(f, "layout has no DRX unit for app {app} edge {stage}")
-            }
             SimError::Fabric(e) => write!(f, "fabric error: {e}"),
             SimError::MalformedApp(app) => write!(
                 f,
-                "app {app} needs at least one stage and one edge between consecutive stages"
+                "app {app} needs at least one stage, one edge between consecutive stages \
+                 and at most {MAX_EDGES} edges"
             ),
         }
     }
@@ -220,7 +211,10 @@ impl From<FabricError> for SimError {
 /// interprets DRX units: a dead DRX reroutes its restructuring onto the
 /// host-CPU (Multi-Axl) path while healthy apps continue.
 pub mod units {
-    /// The bump-in-the-wire DRX serving `(app, stage)`.
+    /// The bump-in-the-wire DRX serving `(app, stage)`. The id packs
+    /// `stage` into 8 bits, so it is unique only for `stage < 256`: an
+    /// app with more edges is a
+    /// [`SimError::MalformedApp`](super::SimError::MalformedApp).
     pub fn bitw(app: usize, stage: usize) -> u64 {
         0x0100_0000 + (app as u64) * 256 + stage as u64
     }
@@ -235,38 +229,11 @@ pub mod units {
     pub fn pool(index: usize) -> u64 {
         0x0300_0000 + index as u64
     }
-
-    /// Inverse of [`bitw`]: the `(app, stage)` a bump-in-the-wire unit
-    /// id names, or `None` for other unit kinds.
-    pub fn bitw_of(unit: u64) -> Option<(usize, usize)> {
-        if (0x0100_0000..0x0200_0000).contains(&unit) {
-            let v = unit - 0x0100_0000;
-            Some(((v / 256) as usize, (v % 256) as usize))
-        } else {
-            None
-        }
-    }
-
-    /// Inverse of [`card`]: the app whose standalone card this unit id
-    /// names, or `None` for other unit kinds.
-    pub fn card_of(unit: u64) -> Option<usize> {
-        if (0x0200_0000..0x0300_0000).contains(&unit) {
-            Some((unit - 0x0200_0000) as usize)
-        } else {
-            None
-        }
-    }
-
-    /// Inverse of [`pool`]: the pool index a shared-pool unit id names,
-    /// or `None` for other unit kinds.
-    pub fn pool_of(unit: u64) -> Option<usize> {
-        if (0x0300_0000..0x0400_0000).contains(&unit) {
-            Some((unit - 0x0300_0000) as usize)
-        } else {
-            None
-        }
-    }
 }
+
+/// The most edges one app may have: [`units::bitw`] packs the edge
+/// index into 8 bits.
+const MAX_EDGES: usize = 256;
 
 /// What the fault-injection and recovery layer did during a run.
 /// All-zero when the fault layer is disabled or inert.
@@ -632,9 +599,9 @@ struct Req {
 #[derive(Debug)]
 enum Ev {
     StepDone(u64, u32),
-    CpuTick(u64),
-    FlowTick(u64),
-    SharedTick(usize, u64),
+    /// A fluid resource's next completion is due, unless the resource
+    /// changed after the tick was pushed under generation `u64`.
+    Tick(Res, u64),
     /// A DRX unit permanently dies.
     UnitDeath(u64),
     /// A link retrain completes; bandwidth returns to nominal.
@@ -673,7 +640,8 @@ enum Ev {
 }
 
 /// A fluid resource whose completions `Sim` learns from ticks: the host
-/// core pool, the PCIe flow network, or shared DRX pool `i`.
+/// core pool, the PCIe flow network, or the shared DRX pool of unit `i`
+/// of the layout's unit table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Res {
     Cpu,
@@ -714,22 +682,6 @@ impl AppStatsCols {
     }
 }
 
-/// Moves every job of `jobs` that `owned` picks into `cancelled`, so
-/// its completion is dropped when it arrives.
-fn cancel_jobs<V>(
-    jobs: &mut FastMap<u64, V>,
-    cancelled: &mut FastSet<u64>,
-    owned: impl Fn(&V) -> bool,
-) {
-    jobs.retain(|&j, v| {
-        if owned(v) {
-            cancelled.insert(j);
-            return false;
-        }
-        true
-    });
-}
-
 struct Sim<'a> {
     cfg: &'a SystemConfig,
     layout: ServerLayout,
@@ -737,20 +689,15 @@ struct Sim<'a> {
     flows: FlowNet,
     cpu: PsPool,
     accel: Vec<Vec<FifoServer>>,
-    /// Bump-in-the-wire DRXs, one per (app, stage).
-    bitw: Vec<Vec<FifoServer>>,
-    /// Standalone cards, one per app.
-    cards: Vec<FifoServer>,
-    /// Shared DRX pools (Integrated: one; PCIe-Integrated: per switch).
-    shared: Vec<PsPool>,
     driver: DriverState,
     reqs: IdMap<Req>,
     steps: Vec<Vec<Step>>,
     next_req: u64,
     next_job: u64,
-    cpu_jobs: FastMap<PsJobId, (u64, Time)>,
-    flow_jobs: FastMap<FlowId, (u64, Time)>,
-    shared_jobs: Vec<FastMap<PsJobId, u64>>,
+    /// Every live job on a fluid resource, by job id: its request, the
+    /// latency added once it finishes, and whether it is a host-side
+    /// hedge duplicate (peer-DRX hedges schedule `HedgeDone` directly).
+    jobs: FastMap<u64, (u64, Time, bool)>,
     stats: AppStatsCols,
     drx_dynamic_j: f64,
     /// Per-(app, edge) scaled DRX cost, filled on first submit. The
@@ -813,9 +760,6 @@ struct Sim<'a> {
     /// the pre-fail-slow simulator).
     fs: Option<(FailSlowConfig, HealthScorer)>,
     fsreport: FailSlowReport,
-    /// Host-side hedge duplicates in flight: CPU job id → request id.
-    /// (Peer-DRX hedges schedule `HedgeDone` directly and need no map.)
-    hedge_jobs: FastMap<u64, u64>,
     /// Resources changed in the current instant, in last-change order;
     /// [`Sim::flush_ticks`] schedules one tick for each once the
     /// instant is over.
@@ -873,28 +817,14 @@ impl<'a> Sim<'a> {
     }
 
     fn build(cfg: &'a SystemConfig, external: bool) -> Sim<'a> {
-        let layout = build_layout(cfg.mode, &cfg.apps, cfg.gen);
+        let layout = build_layout(cfg.mode, &cfg.apps, cfg.gen, &cfg.fleet);
         let flows = FlowNet::new(layout.topo.link_bandwidths());
         let accel = cfg
             .apps
             .iter()
             .map(|a| a.stages.iter().map(|_| FifoServer::new(1)).collect())
             .collect();
-        let bitw = cfg
-            .apps
-            .iter()
-            .map(|a| a.stages.iter().map(|_| FifoServer::new(1)).collect())
-            .collect();
-        let cards = cfg.apps.iter().map(|_| FifoServer::new(1)).collect();
-        let shared = match cfg.mode {
-            Mode::Dmx(Placement::Integrated) => vec![PsPool::new(cfg.fleet.integrated_units)],
-            Mode::Dmx(Placement::PcieIntegrated) => (0..layout.switch_count())
-                .map(|_| PsPool::new(cfg.fleet.pcie_integrated_units))
-                .collect(),
-            _ => Vec::new(),
-        };
         let steps = cfg.apps.iter().map(|a| steps_for(a, cfg.mode)).collect();
-        let shared_jobs = shared.iter().map(|_| FastMap::default()).collect();
         let plan = cfg
             .faults
             .as_ref()
@@ -915,9 +845,6 @@ impl<'a> Sim<'a> {
             flows,
             cpu: PsPool::new(cfg.cpu.cores as f64),
             accel,
-            bitw,
-            cards,
-            shared,
             driver: match cfg.forced_driver {
                 Some(mode) => DriverState::forced(cfg.driver, mode),
                 None => DriverState::new(cfg.driver),
@@ -926,9 +853,7 @@ impl<'a> Sim<'a> {
             steps,
             next_req: 0,
             next_job: 0,
-            cpu_jobs: FastMap::default(),
-            flow_jobs: FastMap::default(),
-            shared_jobs,
+            jobs: FastMap::default(),
             stats: AppStatsCols::new(cfg.apps.len()),
             drx_dynamic_j: 0.0,
             drx_costs: cfg.apps.iter().map(|a| vec![None; a.edges.len()]).collect(),
@@ -973,7 +898,6 @@ impl<'a> Sim<'a> {
                 .filter(|f| !f.is_inert())
                 .map(|f| (f, HealthScorer::new(f.scorer))),
             fsreport: FailSlowReport::default(),
-            hedge_jobs: FastMap::default(),
             dirty: Vec::new(),
             external,
             resolutions: Vec::new(),
@@ -1023,22 +947,66 @@ impl<'a> Sim<'a> {
     fn flush_ticks(&mut self) {
         let now = self.q.now();
         for r in self.dirty.drain(..) {
-            let (at, tick) = match r {
-                Res::Cpu => (self.cpu.next_event(now), Ev::CpuTick(self.cpu.generation())),
-                Res::Flows => (
-                    self.flows.next_event(now),
-                    Ev::FlowTick(self.flows.generation()),
-                ),
-                Res::Shared(pool) => (
-                    self.shared[pool].next_event(now),
-                    Ev::SharedTick(pool, self.shared[pool].generation()),
-                ),
+            let (at, gen) = match r {
+                Res::Cpu => (self.cpu.next_event(now), self.cpu.generation()),
+                Res::Flows => (self.flows.next_event(now), self.flows.generation()),
+                Res::Shared(u) => {
+                    let pool = self.layout.pool(u);
+                    (pool.next_event(now), pool.generation())
+                }
             };
             if let Some(at) = at {
-                debug_assert!(at > now, "{tick:?} due in the instant that made it");
-                self.q.schedule_at(at, tick);
+                debug_assert!(at > now, "{r:?} tick due in the instant that made it");
+                self.q.schedule_at(at, Ev::Tick(r, gen));
             }
         }
+    }
+
+    /// A tick of `r` pushed under generation `gen` fires: unless `r`
+    /// changed since, it advances to now and settles.
+    fn tick(&mut self, r: Res, gen: u64) -> Result<(), SimError> {
+        let now = self.q.now();
+        match r {
+            Res::Cpu if gen == self.cpu.generation() => self.cpu.advance(now),
+            Res::Flows if gen == self.flows.generation() => self.flows.advance(now),
+            Res::Shared(u) if gen == self.layout.pool(u).generation() => {
+                self.layout.pool(u).advance(now);
+            }
+            _ => return Ok(()),
+        }
+        self.settle(r)
+    }
+
+    /// Settles fluid resource `r` after a change; every mutation of the
+    /// core pool, the flow network or a shared pool ends here. A
+    /// mutation advances the resource to `now` and may finish jobs in
+    /// this instant, so their completions become step completions (or
+    /// hedge arrivals) before the resource is marked for a tick.
+    fn settle(&mut self, r: Res) -> Result<(), SimError> {
+        let now = self.q.now();
+        loop {
+            let finished = match r {
+                Res::Cpu => self.cpu.pop_finished(),
+                Res::Flows => self.flows.pop_finished(),
+                Res::Shared(u) => self.layout.pool(u).pop_finished(),
+            };
+            let Some(jid) = finished else { break };
+            if self.cancelled_jobs.remove(&jid) {
+                // A torn-down attempt's job: its owner restarted from a
+                // checkpoint, so this completion means nothing.
+                continue;
+            }
+            let (req, lat, hedge) = self.jobs.remove(&jid).ok_or(SimError::UntrackedJob(jid))?;
+            if !hedge {
+                self.schedule_step_done(now + lat, req)?;
+            } else if let Some(owner) = self.reqs.get(req) {
+                // A host-side hedge duplicate: race it against the
+                // primary via an epoch-tagged completion.
+                self.q.schedule_at(now, Ev::HedgeDone(req, owner.epoch));
+            }
+        }
+        self.mark(r);
+        Ok(())
     }
 
     /// Epoch-tagged completion event for `req` at `at`.
@@ -1061,40 +1029,11 @@ impl<'a> Sim<'a> {
     ) -> Result<(), SimError> {
         let now = self.q.now();
         let jid = self.job_id();
-        self.cpu_jobs.insert(jid, (req, extra_latency));
+        self.jobs.insert(jid, (req, extra_latency, false));
         self.cpu
             .insert(now, jid, Time::from_secs_f64(work_secs), cap);
         // Zero-work jobs may complete instantly.
-        self.cpu_changed()
-    }
-
-    /// Settles the host core pool after a change: turns the jobs it
-    /// finished into step completions and marks it for a tick.
-    fn cpu_changed(&mut self) -> Result<(), SimError> {
-        let now = self.q.now();
-        while let Some(jid) = self.cpu.pop_finished() {
-            if self.cancelled_jobs.remove(&jid) {
-                // A torn-down attempt's job: its owner restarted from a
-                // checkpoint, so this completion means nothing.
-                continue;
-            }
-            if let Some(req) = self.hedge_jobs.remove(&jid) {
-                // A host-side hedge duplicate: race it against the
-                // primary via an epoch-tagged completion.
-                if let Some(r) = self.reqs.get(req) {
-                    let ep = r.epoch;
-                    self.q.schedule_at(now, Ev::HedgeDone(req, ep));
-                }
-                continue;
-            }
-            let (req, lat) = self
-                .cpu_jobs
-                .remove(&jid)
-                .ok_or(SimError::UntrackedJob(jid))?;
-            self.schedule_step_done(now + lat, req)?;
-        }
-        self.mark(Res::Cpu);
-        Ok(())
+        self.settle(Res::Cpu)
     }
 
     fn start_flow_with_extra(
@@ -1142,9 +1081,9 @@ impl<'a> Sim<'a> {
                 }
             }
         }
-        self.flow_jobs.insert(fid, (req, route.latency + extra));
+        self.jobs.insert(fid, (req, route.latency + extra, false));
         self.flows.try_insert(now, fid, bytes, &route.links)?;
-        self.flows_changed()
+        self.settle(Res::Flows)
     }
 
     /// Extra latency from segmenting a batch across DRX data-queue
@@ -1159,89 +1098,20 @@ impl<'a> Sim<'a> {
         self.cfg.driver.irq_latency * segments.saturating_sub(1)
     }
 
-    /// Settles the flow network after a change; every `FlowNet`
-    /// mutation in `Sim` ends here. Any mutation advances the network
-    /// to `now` and may retire flows finishing in this instant, so
-    /// their completions are drained into step completions before the
-    /// network is marked for a tick.
-    fn flows_changed(&mut self) -> Result<(), SimError> {
-        let now = self.q.now();
-        while let Some(fid) = self.flows.pop_finished() {
-            if self.cancelled_jobs.remove(&fid) {
-                continue;
-            }
-            let (req, lat) = self
-                .flow_jobs
-                .remove(&fid)
-                .ok_or(SimError::UntrackedJob(fid))?;
-            self.schedule_step_done(now + lat, req)?;
-        }
-        self.mark(Res::Flows);
-        Ok(())
-    }
-
-    /// The node where this edge's restructuring happens. Once the
-    /// edge's DRX unit is dead, restructuring falls back to the host
-    /// CPU, so data stages through host memory at the root.
-    fn restr_node(&self, app: usize, stage: usize) -> Result<NodeId, SimError> {
-        if self
-            .unit_for(app, stage)
-            .is_some_and(|u| self.dead_units.contains(&u))
-        {
-            return Ok(self.layout.topo.root());
-        }
-        match self.cfg.mode {
-            Mode::AllCpu | Mode::MultiAxl | Mode::Dmx(Placement::Integrated) => {
-                Ok(self.layout.topo.root())
-            }
-            Mode::Dmx(Placement::BumpInTheWire) => {
-                self.layout.drx_nodes[app][stage].ok_or(SimError::MissingDrxUnit { app, stage })
-            }
-            Mode::Dmx(Placement::Standalone) => {
-                self.layout.card_nodes[app].ok_or(SimError::MissingDrxUnit { app, stage })
-            }
-            Mode::Dmx(Placement::PcieIntegrated) => Ok(self.layout.switch_of[app][stage]),
+    /// The node where this edge's restructuring happens: its DRX
+    /// unit's. Without a unit, or once it is dead, restructuring runs
+    /// on host cores, so data stages through host memory at the root.
+    fn restr_node(&self, app: usize, e: usize) -> NodeId {
+        match self.layout.unit_of(app, e).map(|u| &self.layout.units[u]) {
+            Some(unit) if !self.dead_units.contains(&unit.id) => unit.node,
+            _ => self.layout.topo.root(),
         }
     }
 
-    /// The DRX unit serving restructuring of `(app, e)`, if the mode
-    /// uses one.
+    /// The id of the DRX unit restructuring `(app, e)`, if the mode
+    /// deploys one.
     fn unit_for(&self, app: usize, e: usize) -> Option<u64> {
-        match self.cfg.mode {
-            Mode::AllCpu | Mode::MultiAxl => None,
-            Mode::Dmx(Placement::BumpInTheWire) => Some(units::bitw(app, e)),
-            Mode::Dmx(Placement::Standalone) => Some(units::card(app)),
-            Mode::Dmx(Placement::Integrated) => Some(units::pool(0)),
-            Mode::Dmx(Placement::PcieIntegrated) => Some(units::pool(
-                self.layout.switch_index(self.layout.switch_of[app][e]),
-            )),
-        }
-    }
-
-    /// All DRX units the current mode deploys (for death scheduling).
-    fn deployed_units(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        match self.cfg.mode {
-            Mode::AllCpu | Mode::MultiAxl => {}
-            Mode::Dmx(Placement::BumpInTheWire) => {
-                for (app, bench) in self.cfg.apps.iter().enumerate() {
-                    for e in 0..bench.edges.len() {
-                        out.push(units::bitw(app, e));
-                    }
-                }
-            }
-            Mode::Dmx(Placement::Standalone) => {
-                for app in 0..self.cfg.apps.len() {
-                    out.push(units::card(app));
-                }
-            }
-            Mode::Dmx(Placement::Integrated) | Mode::Dmx(Placement::PcieIntegrated) => {
-                for pool in 0..self.shared.len() {
-                    out.push(units::pool(pool));
-                }
-            }
-        }
-        out
+        self.layout.unit_of(app, e).map(|u| self.layout.units[u].id)
     }
 
     fn begin_step(&mut self, id: u64) -> Result<(), SimError> {
@@ -1315,7 +1185,7 @@ impl<'a> Sim<'a> {
                 }
             }
             Step::ToNext(e) => {
-                let from = self.restr_node(app, e)?;
+                let from = self.restr_node(app, e);
                 let to = self.layout.accel_nodes[app][e + 1];
                 let bytes = bench.edges[e].bytes_out;
                 // Staged again on the way out to the next accelerator.
@@ -1334,7 +1204,7 @@ impl<'a> Sim<'a> {
     /// (possibly after a backpressure stall).
     fn flow_to_restr(&mut self, id: u64, app: usize, e: usize) -> Result<(), SimError> {
         let from = self.layout.accel_nodes[app][e];
-        let to = self.restr_node(app, e)?;
+        let to = self.restr_node(app, e);
         let bytes = self.cfg.apps[app].edges[e].bytes_in;
         let extra = self.queue_handshake_latency(bytes);
         let unit = self.unit_for(app, e);
@@ -1391,9 +1261,10 @@ impl<'a> Sim<'a> {
     /// hold the per-(app, edge) gate.
     fn submit_restr(&mut self, id: u64, app: usize, e: usize) -> Result<(), SimError> {
         let now = self.q.now();
-        let (Mode::Dmx(_), Some(unit)) = (self.cfg.mode, self.unit_for(app, e)) else {
+        let Some(u) = self.layout.unit_of(app, e) else {
             return self.submit_restr_cpu(id, app, e, Time::ZERO, false);
         };
+        let unit = self.layout.units[u].id;
         // Graceful degradation: a dead unit's batches reroute to host
         // cores (the Multi-Axl path) while healthy apps keep their DRXs.
         if self.dead_units.contains(&unit) {
@@ -1480,7 +1351,7 @@ impl<'a> Sim<'a> {
         if exhausted {
             return self.submit_restr_cpu(id, app, e, stall_penalty, true);
         }
-        let (nominal, service) = self.drx_batch(id, app, e, unit, true);
+        let (nominal, service) = self.drx_batch(id, app, e, u, true);
         let service = service + stall_penalty;
         // Record the dispatch for the health scorer and arm the hedge
         // timer: a batch whose *service* runs past the threshold gets
@@ -1496,30 +1367,24 @@ impl<'a> Sim<'a> {
             r.restr_nominal = nominal;
             r.restr_seq = r.restr_seq.wrapping_add(1);
         }
-        if let Some(done) = self.unit_server(unit).map(|s| s.submit(now, service)) {
+        if let Engine::Endpoint { fifo, .. } = &mut self.layout.units[u].engine {
+            let done = fifo.submit(now, service);
             self.arm_hedge(id, done.saturating_sub(service), hedge_after);
             return self.schedule_step_done(done, id);
         }
-        let pool = units::pool_of(unit).ok_or(SimError::MissingDrxUnit { app, stage: e })?;
         self.arm_hedge(id, now, hedge_after);
         let jid = self.job_id();
-        self.shared_jobs[pool].insert(jid, id);
-        self.shared[pool].insert(now, jid, service, 1.0);
-        self.shared_changed(pool)
+        self.jobs.insert(jid, (id, Time::ZERO, false));
+        self.layout.pool(u).insert(now, jid, service, 1.0);
+        self.settle(Res::Shared(u))
     }
 
-    /// Sets up one DRX batch of `(app, e)` on `unit` and returns its
-    /// `(nominal, service)` times: scratchpad SDC exposure (when
-    /// `expose`) and its breaker feed, dynamic energy, the standalone
-    /// slowdown, and the unit's active degrades.
-    fn drx_batch(
-        &mut self,
-        id: u64,
-        app: usize,
-        e: usize,
-        unit: u64,
-        expose: bool,
-    ) -> (Time, Time) {
+    /// Sets up one DRX batch of `(app, e)` on unit `u` of the unit table
+    /// and returns its `(nominal, service)` times: scratchpad SDC
+    /// exposure (when `expose`) and its breaker feed, dynamic energy,
+    /// the engine's slowdown, and the unit's active degrades.
+    fn drx_batch(&mut self, id: u64, app: usize, e: usize, u: usize, expose: bool) -> (Time, Time) {
+        let unit = self.layout.units[u].id;
         if expose {
             // The batch streams through the DRX's (ECC-less) scratchpad.
             // Repeated silent corruption on one unit trips its breaker —
@@ -1533,23 +1398,15 @@ impl<'a> Sim<'a> {
         }
         let cost = self.edge_drx_cost(app, e);
         self.drx_dynamic_j += cost.dynamic_joules(&DrxEnergyModel::for_clock(self.cfg.drx.clock));
-        let nominal = if units::card_of(unit).is_some() {
-            cost.time.scale(self.cfg.fleet.standalone_slowdown)
-        } else {
-            cost.time
+        let nominal = match self.layout.units[u].engine {
+            Engine::Endpoint {
+                slowdown: Some(s), ..
+            } => cost.time.scale(s),
+            _ => cost.time,
         };
         // Gray devices complete work, just slower: active degrade
         // windows stretch the nominal service.
         (nominal, self.derated_service(unit, id, e, nominal))
-    }
-
-    /// The FIFO engine of a node-owning DRX unit (bump-in-the-wire or
-    /// standalone card); `None` for a shared pool.
-    fn unit_server(&mut self, unit: u64) -> Option<&mut FifoServer> {
-        if let Some((app, e)) = units::bitw_of(unit) {
-            return Some(&mut self.bitw[app][e]);
-        }
-        units::card_of(unit).map(|app| &mut self.cards[app])
     }
 
     /// DRX cost of `(app, e)` on the configured engine, memoized per run.
@@ -1576,12 +1433,12 @@ impl<'a> Sim<'a> {
             }
         }
         let cancelled = &mut self.cancelled_jobs;
-        cancel_jobs(&mut self.cpu_jobs, cancelled, |&(r, _)| r == id);
-        cancel_jobs(&mut self.flow_jobs, cancelled, |&(r, _)| r == id);
-        for jobs in &mut self.shared_jobs {
-            cancel_jobs(jobs, cancelled, |&r| r == id);
-        }
-        cancel_jobs(&mut self.hedge_jobs, cancelled, |&r| r == id);
+        self.jobs.retain(|&jid, &mut (req, ..)| {
+            if req == id {
+                cancelled.insert(jid);
+            }
+            req != id
+        });
     }
 
     /// Returns `id`'s held ingress `credit` — parked or granted — to
@@ -1592,24 +1449,6 @@ impl<'a> Sim<'a> {
         };
         let now = self.q.now();
         self.gate(|g| g.cancel(now, unit, id, bytes))
-    }
-
-    /// Settles shared DRX pool `pool` after a change: turns the
-    /// batches it finished into step completions and marks it for a
-    /// tick.
-    fn shared_changed(&mut self, pool: usize) -> Result<(), SimError> {
-        let now = self.q.now();
-        while let Some(jid) = self.shared[pool].pop_finished() {
-            if self.cancelled_jobs.remove(&jid) {
-                continue;
-            }
-            let req = self.shared_jobs[pool]
-                .remove(&jid)
-                .ok_or(SimError::UntrackedJob(jid))?;
-            self.schedule_step_done(now, req)?;
-        }
-        self.mark(Res::Shared(pool));
-        Ok(())
     }
 
     /// Permanent death of a DRX unit: mark it dead, then tear every
@@ -1880,10 +1719,10 @@ impl<'a> Sim<'a> {
     /// requests (external mode seeds neither — arrivals are injected).
     fn seed(&mut self) -> Result<(), SimError> {
         if let Some(plan) = &self.plan {
-            for unit in self.deployed_units() {
-                if let Some(t) = plan.death_time(unit) {
+            for unit in &self.layout.units {
+                if let Some(t) = plan.death_time(unit.id) {
                     if t <= Self::DEATH_HORIZON {
-                        self.q.schedule_at(t, Ev::UnitDeath(unit));
+                        self.q.schedule_at(t, Ev::UnitDeath(unit.id));
                     }
                 }
             }
@@ -1936,24 +1775,7 @@ impl<'a> Sim<'a> {
         match ev {
             Ev::StepDone(id, epoch) => self.step_done(id, epoch, false)?,
             Ev::Arrival(app, tag) => self.arrival(app, tag)?,
-            Ev::CpuTick(gen) => {
-                if gen == self.cpu.generation() {
-                    self.cpu.advance(self.q.now());
-                    self.cpu_changed()?;
-                }
-            }
-            Ev::FlowTick(gen) => {
-                if gen == self.flows.generation() {
-                    self.flows.advance(self.q.now());
-                    self.flows_changed()?;
-                }
-            }
-            Ev::SharedTick(pool, gen) => {
-                if gen == self.shared[pool].generation() {
-                    self.shared[pool].advance(self.q.now());
-                    self.shared_changed(pool)?;
-                }
-            }
+            Ev::Tick(r, gen) => self.tick(r, gen)?,
             Ev::UnitDeath(unit) => self.unit_death(unit)?,
             Ev::IntegrityDone(id, epoch) => self.integrity_done(id, epoch)?,
             Ev::Crash(i) => self.crash(i)?,
@@ -1961,7 +1783,7 @@ impl<'a> Sim<'a> {
             Ev::Resume(id, epoch) => self.resume(id, epoch)?,
             Ev::LinkRestore(l) => {
                 self.flows.restore_link(self.q.now(), LinkId::from_index(l));
-                self.flows_changed()?;
+                self.settle(Res::Flows)?;
             }
             Ev::DegradeStart(i) => self.degrade_start(i)?,
             Ev::DegradeToggle(i) => self.degrade_toggle(i)?,
@@ -2149,8 +1971,9 @@ pub fn try_simulate(cfg: &SystemConfig) -> Result<RunResult, SimError> {
 }
 
 /// Rejects apps the engine cannot walk: none at all, or one without
-/// stages or without exactly one edge between consecutive stages. Runs
-/// before [`Sim::new`], whose layout indexes every app's stages.
+/// stages, without exactly one edge between consecutive stages, or with
+/// more edges than unit ids can number. Runs before [`Sim::new`], whose
+/// layout indexes every app's stages.
 fn check_apps(cfg: &SystemConfig) -> Result<(), SimError> {
     if cfg.apps.is_empty() {
         return Err(SimError::NoApps);
@@ -2158,7 +1981,7 @@ fn check_apps(cfg: &SystemConfig) -> Result<(), SimError> {
     match cfg
         .apps
         .iter()
-        .position(|a| a.edges.len() + 1 != a.stages.len())
+        .position(|a| a.edges.len() + 1 != a.stages.len() || a.edges.len() > MAX_EDGES)
     {
         Some(app) => Err(SimError::MalformedApp(app)),
         None => Ok(()),
@@ -2595,7 +2418,14 @@ mod tests {
         sim.seed().unwrap();
         assert_eq!(sim.cpu.active_jobs(), 12);
         assert_eq!(sim.q.len(), 1);
-        assert!(matches!(sim.q.pop(), Some(Ev::CpuTick(_))));
+        assert!(matches!(sim.q.pop(), Some(Ev::Tick(Res::Cpu, _))));
+    }
+
+    #[test]
+    fn events_stay_24_bytes() {
+        // One tick variant carrying its resource costs no more than the
+        // 16-byte payloads beside it.
+        assert_eq!(std::mem::size_of::<Ev>(), 24);
     }
 
     #[test]
@@ -2638,11 +2468,13 @@ mod tests {
         let mut probe = Sim::new(&cfg, false);
         probe.degrade_sched.clear();
         probe.seed().unwrap();
-        while probe.flow_jobs.is_empty() {
+        while probe.flows.active_flows() == 0 {
             let ev = probe.q.pop().expect("a transfer starts");
             probe.handle(ev).unwrap();
         }
-        let fid = *probe.flow_jobs.keys().next().unwrap();
+        // The transfer holds the newest job id.
+        let fid = probe.next_job;
+        assert!(probe.jobs.contains_key(&fid));
         let mut net = probe.flows.clone();
         let done = net.next_event(probe.q.now()).unwrap();
         net.advance(done);
@@ -2658,13 +2490,46 @@ mod tests {
         }
         assert_eq!(sim.fsreport.link_degrades, 1);
         assert!(
-            !sim.flow_jobs.contains_key(&fid),
+            !sim.jobs.contains_key(&fid),
             "the finished transfer waits for a later flow change"
         );
         while let Some(ev) = sim.q.pop() {
             sim.handle(ev).unwrap();
         }
         assert_eq!(sim.remaining, 0, "a request never finished");
+    }
+
+    #[test]
+    fn cancelled_jobs_finish_nothing_and_own_no_flow() {
+        // A torn-down attempt's transfer: its completion must not finish
+        // the step, and aborting its flow must not name the request as an
+        // owner to tear down again.
+        let mut cfg = SystemConfig::latency(Mode::MultiAxl, apps(1));
+        cfg.requests_per_app = 1;
+        let in_flight = |cfg| {
+            let mut sim = Sim::new(cfg, false);
+            sim.seed().unwrap();
+            while sim.flows.active_flows() == 0 {
+                let ev = sim.q.pop().expect("a transfer starts");
+                sim.handle(ev).unwrap();
+            }
+            let step = sim.reqs.get(0).unwrap().step;
+            sim.cancel_attempt(0);
+            assert!(sim.jobs.is_empty());
+            (sim, step)
+        };
+        let (mut sim, step) = in_flight(&cfg);
+        while let Some(ev) = sim.q.pop() {
+            sim.handle(ev).unwrap();
+        }
+        assert_eq!(sim.flows.active_flows(), 0, "the transfer finished");
+        assert_eq!(sim.reqs.get(0).unwrap().step, step);
+        assert_eq!(sim.remaining, 1);
+
+        let (mut sim, _) = in_flight(&cfg);
+        let links = sim.layout.topo.subtree_links(sim.layout.topo.root());
+        assert_eq!(sim.abort_flows_on(&links).unwrap(), Vec::<u64>::new());
+        assert_eq!(sim.flows.active_flows(), 0, "the transfer was aborted");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property suite of the crash-stop layer: random crash schedules
-//! composed with random silent-corruption rates and load factors must
-//! conserve every admitted request and every injected flip, replay
-//! byte-identically under the same seed, and leave zero trace when the
-//! schedule is empty. Runs on the in-tree deterministic harness
-//! (`dmx_sim::check`).
+//! composed with random DRX placements, silent-corruption rates and
+//! load factors must conserve every admitted request and every injected
+//! flip, replay byte-identically under the same seed, and leave zero
+//! trace when the schedule is empty. Runs on the in-tree deterministic
+//! harness (`dmx_sim::check`).
 
 use dmx_core::experiments::Suite;
 use dmx_core::integrity::{ChecksumMode, IntegrityConfig};
@@ -17,6 +17,19 @@ const ARRIVALS_PER_TENANT: usize = 8;
 
 fn n_cases() -> usize {
     cases(if cfg!(feature = "heavy-tests") { 32 } else { 8 })
+}
+
+/// A device id of any placement: a bump-in-the-wire DRX on one of the
+/// first two edges, a standalone card, or one of the first two pools.
+/// Ids the run's placement does not deploy stay in the draw: crashing
+/// them must do nothing.
+fn gen_device(g: &mut Gen) -> u64 {
+    let tenant = g.usize_in(0, TENANTS);
+    match g.usize_in(0, 3) {
+        0 => units::bitw(tenant, g.usize_in(0, 2)),
+        1 => units::card(tenant),
+        _ => units::pool(g.usize_in(0, 2)),
+    }
 }
 
 /// A random crash schedule: up to three events over the run horizon.
@@ -40,7 +53,7 @@ fn gen_schedule(g: &mut Gen, horizon: Time) -> Vec<CrashEvent> {
                     down_for: Some(outage(g)),
                 },
                 _ => CrashEvent {
-                    target: CrashTarget::Device(units::bitw(g.usize_in(0, TENANTS), 0)),
+                    target: CrashTarget::Device(gen_device(g)),
                     at,
                     down_for: if g.chance(0.75) {
                         Some(outage(g))
@@ -53,18 +66,27 @@ fn gen_schedule(g: &mut Gen, horizon: Time) -> Vec<CrashEvent> {
         .collect()
 }
 
-/// The composed config under test: open-loop tenants at `load` times
-/// capacity, SDC at `rate`, per-hop checksums, and `crashes`.
-fn composed(
-    suite: &Suite,
-    seed: u64,
+/// A DRX placement and the mean and slowest per-app latency of its
+/// clean run, which calibrate its load and horizon.
+#[derive(Clone, Copy)]
+struct Calibrated {
+    placement: Placement,
     mean: Time,
     slowest: Time,
+}
+
+/// The composed config under test: open-loop tenants at `load` times
+/// capacity of `cal`'s placement, SDC at `rate`, per-hop checksums, and
+/// `crashes`.
+fn composed(
+    suite: &Suite,
+    cal: Calibrated,
+    seed: u64,
     load: f64,
     rate: f64,
     crashes: Vec<CrashEvent>,
 ) -> SystemConfig {
-    let rps = load / mean.as_secs_f64();
+    let rps = load / cal.mean.as_secs_f64();
     let mut faults = FaultConfig::none();
     faults.seed = seed;
     faults.sdc.spad_flip_rate = rate;
@@ -83,28 +105,34 @@ fn composed(
                 burst: 4.0,
                 max_inflight: 8,
             },
-            deadline: slowest * 4,
+            deadline: cal.slowest * 4,
             shed: ShedPolicy::Reject,
             queue_capacity: 8,
             ..OverloadConfig::none()
         }),
         integrity: Some(integ),
-        ..SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), suite.mix(TENANTS))
+        ..SystemConfig::latency(Mode::Dmx(cal.placement), suite.mix(TENANTS))
     }
 }
 
 #[test]
 fn random_chaos_conserves_requests_and_flips() {
     let suite = Suite::new();
-    let clean = simulate(&SystemConfig::latency(
-        Mode::Dmx(Placement::BumpInTheWire),
-        suite.mix(TENANTS),
-    ));
-    let mean = clean.mean_latency();
-    let slowest = clean.apps.iter().map(|a| a.latency).max().unwrap();
-    let horizon = mean * (ARRIVALS_PER_TENANT as u64);
+    let calibrated = Placement::ALL.map(|placement| {
+        let clean = simulate(&SystemConfig::latency(
+            Mode::Dmx(placement),
+            suite.mix(TENANTS),
+        ));
+        Calibrated {
+            placement,
+            mean: clean.mean_latency(),
+            slowest: clean.apps.iter().map(|a| a.latency).max().unwrap(),
+        }
+    });
 
     run_cases("chaos_conservation", n_cases(), |g| {
+        let cal = calibrated[g.usize_in(0, Placement::ALL.len())];
+        let horizon = cal.mean * (ARRIVALS_PER_TENANT as u64);
         let seed = g.u64_in(0, u64::MAX);
         let load = g.f64_in(0.6, 2.0);
         let rate = if g.chance(0.25) {
@@ -113,7 +141,7 @@ fn random_chaos_conserves_requests_and_flips() {
             g.f64_in(1e-8, 5e-7)
         };
         let sched = gen_schedule(g, horizon);
-        let cfg = composed(&suite, seed, mean, slowest, load, rate, sched.clone());
+        let cfg = composed(&suite, cal, seed, load, rate, sched.clone());
 
         let r = simulate(&cfg);
         let o = r.overload.as_ref().expect("open-loop run must report");
@@ -132,7 +160,8 @@ fn random_chaos_conserves_requests_and_flips() {
         assert_eq!(
             offered,
             resolved + r.integrity.quarantine_shed + r.crashes.crash_killed,
-            "request conservation violated (sched {sched:?}, load {load}, rate {rate})"
+            "request conservation violated under {} (sched {sched:?}, load {load}, rate {rate})",
+            cal.placement.name()
         );
 
         // Every injected flip is accounted for: detected, escaped, or

@@ -80,11 +80,6 @@ impl Time {
         self.0
     }
 
-    /// Whole nanoseconds (truncating).
-    pub const fn as_ns(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Nanoseconds as a float.
     pub fn as_ns_f64(self) -> f64 {
         self.0 as f64 / 1e3

@@ -225,6 +225,50 @@ fn malformed_apps_are_errors_not_panics() {
     }
 }
 
+/// A unit id packs its edge index into 8 bits, so a chain with more
+/// than 256 edges would alias other units' ids. It is a malformed app
+/// from both entry points, not a panic; 256 edges still build.
+#[test]
+fn chains_past_256_edges_are_malformed() {
+    use dmx_accel::AccelKind;
+    use dmx_core::apps::{Benchmark, Edge, Stage};
+    use dmx_core::overload::OverloadConfig;
+    use dmx_core::system::{try_simulate, SimError, Stepped};
+    use dmx_restructure::EndianSwap;
+    use std::sync::Arc;
+
+    let stage = Stage {
+        kind: AccelKind::Gzip,
+        input_bytes: 1 << 20,
+    };
+    let chain = |stages: usize| {
+        let swap = || {
+            Edge::new(
+                "swap",
+                vec![(Box::new(EndianSwap { words: 64 }), 1 << 20)],
+                1 << 20,
+                1 << 20,
+            )
+        };
+        let bench = Arc::new(Benchmark {
+            name: "long chain",
+            stages: vec![stage; stages],
+            edges: (1..stages).map(|_| swap()).collect(),
+        });
+        SystemConfig {
+            overload: Some(OverloadConfig {
+                deadline: Time::from_secs(1),
+                ..OverloadConfig::none()
+            }),
+            ..SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), vec![bench])
+        }
+    };
+    let long = chain(300);
+    assert_eq!(try_simulate(&long).err(), Some(SimError::MalformedApp(0)));
+    assert_eq!(Stepped::new(&long).err(), Some(SimError::MalformedApp(0)));
+    assert!(Stepped::new(&chain(257)).is_ok());
+}
+
 /// The system handles arbitrary chain lengths, not just the paper's 2-
 /// and 3-kernel pipelines: build a custom 4-kernel chain and run it
 /// under baseline and DMX.
