@@ -4,7 +4,7 @@
 //! the `repro bench` end-to-end numbers blend with kernel execution.
 
 use dmx_bench::timing::bench;
-use dmx_pcie::{FlowNet, Gen, Lanes, LinkId, LinkSpec, NodeKind, Topology};
+use dmx_pcie::{FlowNet, Gen, Lanes, LinkId, LinkSpec, NodeKind, RouteMemo, Topology};
 use dmx_sim::partition::{run_conservative, Outbox, Partition, XMsg};
 use dmx_sim::{EventQueue, Percentiles, Time};
 use std::hint::black_box;
@@ -161,7 +161,8 @@ fn main() {
     bench("flow_solver_shared", || sparse_solves(true));
 
     // Route resolution over a two-level tree, every (endpoint, peer)
-    // pair queried 50 times — the memo's hit pattern in a run.
+    // pair queried 50 times through one memo: a run's hit pattern,
+    // where each pair is walked once and then looked up.
     let mut topo = Topology::new();
     let up = LinkSpec::new(Gen::Gen4, Lanes::X8);
     let down = LinkSpec::new(Gen::Gen4, Lanes::X16);
@@ -173,12 +174,13 @@ fn main() {
         }
     }
     bench("route_16dev_all_pairs_x50", || {
+        let mut memo = RouteMemo::default();
         let mut hops = 0usize;
         for _ in 0..50 {
             for &a in &leaves {
                 for &b in &leaves {
                     if a != b {
-                        hops += topo.route(a, b).links.len();
+                        hops += memo.route(&topo, a, b).map_or(0, |r| r.links.len());
                     }
                 }
             }

@@ -6,7 +6,7 @@ use crate::params::{
     downstream_link, upstream_link, upstream_links_for_gen, DrxFleetParams, SWITCH_PORTS,
 };
 use crate::system::units;
-use dmx_pcie::{Gen, Lanes, LinkSpec, NodeId, NodeKind, Topology};
+use dmx_pcie::{FabricError, Gen, Lanes, LinkSpec, NodeId, NodeKind, Route, RouteMemo, Topology};
 use dmx_sim::{FifoServer, PsPool};
 
 /// Where the DRXs sit (Fig. 4).
@@ -115,6 +115,9 @@ pub struct ServerLayout {
     /// Per `[app][edge]`, the index in `units` of the unit restructuring
     /// it; empty when the mode deploys no DRXs.
     edge_units: Vec<Vec<usize>>,
+    /// `topo`'s routes, walked once per `(src, dst)` pair: every
+    /// transfer a request starts looks its route up here.
+    routes: RouteMemo,
 }
 
 impl ServerLayout {
@@ -138,6 +141,12 @@ impl ServerLayout {
     /// `None` when the mode deploys no DRXs.
     pub(crate) fn unit_of(&self, app: usize, e: usize) -> Option<usize> {
         self.edge_units[app].get(e).copied()
+    }
+
+    /// The route from `src` to `dst` in `topo`: [`Topology::try_route`]
+    /// memoized, so a repeated pair costs one hash probe and no clone.
+    pub(crate) fn route(&mut self, src: NodeId, dst: NodeId) -> Result<&Route, FabricError> {
+        self.routes.route(&self.topo, src, dst)
     }
 
     /// The shared pool of unit `u`.
@@ -274,6 +283,7 @@ pub fn build_layout(
         switches,
         units: table,
         edge_units,
+        routes: RouteMemo::default(),
     }
 }
 

@@ -459,12 +459,11 @@ impl Sim<'_> {
             // Host duplicate, re-reading the checkpointed staging copy
             // (no fresh DDR exposure — the integrity ledger must not
             // depend on which arm wins).
-            let edge = &self.cfg.apps[app].edges[e];
-            let work = self.cfg.cpu.restructure_core_seconds(&edge.profile);
-            let cap = self.cfg.cpu.restructure_core_cap(&edge.profile);
+            let cost = self.costs[app].edges[e];
             let jid = self.job_id();
             self.jobs.insert(jid, (id, Time::ZERO, true));
-            self.cpu.insert(now, jid, Time::from_secs_f64(work), cap);
+            self.cpu
+                .insert(now, jid, Time::from_secs_f64(cost.host_work), cost.host_cap);
             self.settle(Res::Cpu)?;
         }
         Ok(())

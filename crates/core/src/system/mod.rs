@@ -26,7 +26,7 @@ pub mod overload;
 
 pub use crash::CrashReport;
 
-use crate::apps::{BenchmarkRef, DrxCost};
+use crate::apps::BenchmarkRef;
 use crate::driver::DriverState;
 use crate::params::{
     DriverParams, DrxFleetParams, RecoveryParams, LATENCY_REQUESTS, THROUGHPUT_INFLIGHT,
@@ -524,6 +524,99 @@ fn steps_for(app: &BenchmarkRef, mode: Mode) -> Vec<Step> {
     steps
 }
 
+/// The chain walk's run constants for one app: every value here is
+/// fixed by the config and the layout, so [`Sim::build`] computes each
+/// once, with the same calls on the same inputs that the walk would
+/// otherwise make per request.
+#[derive(Debug)]
+struct ChainCosts {
+    /// Per stage.
+    stages: Vec<StageCost>,
+    /// Per edge.
+    edges: Vec<EdgeCost>,
+}
+
+/// Run constants of one kernel stage.
+#[derive(Debug, Clone, Copy)]
+struct StageCost {
+    /// The accelerator's service time for the stage's input batch.
+    service: Time,
+    /// All-CPU core-seconds of the same kernel, spread over
+    /// [`KERNEL_CAP`] cores.
+    cpu_work: f64,
+}
+
+/// Run constants of one edge's restructure and its two transfers.
+#[derive(Debug, Clone, Copy)]
+struct EdgeCost {
+    /// Core-seconds of one restructure on host cores.
+    host_work: f64,
+    /// The most cores that restructure can use.
+    host_cap: f64,
+    /// Driver handshakes of the transfer into the restructuring engine.
+    handshake_in: Time,
+    /// Driver handshakes of the transfer out to the next accelerator.
+    handshake_out: Time,
+    /// The batch's time on the configured DRX engine, before any unit
+    /// slowdown; zero when the mode deploys no unit for the edge.
+    drx_time: Time,
+    /// The batch's dynamic DRX energy in joules; zero without a unit.
+    drx_joules: f64,
+}
+
+impl ChainCosts {
+    /// The run constants of app `a` of `cfg`, laid out as `layout`.
+    fn new(cfg: &SystemConfig, layout: &ServerLayout, a: usize) -> ChainCosts {
+        let app = &cfg.apps[a];
+        let stages = app
+            .stages
+            .iter()
+            .map(|stage| {
+                let model = stage.kind.model();
+                StageCost {
+                    service: model.service_time(stage.input_bytes),
+                    cpu_work: model.cpu_time(stage.input_bytes).as_secs_f64() * KERNEL_CAP,
+                }
+            })
+            .collect();
+        // Each segment of a batch past the first costs one driver
+        // handshake (Fig. 10 steps 3-4 re-run per DRX data-queue
+        // refill). With the paper's 100 MB queues and 6-16 MB batches
+        // this is zero, and the host paths have no DRX queues at all.
+        let handshakes = |bytes: u64| {
+            if matches!(cfg.mode, Mode::AllCpu | Mode::MultiAxl) {
+                return Time::ZERO;
+            }
+            let segments = bytes.div_ceil(cfg.queue_bytes.max(1));
+            cfg.driver.irq_latency * segments.saturating_sub(1)
+        };
+        let energy = DrxEnergyModel::for_clock(cfg.drx.clock);
+        let edges = app
+            .edges
+            .iter()
+            .enumerate()
+            .map(|(e, edge)| {
+                let (drx_time, drx_joules) = match layout.unit_of(a, e) {
+                    Some(_) => {
+                        let cost = edge.drx_cost(&cfg.drx);
+                        (cost.time, cost.dynamic_joules(&energy))
+                    }
+                    None => (Time::ZERO, 0.0),
+                };
+                EdgeCost {
+                    host_work: cfg.cpu.restructure_core_seconds(&edge.profile),
+                    host_cap: cfg.cpu.restructure_core_cap(&edge.profile),
+                    handshake_in: handshakes(edge.bytes_in),
+                    handshake_out: handshakes(edge.bytes_out),
+                    drx_time,
+                    drx_joules,
+                }
+            })
+            .collect();
+        ChainCosts { stages, edges }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Req {
     app: usize,
@@ -692,6 +785,8 @@ struct Sim<'a> {
     driver: DriverState,
     reqs: IdMap<Req>,
     steps: Vec<Vec<Step>>,
+    /// Per app, the run constants its steps read.
+    costs: Vec<ChainCosts>,
     next_req: u64,
     next_job: u64,
     /// Every live job on a fluid resource, by job id: its request, the
@@ -700,11 +795,6 @@ struct Sim<'a> {
     jobs: FastMap<u64, (u64, Time, bool)>,
     stats: AppStatsCols,
     drx_dynamic_j: f64,
-    /// Per-(app, edge) scaled DRX cost, filled on first submit. The
-    /// global `Edge::drx_cost` cache is keyed by `DrxConfig` behind a
-    /// mutex; within one run the config never changes, so this skips
-    /// the hash + lock on the hot restructuring path.
-    drx_costs: Vec<Vec<Option<DrxCost>>>,
     /// Per-(app, edge) in-order restructuring gate: the DRX/host data
     /// queues process one batch at a time, in arrival order (Sec. V).
     /// `Some(id)` is the request currently holding the gate.
@@ -714,6 +804,9 @@ struct Sim<'a> {
     /// the config is inert (so the zero-fault path is exactly the
     /// pre-fault-layer simulator).
     plan: Option<FaultPlan>,
+    /// The plan's per-chunk corruption probability under `cfg.replay`
+    /// (zero without a plan).
+    chunk_p: f64,
     report: FaultReport,
     dead_units: FastSet<u64>,
     /// The fault plan's crash schedule, sorted by fire time; empty
@@ -825,11 +918,17 @@ impl<'a> Sim<'a> {
             .map(|a| a.stages.iter().map(|_| FifoServer::new(1)).collect())
             .collect();
         let steps = cfg.apps.iter().map(|a| steps_for(a, cfg.mode)).collect();
+        let costs = (0..cfg.apps.len())
+            .map(|a| ChainCosts::new(cfg, &layout, a))
+            .collect();
         let plan = cfg
             .faults
             .as_ref()
             .filter(|f| !f.is_inert())
             .map(|f| FaultPlan::new(f.clone()));
+        let chunk_p = plan
+            .as_ref()
+            .map_or(0.0, |p| cfg.replay.chunk_corruption(p));
         let crash_sched = plan
             .as_ref()
             .map(|p| p.crash_schedule())
@@ -851,12 +950,12 @@ impl<'a> Sim<'a> {
             },
             reqs: IdMap::default(),
             steps,
+            costs,
             next_req: 0,
             next_job: 0,
             jobs: FastMap::default(),
             stats: AppStatsCols::new(cfg.apps.len()),
             drx_dynamic_j: 0.0,
-            drx_costs: cfg.apps.iter().map(|a| vec![None; a.edges.len()]).collect(),
             restr_active: cfg.apps.iter().map(|a| vec![None; a.edges.len()]).collect(),
             restr_queue: cfg
                 .apps
@@ -869,6 +968,7 @@ impl<'a> Sim<'a> {
                 })
                 .collect(),
             plan,
+            chunk_p,
             report: FaultReport::default(),
             dead_units: FastSet::default(),
             crash_sched,
@@ -1046,15 +1146,19 @@ impl<'a> Sim<'a> {
         fault_unit: Option<u64>,
     ) -> Result<(), SimError> {
         let now = self.q.now();
-        let route = self.layout.topo.try_route_shared(from, to)?;
         let fid = self.job_id();
+        let route = self.layout.route(from, to)?;
         let mut bytes = bytes;
         let mut extra = extra_latency;
+        // Replays on a transfer into a DRX count against that unit's
+        // circuit breaker, fed after the insert: `route` borrows the
+        // layout until then.
+        let mut breaker = None;
         // PCIe bit errors: corrupted chunks replay (extra bytes on the
         // wire + turnaround latency); an error burst retrains the
         // transfer's first link at degraded bandwidth for a while.
         if let Some(plan) = &self.plan {
-            let tf = transfer_faults(plan, &self.cfg.replay, fid, bytes);
+            let tf = transfer_faults(plan, &self.cfg.replay, self.chunk_p, fid, bytes);
             if tf.replays > 0 {
                 self.report.chunk_replays += tf.replays;
                 self.report.replay_extra_bytes += tf.extra_bytes;
@@ -1071,31 +1175,17 @@ impl<'a> Sim<'a> {
                     self.report.link_retrains += 1;
                     self.report.degraded_link_time += self.cfg.replay.retrain_time;
                 }
-                // Replays on a transfer into a DRX count against that
-                // unit's circuit breaker.
-                if let Some(unit) = fault_unit {
-                    let app = self.reqs.get(req).map(|r| r.app);
-                    if let Some(app) = app {
-                        self.breaker_faults(unit, app, tf.replays);
-                    }
+                if let (Some(unit), Some(r)) = (fault_unit, self.reqs.get(req)) {
+                    breaker = Some((unit, r.app, tf.replays));
                 }
             }
         }
         self.jobs.insert(fid, (req, route.latency + extra, false));
         self.flows.try_insert(now, fid, bytes, &route.links)?;
-        self.settle(Res::Flows)
-    }
-
-    /// Extra latency from segmenting a batch across DRX data-queue
-    /// refills: each additional segment costs one driver handshake
-    /// (Fig. 10 steps 3-4 re-run per segment). With the paper's 100 MB
-    /// queues and 6-16 MB batches this is zero.
-    fn queue_handshake_latency(&self, bytes: u64) -> Time {
-        if matches!(self.cfg.mode, Mode::AllCpu | Mode::MultiAxl) {
-            return Time::ZERO;
+        if let Some((unit, app, replays)) = breaker {
+            self.breaker_faults(unit, app, replays);
         }
-        let segments = bytes.div_ceil(self.cfg.queue_bytes.max(1));
-        self.cfg.driver.irq_latency * segments.saturating_sub(1)
+        self.settle(Res::Flows)
     }
 
     /// The node where this edge's restructuring happens: its DRX
@@ -1124,14 +1214,11 @@ impl<'a> Sim<'a> {
         let bench = &self.cfg.apps[app];
         match step {
             Step::Kernel(s) => {
-                let stage = bench.stages[s];
-                let model = stage.kind.model();
+                let cost = self.costs[app].stages[s];
                 if self.cfg.mode == Mode::AllCpu {
-                    let wall = model.cpu_time(stage.input_bytes).as_secs_f64();
-                    self.cpu_job(id, wall * KERNEL_CAP, KERNEL_CAP, Time::ZERO)?;
+                    self.cpu_job(id, cost.cpu_work, KERNEL_CAP, Time::ZERO)?;
                 } else {
-                    let done =
-                        self.accel[app][s].submit(now, model.service_time(stage.input_bytes));
+                    let done = self.accel[app][s].submit(now, cost.service);
                     self.schedule_step_done(done, id)?;
                 }
             }
@@ -1193,7 +1280,7 @@ impl<'a> Sim<'a> {
                     .unit_for(app, e)
                     .filter(|u| !self.dead_units.contains(u));
                 self.inject_sdc(id, SdcDomain::DmaStaging, unit.unwrap_or(0), bytes, 0.0);
-                let extra = self.queue_handshake_latency(bytes);
+                let extra = self.costs[app].edges[e].handshake_out;
                 self.start_flow_with_extra(id, from, to, bytes, extra, None)?;
             }
         }
@@ -1206,7 +1293,7 @@ impl<'a> Sim<'a> {
         let from = self.layout.accel_nodes[app][e];
         let to = self.restr_node(app, e);
         let bytes = self.cfg.apps[app].edges[e].bytes_in;
-        let extra = self.queue_handshake_latency(bytes);
+        let extra = self.costs[app].edges[e].handshake_in;
         let unit = self.unit_for(app, e);
         self.start_flow_with_extra(id, from, to, bytes, extra, unit)
     }
@@ -1236,14 +1323,13 @@ impl<'a> Sim<'a> {
         extra_latency: Time,
         degraded: bool,
     ) -> Result<(), SimError> {
-        let edge = &self.cfg.apps[app].edges[e];
-        let work = self.cfg.cpu.restructure_core_seconds(&edge.profile);
-        let cap = self.cfg.cpu.restructure_core_cap(&edge.profile);
+        let cost = self.costs[app].edges[e];
         // Host-path restructuring stages the batch in (non-ECC) DDR;
         // its exposure window is the nominal core-seconds of the pass —
         // a deterministic proxy for wall residency, which would depend
         // on event order.
-        self.inject_sdc(id, SdcDomain::Ddr, 0, edge.bytes_in, work);
+        let bytes = self.cfg.apps[app].edges[e].bytes_in;
+        self.inject_sdc(id, SdcDomain::Ddr, 0, bytes, cost.host_work);
         if let Some(r) = self.reqs.get_mut(id) {
             // Host batches don't feed the health scorer or hedge.
             r.restr_unit = None;
@@ -1254,7 +1340,7 @@ impl<'a> Sim<'a> {
         if degraded {
             self.report.rerouted_batches += 1;
         }
-        self.cpu_job(id, work, cap, extra_latency)
+        self.cpu_job(id, cost.host_work, cost.host_cap, extra_latency)
     }
 
     /// Dispatches one restructuring batch to the mode's engine. Callers
@@ -1396,27 +1482,17 @@ impl<'a> Sim<'a> {
                 self.breaker_faults(unit, app, n);
             }
         }
-        let cost = self.edge_drx_cost(app, e);
-        self.drx_dynamic_j += cost.dynamic_joules(&DrxEnergyModel::for_clock(self.cfg.drx.clock));
+        let cost = self.costs[app].edges[e];
+        self.drx_dynamic_j += cost.drx_joules;
         let nominal = match self.layout.units[u].engine {
             Engine::Endpoint {
                 slowdown: Some(s), ..
-            } => cost.time.scale(s),
-            _ => cost.time,
+            } => cost.drx_time.scale(s),
+            _ => cost.drx_time,
         };
         // Gray devices complete work, just slower: active degrade
         // windows stretch the nominal service.
         (nominal, self.derated_service(unit, id, e, nominal))
-    }
-
-    /// DRX cost of `(app, e)` on the configured engine, memoized per run.
-    fn edge_drx_cost(&mut self, app: usize, e: usize) -> DrxCost {
-        if let Some(c) = self.drx_costs[app][e] {
-            return c;
-        }
-        let c = self.cfg.apps[app].edges[e].drx_cost(&self.cfg.drx);
-        self.drx_costs[app][e] = Some(c);
-        c
     }
 
     /// The one teardown path for `id`'s in-flight attempt (unit death,
@@ -2419,6 +2495,53 @@ mod tests {
         assert_eq!(sim.cpu.active_jobs(), 12);
         assert_eq!(sim.q.len(), 1);
         assert!(matches!(sim.q.pop(), Some(Ev::Tick(Res::Cpu, _))));
+    }
+
+    #[test]
+    fn run_constants_match_the_models() {
+        // Every table entry is the model call the walk would make per
+        // request, on the same inputs; DRX entries exist where a unit
+        // restructures the edge.
+        for mode in [
+            Mode::AllCpu,
+            Mode::MultiAxl,
+            Mode::Dmx(Placement::Standalone),
+            Mode::Dmx(Placement::BumpInTheWire),
+        ] {
+            let mut cfg = SystemConfig::latency(mode, apps(3));
+            cfg.queue_bytes = 4 << 20;
+            let sim = Sim::new(&cfg, false);
+            for (a, app) in cfg.apps.iter().enumerate() {
+                let costs = &sim.costs[a];
+                for (stage, cost) in app.stages.iter().zip(&costs.stages) {
+                    let model = stage.kind.model();
+                    assert_eq!(cost.service, model.service_time(stage.input_bytes));
+                    let work = model.cpu_time(stage.input_bytes).as_secs_f64() * KERNEL_CAP;
+                    assert_eq!(cost.cpu_work, work);
+                }
+                for (e, (edge, cost)) in app.edges.iter().zip(&costs.edges).enumerate() {
+                    assert_eq!(
+                        cost.host_work,
+                        cfg.cpu.restructure_core_seconds(&edge.profile)
+                    );
+                    assert_eq!(cost.host_cap, cfg.cpu.restructure_core_cap(&edge.profile));
+                    let handshakes = |bytes: u64| match mode {
+                        Mode::AllCpu | Mode::MultiAxl => Time::ZERO,
+                        _ => cfg.driver.irq_latency * (bytes.div_ceil(4 << 20) - 1),
+                    };
+                    assert_eq!(cost.handshake_in, handshakes(edge.bytes_in));
+                    assert_eq!(cost.handshake_out, handshakes(edge.bytes_out));
+                    if sim.layout.unit_of(a, e).is_some() {
+                        let drx = edge.drx_cost(&cfg.drx);
+                        let energy = DrxEnergyModel::for_clock(cfg.drx.clock);
+                        assert_eq!(cost.drx_time, drx.time);
+                        assert_eq!(cost.drx_joules, drx.dynamic_joules(&energy));
+                    } else {
+                        assert_eq!((cost.drx_time, cost.drx_joules), (Time::ZERO, 0.0));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

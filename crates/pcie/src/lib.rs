@@ -53,4 +53,4 @@ pub use flow::{FlowId, FlowNet};
 pub use internode::{InterNodeFabric, InterNodeLink, LinkOutage};
 pub use link::{Gen, InvalidLanes, Lanes, LinkSpec};
 pub use replay::{transfer_faults, ReplayParams, TransferFaults};
-pub use topology::{FabricError, LinkId, NodeId, NodeKind, Route, Topology};
+pub use topology::{FabricError, LinkId, NodeId, NodeKind, Route, RouteMemo, Topology};

@@ -73,21 +73,32 @@ impl TransferFaults {
     }
 }
 
+impl ReplayParams {
+    /// Probability that one chunk catches at least one bit error under
+    /// `plan`. It is fixed for a plan, so a simulation computes it once
+    /// and hands it to every [`transfer_faults`] call.
+    pub fn chunk_corruption(&self, plan: &FaultPlan) -> f64 {
+        plan.chunk_corruption_probability((self.chunk_bytes.max(1) * 8) as f64)
+    }
+}
+
 /// Computes the fault outcome of moving `bytes` as flow `flow` under
-/// `plan`. Deterministic and order-independent: depends only on the
-/// plan's config and the arguments.
+/// `plan`, whose per-chunk corruption probability is `per_chunk_p`
+/// ([`ReplayParams::chunk_corruption`]). Deterministic and
+/// order-independent: depends only on the plan's config and the
+/// arguments.
 pub fn transfer_faults(
     plan: &FaultPlan,
     params: &ReplayParams,
+    per_chunk_p: f64,
     flow: u64,
     bytes: u64,
 ) -> TransferFaults {
-    if plan.is_inert() || bytes == 0 {
+    if bytes == 0 {
         return TransferFaults::clean();
     }
     let chunk = params.chunk_bytes.max(1);
     let chunks = bytes.div_ceil(chunk);
-    let per_chunk_p = plan.chunk_corruption_probability((chunk * 8) as f64);
     let replays = plan.corrupted_chunks(flow, chunks, per_chunk_p);
     if replays == 0 {
         return TransferFaults::clean();
@@ -113,25 +124,25 @@ mod tests {
         })
     }
 
+    /// `transfer_faults` at the default replay parameters.
+    fn faults(p: &FaultPlan, flow: u64, bytes: u64) -> TransferFaults {
+        let params = ReplayParams::default();
+        transfer_faults(p, &params, params.chunk_corruption(p), flow, bytes)
+    }
+
     #[test]
     fn clean_link_never_replays() {
         let p = plan(0.0);
         for flow in 0..100 {
-            assert_eq!(
-                transfer_faults(&p, &ReplayParams::default(), flow, 16 << 20),
-                TransferFaults::clean()
-            );
+            assert_eq!(faults(&p, flow, 16 << 20), TransferFaults::clean());
         }
     }
 
     #[test]
     fn replays_scale_with_ber() {
-        let params = ReplayParams::default();
         let total = |ber: f64| -> u64 {
             let p = plan(ber);
-            (0..50)
-                .map(|f| transfer_faults(&p, &params, f, 16 << 20).replays)
-                .sum()
+            (0..50).map(|f| faults(&p, f, 16 << 20).replays).sum()
         };
         let low = total(1e-9);
         let high = total(1e-7);
@@ -144,7 +155,7 @@ mod tests {
     fn replay_costs_add_up() {
         let p = plan(1e-6);
         let params = ReplayParams::default();
-        let tf = transfer_faults(&p, &params, 3, 16 << 20);
+        let tf = faults(&p, 3, 16 << 20);
         assert!(tf.replays > 0);
         assert_eq!(tf.extra_bytes, tf.replays * params.chunk_bytes);
         assert_eq!(tf.extra_latency, params.replay_latency * tf.replays);
@@ -154,32 +165,30 @@ mod tests {
     fn heavy_bursts_trigger_retrain() {
         // At BER 1e-6 nearly every 256 KB chunk is corrupted.
         let p = plan(1e-6);
-        let tf = transfer_faults(&p, &ReplayParams::default(), 1, 16 << 20);
+        let tf = faults(&p, 1, 16 << 20);
         assert!(tf.retrain, "{} replays", tf.replays);
         // A tiny transfer cannot cross the threshold.
-        let small = transfer_faults(&p, &ReplayParams::default(), 1, 4 * 1024);
+        let small = faults(&p, 1, 4 * 1024);
         assert!(!small.retrain);
     }
 
     #[test]
     fn deterministic_per_flow() {
         let p = plan(1e-7);
-        let params = ReplayParams::default();
-        let a = transfer_faults(&p, &params, 11, 8 << 20);
-        let b = transfer_faults(&p, &params, 11, 8 << 20);
+        let a = faults(&p, 11, 8 << 20);
+        let b = faults(&p, 11, 8 << 20);
         assert_eq!(a, b);
         // Different flows see independent outcomes.
-        let other = transfer_faults(&p, &params, 12, 8 << 20);
+        let other = faults(&p, 12, 8 << 20);
         let _ = other; // may or may not differ; just must not panic
     }
 
     #[test]
     fn sub_chunk_transfer_replays_whole_transfer() {
         let p = plan(1e-4);
-        let params = ReplayParams::default();
         // 4 KB transfer: one "chunk" of 4 KB; extra bytes capped at the
         // transfer size.
-        let tf = transfer_faults(&p, &params, 2, 4 * 1024);
+        let tf = faults(&p, 2, 4 * 1024);
         if tf.replays > 0 {
             assert_eq!(tf.extra_bytes, tf.replays * 4 * 1024);
         }

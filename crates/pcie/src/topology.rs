@@ -2,10 +2,9 @@
 //! multiplexers, and endpoint devices, connected by [`LinkSpec`] links.
 
 use crate::link::{Gen, LinkSpec};
-use dmx_sim::Time;
-use std::collections::HashMap;
+use dmx_sim::{FastMap, Time};
+use std::collections::hash_map::Entry;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// Errors the fabric model can report instead of panicking.
 ///
@@ -167,28 +166,10 @@ impl Route {
 /// assert_eq!(route.hop_count(), 2);          // a->switch, switch->b
 /// assert_eq!(route.via, vec![sw]);           // through one switch
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Edge>,
-    /// `(src, dst) → Route` memo. The tree is append-only — nodes are
-    /// never re-parented and traversal latencies are fixed per kind —
-    /// so memoized routes never go stale; no eviction is needed. Behind
-    /// a mutex so `route(&self)` stays shareable across sweep workers.
-    /// Entries are `Arc`'d so hot callers ([`Topology::try_route_shared`])
-    /// get a handle bump instead of cloning two vecs per flow start.
-    route_memo: Mutex<HashMap<(usize, usize), Arc<Route>>>,
-}
-
-impl Clone for Topology {
-    fn clone(&self) -> Topology {
-        Topology {
-            nodes: self.nodes.clone(),
-            links: self.links.clone(),
-            // The clone starts with a cold memo; it refills on use.
-            route_memo: Mutex::new(HashMap::new()),
-        }
-    }
 }
 
 impl Topology {
@@ -202,7 +183,6 @@ impl Topology {
                 depth: 0,
             }],
             links: Vec::new(),
-            route_memo: Mutex::new(HashMap::new()),
         }
     }
 
@@ -280,7 +260,9 @@ impl Topology {
         }
     }
 
-    /// Computes the unique tree route from `src` to `dst`.
+    /// Computes the unique tree route from `src` to `dst` by walking
+    /// both nodes up to their lowest common ancestor. Callers that look
+    /// up the same pairs again keep a [`RouteMemo`].
     ///
     /// The route lists links in traversal order and every intermediate
     /// node (whose traversal latencies are summed into `Route::latency`).
@@ -299,42 +281,11 @@ impl Topology {
 
     /// Fallible variant of [`Topology::route`].
     pub fn try_route(&self, src: NodeId, dst: NodeId) -> Result<Route, FabricError> {
-        self.try_route_shared(src, dst).map(|r| (*r).clone())
-    }
-
-    /// Like [`Topology::try_route`] but returns the memoized route by
-    /// shared handle: a cache hit is a lock + refcount bump, with no
-    /// per-call vec clones. The hot flow-start path in `dmx-core` goes
-    /// through this.
-    pub fn try_route_shared(&self, src: NodeId, dst: NodeId) -> Result<Arc<Route>, FabricError> {
         for n in [src, dst] {
             if n.0 >= self.nodes.len() {
                 return Err(FabricError::UnknownNode(n));
             }
         }
-        if src == dst {
-            return Ok(Arc::new(Route::empty()));
-        }
-        // A poisoned memo is still a valid cache (entries are written
-        // whole); recover it rather than cascading another panic.
-        if let Some(r) = self
-            .route_memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&(src.0, dst.0))
-        {
-            return Ok(Arc::clone(r));
-        }
-        let route = Arc::new(self.walk_route(src, dst)?);
-        self.route_memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert((src.0, dst.0), Arc::clone(&route));
-        Ok(route)
-    }
-
-    /// The uncached LCA walk behind [`Topology::try_route`].
-    fn walk_route(&self, src: NodeId, dst: NodeId) -> Result<Route, FabricError> {
         let parent_of = |n: NodeId| -> Result<(NodeId, LinkId), FabricError> {
             self.nodes[n.0].parent.ok_or(FabricError::OrphanNode(n))
         };
@@ -424,6 +375,43 @@ impl Topology {
             .iter()
             .map(|l| self.links[l.0].spec.bytes_per_sec())
             .min()
+    }
+}
+
+/// The routes of one [`Topology`], memoized by `(src, dst)`: a pair's
+/// first lookup walks the tree, every later one is a single hash probe
+/// that returns the stored route by reference. The tree is append-only
+/// (nodes are never re-parented and traversal latencies are fixed per
+/// kind), so an entry never goes stale as the topology grows or its
+/// links change generation. Errors are returned, not stored.
+///
+/// ```
+/// use dmx_pcie::{Gen, Lanes, LinkSpec, NodeKind, RouteMemo, Topology};
+/// let mut topo = Topology::new();
+/// let link = LinkSpec::new(Gen::Gen3, Lanes::X16);
+/// let a = topo.add_node(NodeKind::Device, "a", topo.root(), link);
+/// let mut memo = RouteMemo::default();
+/// assert_eq!(memo.route(&topo, a, topo.root()), Ok(&topo.route(a, topo.root())));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct RouteMemo {
+    routes: FastMap<(NodeId, NodeId), Route>,
+}
+
+impl RouteMemo {
+    /// The route from `src` to `dst` in `topo`, the topology this memo
+    /// serves: exactly [`Topology::try_route`]'s result, errors
+    /// included.
+    pub fn route(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+    ) -> Result<&Route, FabricError> {
+        match self.routes.entry((src, dst)) {
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(e) => Ok(e.insert(topo.try_route(src, dst)?)),
+        }
     }
 }
 
@@ -578,7 +566,9 @@ mod tests {
     #[test]
     fn memoized_routes_match_fresh_walks_after_growth() {
         let (mut t, root, _, _, a0, _, b0) = two_switch_topo();
-        let first = t.route(a0, b0);
+        let mut memo = RouteMemo::default();
+        let first = memo.route(&t, a0, b0).unwrap().clone();
+        assert_eq!(first, t.route(a0, b0));
         // Growing the tree must not invalidate memoized routes (nodes
         // are never re-parented).
         let sw2 = t.add_node(
@@ -593,11 +583,13 @@ mod tests {
             sw2,
             LinkSpec::new(Gen::Gen3, Lanes::X16),
         );
+        assert_eq!(memo.route(&t, a0, b0), Ok(&first));
         assert_eq!(t.route(a0, b0), first);
         assert_eq!(t.route(a0, b0), t.clone().route(a0, b0));
         // A route to the new subtree computes and memoizes fine.
         let r = t.route(a0, c0);
-        assert_eq!(t.route(a0, c0), r);
+        assert_eq!(memo.route(&t, a0, c0), Ok(&r));
+        assert_eq!(memo.route(&t, a0, c0), Ok(&r));
         assert_eq!(r.via, vec![NodeId(1), root, sw2]);
     }
 

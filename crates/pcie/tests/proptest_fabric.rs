@@ -2,7 +2,10 @@
 //! max-min fairness of the flow network, on the in-tree deterministic
 //! harness (`dmx_sim::check`).
 
-use dmx_pcie::{FlowNet, Gen as PcieGen, Lanes, LinkSpec, NodeId, NodeKind, Topology};
+use dmx_pcie::{
+    FabricError, FlowNet, Gen as PcieGen, Lanes, LinkSpec, NodeId, NodeKind, Route, RouteMemo,
+    Topology,
+};
 use dmx_sim::{cases, run_cases, Time};
 
 fn n_cases() -> usize {
@@ -53,6 +56,46 @@ fn routes_on_random_trees() {
             assert_eq!(fwd.hop_count(), if same_switch { 2 } else { 4 });
         }
     });
+}
+
+/// A route memo answers exactly what the tree walk does: on first and
+/// repeated lookups, for `src == dst` (the empty route), and for nodes
+/// the tree does not have, with the same error.
+#[test]
+fn route_memo_returns_the_walked_route() {
+    run_cases(
+        "pcie::route_memo_returns_the_walked_route",
+        n_cases(),
+        |g| {
+            let sizes = g.vec(1, 5, |g| g.usize_in(1, 5));
+            let (topo, devices) = random_tree(&sizes);
+            // Node ids past this tree's end come from a larger one.
+            let (_, bigger) = random_tree(&[sizes.iter().sum::<usize>() + sizes.len() + 1]);
+            let unknown = *bigger.last().unwrap();
+            let mut nodes = devices.clone();
+            nodes.push(topo.root());
+            nodes.extend(
+                devices
+                    .iter()
+                    .filter_map(|&d| topo.parent(d))
+                    .map(|(p, _)| p),
+            );
+            nodes.push(unknown);
+            let mut memo = RouteMemo::default();
+            for _ in 0..g.usize_in(1, 40) {
+                let a = *g.pick(&nodes);
+                let b = *g.pick(&nodes);
+                let walked = topo.try_route(a, b);
+                assert_eq!(memo.route(&topo, a, b).cloned(), walked);
+                assert_eq!(memo.route(&topo, a, b).cloned(), walked, "repeated lookup");
+                if a == unknown || b == unknown {
+                    assert_eq!(walked, Err(FabricError::UnknownNode(unknown)));
+                } else if a == b {
+                    assert_eq!(walked, Ok(Route::empty()));
+                }
+            }
+        },
+    );
 }
 
 /// Max-min rates never oversubscribe a link, are work-conserving on the

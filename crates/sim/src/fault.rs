@@ -9,7 +9,7 @@
 //! schedule no matter which order the simulator happens to ask in, and
 //! a run is exactly reproducible from its config.
 
-use crate::rng::SplitMix64;
+use crate::rng::{u53_threshold, SplitMix64};
 use crate::time::Time;
 
 /// Domain tags keeping sub-streams disjoint.
@@ -359,13 +359,15 @@ impl FaultPlan {
 
     /// How many of `chunks` chunks of transfer `flow` arrive corrupted
     /// and must be replayed. Binomial via per-chunk Bernoulli draws on
-    /// the flow's own stream.
+    /// the flow's own stream, each `next_f64() < per_chunk_p` tested in
+    /// its integer form.
     pub fn corrupted_chunks(&self, flow: u64, chunks: u64, per_chunk_p: f64) -> u64 {
         if per_chunk_p <= 0.0 || chunks == 0 {
             return 0;
         }
         let mut rng = self.stream(DOMAIN_CHUNK, flow, chunks);
-        (0..chunks).filter(|_| rng.next_f64() < per_chunk_p).count() as u64
+        let t = u53_threshold(per_chunk_p);
+        (0..chunks).filter(|_| rng.next_u53() < t).count() as u64
     }
 
     /// Whether completion notification `event` is lost in delivery.

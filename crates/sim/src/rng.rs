@@ -35,7 +35,15 @@ impl SplitMix64 {
     /// Uniform float in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         // 53 high bits give a uniform dyadic rational in [0,1).
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.next_u53() as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Uniform integer in `[0, 2^53)`: the draw [`next_f64`] returns
+    /// exactly, times `2^-53`.
+    ///
+    /// [`next_f64`]: SplitMix64::next_f64
+    pub(crate) fn next_u53(&mut self) -> u64 {
+        self.next_u64() >> 11
     }
 
     /// Uniform integer in `[0, bound)`.
@@ -68,9 +76,21 @@ impl SplitMix64 {
     }
 }
 
+/// The integer form of the Bernoulli test `next_f64() < p`: a draw
+/// passes exactly when its [`SplitMix64::next_u53`] value lies below
+/// `u53_threshold(p)`. `next_f64` is exactly `k * 2^-53`, scaling `p`
+/// by `2^53` is exact, and an integer lies below a real exactly when it
+/// lies below the real's ceiling. The saturating cast keeps the edge
+/// cases too: NaN gives 0, which no draw passes, and `p > 1` a bound
+/// above every draw.
+pub(crate) fn u53_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{cases, run_cases};
 
     #[test]
     fn deterministic_streams() {
@@ -95,6 +115,32 @@ mod tests {
             let v = r.next_f64();
             assert!((0.0..1.0).contains(&v));
         }
+    }
+
+    #[test]
+    fn u53_threshold_agrees_with_the_float_compare() {
+        const TWO_53: u64 = 1 << 53;
+        let float_pass = |k: u64, p: f64| (k as f64) * (1.0 / TWO_53 as f64) < p;
+        run_cases("rng::u53_threshold", cases(256), |g| {
+            // A uniform p in (0, 1], a log-uniform one down to 1e-15
+            // (chunk corruption probabilities are small), p = 1, and a
+            // p whose scaled value j is an integer, so the ceiling is j.
+            let j = g.u64_in(1, TWO_53 + 1);
+            for p in [
+                1.0 - g.f64_in(0.0, 1.0),
+                10f64.powf(-g.f64_in(0.0, 15.0)),
+                1.0,
+                j as f64 / TWO_53 as f64,
+            ] {
+                let t = u53_threshold(p);
+                let k = g.u64_in(0, TWO_53);
+                // Draws on both sides of the threshold, and a random one.
+                for k in [k, t.saturating_sub(1), t, t + 1] {
+                    let k = k.min(TWO_53 - 1);
+                    assert_eq!(k < t, float_pass(k, p), "k = {k}, p = {p}, t = {t}");
+                }
+            }
+        });
     }
 
     #[test]
