@@ -125,11 +125,6 @@ impl AccelModel {
     pub fn cpu_time(&self, bytes: u64) -> Time {
         self.service_time(bytes).scale(self.cpu_speedup)
     }
-
-    /// Energy to process `bytes` (active power over the service time).
-    pub fn energy_joules(&self, bytes: u64) -> f64 {
-        self.active_watts * self.service_time(bytes).as_secs_f64()
-    }
 }
 
 /// Geometric mean of the catalog's CPU speedups.
@@ -205,8 +200,11 @@ mod tests {
 
     #[test]
     fn energy_positive_and_bounded() {
+        // The simulator charges a kernel its active power over its busy
+        // (service) time.
         for kind in AccelKind::ALL {
-            let e = kind.model().energy_joules(8 << 20);
+            let m = kind.model();
+            let e = m.active_watts * m.service_time(8 << 20).as_secs_f64();
             assert!(e > 0.0 && e < 100.0, "{}: {e} J", kind.name());
         }
     }

@@ -1,7 +1,7 @@
 //! Microbenchmarks of the simulation-engine hot paths: event-queue
 //! churn, the max-min flow solver under arrival/departure sequences,
 //! route resolution, and percentile snapshots. These isolate the paths
-//! the `repro bench` end-to-end numbers blend with kernel execution.
+//! that perfbench's end-to-end numbers blend with the rest of a run.
 
 use dmx_bench::timing::bench;
 use dmx_pcie::{FlowNet, Gen, Lanes, LinkId, LinkSpec, NodeKind, RouteMemo, Topology};

@@ -2,15 +2,15 @@
 //!
 //! The `repro` binary regenerates every table and figure of the paper's
 //! evaluation (`cargo run -p dmx-bench --release --bin repro -- all`),
-//! and the benches under `benches/` time the simulator and the DRX
-//! toolchain themselves on the in-tree [`timing`] harness
-//! (`cargo bench --workspace`).
+//! and the benches under `benches/` time engine hot paths and the DRX
+//! toolchain on the in-tree [`timing`] harness
+//! (`cargo bench --workspace`). End-to-end simulator speed is
+//! perfbench's to measure (`perfbench/` at the repository root).
 
 #![warn(missing_docs)]
 
 use dmx_core::experiments::{self, Suite};
 
-pub mod bench;
 pub mod timing;
 
 /// All experiment identifiers `repro` accepts.
@@ -47,23 +47,6 @@ pub struct Outcome {
     pub report: String,
     /// Whether every embedded acceptance check passed.
     pub ok: bool,
-    /// Seconds spent rendering the report, separate from the run
-    /// itself so `repro bench` can keep rendering out of the
-    /// events/sec window. Zero for experiments whose run and render
-    /// are fused (tab1, fig8).
-    pub render_secs: f64,
-}
-
-/// Runs `render` under a timer and packages the result, so report
-/// rendering is accounted separately from the simulation it reports on.
-fn rendered(ok: bool, render: impl FnOnce() -> String) -> Outcome {
-    let t0 = std::time::Instant::now();
-    let report = render();
-    Outcome {
-        report,
-        ok,
-        render_secs: t0.elapsed().as_secs_f64(),
-    }
 }
 
 /// Runs one experiment by id and returns its rendered report.
@@ -85,131 +68,84 @@ pub fn run_experiment(suite: &Suite, id: &str) -> String {
 ///
 /// Panics on an unknown id; call with a member of [`EXPERIMENTS`].
 pub fn run_experiment_checked(suite: &Suite, id: &str, seed: Option<u64>) -> Outcome {
-    match id {
+    let (ok, report) = match id {
         "faults" => {
             let f = experiments::faults::run_with_seed(
                 suite,
                 seed.unwrap_or(experiments::faults::SEED),
             );
-            rendered(f.ok(), || f.render())
+            (f.ok(), f.render())
         }
         "overload" => {
             let o = experiments::overload::run_with_seed(
                 suite,
                 seed.unwrap_or(experiments::overload::SEED),
             );
-            rendered(o.ok(), || o.render())
+            (o.ok(), o.render())
         }
         "integrity" => {
             let i = experiments::integrity::run_with_seed(
                 suite,
                 seed.unwrap_or(experiments::integrity::SEED),
             );
-            rendered(i.ok(), || i.render())
+            (i.ok(), i.render())
         }
         "chaos" => {
             let c =
                 experiments::chaos::run_with_seed(suite, seed.unwrap_or(experiments::chaos::SEED));
-            rendered(c.ok(), || c.render())
+            (c.ok(), c.render())
         }
         "failslow" => {
             let f = experiments::failslow::run_with_seed(
                 suite,
                 seed.unwrap_or(experiments::failslow::SEED),
             );
-            rendered(f.ok(), || f.render())
+            (f.ok(), f.render())
         }
         "fleet" => {
             let f =
                 experiments::fleet::run_with_seed(suite, seed.unwrap_or(experiments::fleet::SEED));
-            rendered(f.ok(), || f.render())
+            (f.ok(), f.render())
         }
         "failover" => {
             let f = experiments::failover::run_with_seed(
                 suite,
                 seed.unwrap_or(experiments::failover::SEED),
             );
-            rendered(f.ok(), || f.render())
+            (f.ok(), f.render())
         }
         "summary" => {
             let r = experiments::summary::run(suite);
-            rendered(r.all_ok(), || r.render())
+            (r.all_ok(), r.render())
         }
-        other => run_unchecked(suite, other),
-    }
-}
-
-fn run_unchecked(suite: &Suite, id: &str) -> Outcome {
-    match id {
-        "tab1" => Outcome {
-            report: experiments::tab1::run(suite),
-            ok: true,
-            render_secs: 0.0,
-        },
-        "fig3" => {
-            let r = experiments::fig3::run(suite);
-            rendered(true, || r.render())
-        }
-        "fig5" => {
-            let r = experiments::fig5::run(suite);
-            rendered(true, || r.render())
-        }
-        "fig8" => Outcome {
-            report: experiments::fig8::run(),
-            ok: true,
-            render_secs: 0.0,
-        },
-        "fig11" => {
-            let r = experiments::fig11::run(suite);
-            rendered(true, || r.render())
-        }
-        "fig12" => {
-            let r = experiments::fig12::run(suite);
-            rendered(true, || r.render())
-        }
-        "fig13" => {
-            let r = experiments::fig13::run(suite);
-            rendered(true, || r.render())
-        }
-        "fig14" => {
-            let r = experiments::fig14::run(suite);
-            rendered(true, || r.render())
-        }
-        "fig15" => {
-            let r = experiments::fig15::run(suite);
-            rendered(true, || r.render())
-        }
-        "fig16" => {
-            let r = experiments::fig16::run();
-            rendered(true, || r.render())
-        }
-        "fig17" => {
-            let r = experiments::fig17::run();
-            rendered(true, || r.render())
-        }
-        "fig18" => {
-            let r = experiments::fig18::run(suite);
-            rendered(true, || r.render())
-        }
-        "fig19" => {
-            let r = experiments::fig19::run(suite);
-            rendered(true, || r.render())
-        }
+        "tab1" => (true, experiments::tab1::run(suite)),
+        "fig3" => (true, experiments::fig3::run(suite).render()),
+        "fig5" => (true, experiments::fig5::run(suite).render()),
+        "fig8" => (true, experiments::fig8::run()),
+        "fig11" => (true, experiments::fig11::run(suite).render()),
+        "fig12" => (true, experiments::fig12::run(suite).render()),
+        "fig13" => (true, experiments::fig13::run(suite).render()),
+        "fig14" => (true, experiments::fig14::run(suite).render()),
+        "fig15" => (true, experiments::fig15::run(suite).render()),
+        "fig16" => (true, experiments::fig16::run().render()),
+        "fig17" => (true, experiments::fig17::run().render()),
+        "fig18" => (true, experiments::fig18::run(suite).render()),
+        "fig19" => (true, experiments::fig19::run(suite).render()),
         "ablations" => {
             let irq = experiments::ablations::irq(suite);
             let spad = experiments::ablations::spad(suite);
             let queue = experiments::ablations::queue();
             let partition = experiments::ablations::partition();
-            rendered(true, || {
-                format!(
-                    "{}\n{}\n{}\n{}",
-                    irq.render(),
-                    spad.render(),
-                    queue.render(),
-                    partition.render()
-                )
-            })
+            let report = format!(
+                "{}\n{}\n{}\n{}",
+                irq.render(),
+                spad.render(),
+                queue.render(),
+                partition.render()
+            );
+            (true, report)
         }
         other => panic!("unknown experiment `{other}`; expected one of {EXPERIMENTS:?}"),
-    }
+    };
+    Outcome { report, ok }
 }

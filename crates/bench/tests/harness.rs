@@ -1,9 +1,11 @@
 //! Tests of the reproduction harness: every experiment id is wired,
 //! the cheap ones render non-empty reports, and `repro all` reproduces
-//! its committed golden output byte for byte.
+//! its committed golden output byte for byte, serially and fanned
+//! across worker threads.
 
 use dmx_bench::{run_experiment, run_experiment_checked, EXPERIMENTS};
 use dmx_core::experiments::Suite;
+use dmx_sim::{par, par_map};
 
 #[test]
 fn experiment_list_is_complete() {
@@ -65,12 +67,52 @@ const ROBUSTNESS: [&str; 7] = [
     "failover",
 ];
 
-/// Renders each row's ids as `repro` prints them (each report under a
-/// line of 72 `=`) and compares the result with the row's committed
-/// golden file, reporting the first differing line: every id in
-/// [`EXPERIMENTS`] at the default seeds (`repro all`), and the seven
-/// robustness sweeps at seed 7. Also asserts that `repro summary`
-/// reports every paper claim in its band. After a change that moves
+/// Runs `ids` as `repro [--seed N] --threads T <ids>` does, fanning
+/// them across `threads` workers through `par_map`, and renders them as
+/// it prints them: each report under a line of 72 `=`. Asserts that
+/// `summary`, if run, reports every paper claim in its band. The worker
+/// count is process-global; tests running beside this one render the
+/// same bytes at any count, so they may see it raised.
+fn repro(suite: &Suite, seed: Option<u64>, threads: usize, ids: &[&str]) -> String {
+    par::set_threads(threads);
+    let outcomes = par_map(ids, |_, &id| run_experiment_checked(suite, id, seed));
+    par::set_threads(1);
+    let mut out = String::new();
+    for (&id, o) in ids.iter().zip(&outcomes) {
+        if id == "summary" {
+            assert!(o.ok, "a paper claim drifted out of its band:\n{}", o.report);
+        }
+        out += &format!("{}\n{}\n", "=".repeat(72), o.report);
+    }
+    out
+}
+
+/// Compares `out` with a committed golden file, naming the first
+/// differing line.
+fn assert_golden(out: &str, golden: &str, what: &str) {
+    if let Some((i, (got, want))) = out
+        .lines()
+        .zip(golden.lines())
+        .enumerate()
+        .find(|(_, (got, want))| got != want)
+    {
+        panic!(
+            "{what} differs at line {}:\n  got:  {got}\n  want: {want}",
+            i + 1
+        );
+    }
+    assert!(
+        out == golden,
+        "{what} matches line by line but not in length: {} vs {} lines",
+        out.lines().count(),
+        golden.lines().count()
+    );
+}
+
+/// `repro all` at the default seeds, serially and fanned across four
+/// workers (`repro --threads 4 all`, whose results must come back in
+/// input order), and the seven robustness sweeps at seed 7 must each
+/// reproduce their committed golden file. After a change that moves
 /// the output on purpose, regenerate the files from the repository
 /// root and commit the diff:
 ///
@@ -80,46 +122,21 @@ const ROBUSTNESS: [&str; 7] = [
 /// ```
 #[test]
 fn repro_all_matches_the_golden_output() {
-    let table: [(Option<u64>, &[&str], &str, &str); 2] = [
-        (
-            None,
-            &EXPERIMENTS,
-            "repro_all.txt",
-            include_str!("golden/repro_all.txt"),
-        ),
-        (
-            Some(7),
-            &ROBUSTNESS,
-            "repro_seed7.txt",
-            include_str!("golden/repro_seed7.txt"),
-        ),
-    ];
     let suite = Suite::new();
-    for (seed, ids, file, golden) in table {
-        let mut out = String::new();
-        for &id in ids {
-            let o = run_experiment_checked(&suite, id, seed);
-            if id == "summary" {
-                assert!(o.ok, "a paper claim drifted out of its band:\n{}", o.report);
-            }
-            out += &format!("{}\n{}\n", "=".repeat(72), o.report);
-        }
-        if let Some((i, (got, want))) = out
-            .lines()
-            .zip(golden.lines())
-            .enumerate()
-            .find(|(_, (got, want))| got != want)
-        {
-            panic!(
-                "output differs from golden/{file} at line {}:\n  got:  {got}\n  want: {want}",
-                i + 1
-            );
-        }
-        assert!(
-            out == golden,
-            "output matches golden/{file} line by line but not in length: {} vs {} lines",
-            out.lines().count(),
-            golden.lines().count()
-        );
-    }
+    let all = include_str!("golden/repro_all.txt");
+    assert_golden(
+        &repro(&suite, None, 1, &EXPERIMENTS),
+        all,
+        "`repro all` vs golden/repro_all.txt",
+    );
+    assert_golden(
+        &repro(&suite, None, 4, &EXPERIMENTS),
+        all,
+        "`repro --threads 4 all` vs golden/repro_all.txt",
+    );
+    assert_golden(
+        &repro(&suite, Some(7), 1, &ROBUSTNESS),
+        include_str!("golden/repro_seed7.txt"),
+        "`repro --seed 7` sweeps vs golden/repro_seed7.txt",
+    );
 }

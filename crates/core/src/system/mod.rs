@@ -900,8 +900,8 @@ pub enum Outcome {
 
 impl<'a> Sim<'a> {
     /// Timed wrapper around [`Sim::build`]: construction cost feeds the
-    /// process-global setup counter so `repro bench` can report the
-    /// event loop's events/sec undistorted by system setup.
+    /// process-global setup counter, which perfbench reads to report
+    /// system build time apart from the event loop.
     fn new(cfg: &'a SystemConfig, external: bool) -> Sim<'a> {
         let t0 = std::time::Instant::now();
         let sim = Sim::build(cfg, external);

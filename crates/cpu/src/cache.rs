@@ -91,15 +91,6 @@ impl Cache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Miss ratio (0 when never accessed).
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// MPKI report for one op (the quantities Sec. IV.A cites).
@@ -266,7 +257,6 @@ mod tests {
         assert!(!c.access(64)); // next line
         assert_eq!(c.accesses(), 4);
         assert_eq!(c.misses(), 2);
-        assert!((c.miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

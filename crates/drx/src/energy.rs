@@ -65,11 +65,6 @@ impl DrxEnergyModel {
             * 1e-12
     }
 
-    /// Static energy over a wall-clock duration in seconds.
-    pub fn static_energy(&self, secs: f64) -> Joules {
-        self.static_watts * secs
-    }
-
     /// Average power while restructuring at full tilt on `config`
     /// (used by system-level sanity checks; a 128-lane ASIC DRX lands
     /// in the handful-of-watts range, far below a Xeon socket).
@@ -116,11 +111,5 @@ mod tests {
         let w = m.active_watts(&DrxConfig::default());
         // 128 lanes at 1 pJ/op/GHz ~ 0.128 W, DDR4 stream ~ 0.5 W.
         assert!(w > 0.5 && w < 10.0, "active power {w} W out of range");
-    }
-
-    #[test]
-    fn static_energy_linear_in_time() {
-        let m = DrxEnergyModel::for_clock(ClockDomain::Asic1GHz);
-        assert!((m.static_energy(2.0) - 2.0 * m.static_watts).abs() < 1e-12);
     }
 }

@@ -493,11 +493,6 @@ impl FlowNet {
         self.generation += 1;
     }
 
-    /// Number of links currently running degraded.
-    pub fn degraded_links(&self) -> usize {
-        self.degradations.iter().filter(|d| !d.is_empty()).count()
-    }
-
     fn recompute_link(&mut self, l: usize) {
         // Recompute from the nominal rate so repeated degrade/restore
         // cycles never accumulate float drift.
@@ -777,10 +772,9 @@ mod tests {
         net.insert(Time::ZERO, 1, 1_500_000_000, &[lid(0)]);
         // Halve the link for the first second: only 500 MB moves.
         net.degrade_link(Time::ZERO, lid(0), 0.5);
-        assert_eq!(net.degraded_links(), 1);
         assert_eq!(net.rates(), vec![500_000_000.0]);
         net.restore_link(Time::from_secs(1), lid(0));
-        assert_eq!(net.degraded_links(), 0);
+        assert_eq!(net.rates(), vec![1_000_000_000.0]);
         // 1.0 GB left at the full 1 GB/s -> finishes at t=2s.
         assert_eq!(net.next_event(Time::from_secs(1)), Some(Time::from_secs(2)));
     }

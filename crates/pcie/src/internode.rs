@@ -18,7 +18,6 @@
 //! exactly that bound; it deliberately ignores the serialization term
 //! (a zero-byte message is still a legal message).
 
-use crate::link::LinkSpec;
 use dmx_sim::{transfer_time, Time};
 
 /// One direction of a network link between two fleet nodes.
@@ -41,14 +40,6 @@ impl InterNodeLink {
         }
     }
 
-    /// A kernel-bypass RDMA-class hop: ~3 µs one way, 100 Gb/s.
-    pub fn rdma_100g() -> InterNodeLink {
-        InterNodeLink {
-            base_latency: Time::from_us(3),
-            bytes_per_sec: 100_000_000_000 / 8,
-        }
-    }
-
     /// A custom link.
     pub fn new(base_latency: Time, bytes_per_sec: u64) -> InterNodeLink {
         InterNodeLink {
@@ -61,16 +52,6 @@ impl InterNodeLink {
     /// plus serialization.
     pub fn delivery_time(&self, bytes: u64) -> Time {
         self.base_latency + transfer_time(bytes, self.bytes_per_sec)
-    }
-
-    /// An inter-node hop carrying PCIe-attached traffic can never beat
-    /// the host's own root link; clamp bandwidth to it (latency is
-    /// unaffected — the network hop dominates).
-    pub fn capped_by(&self, root: LinkSpec) -> InterNodeLink {
-        InterNodeLink {
-            base_latency: self.base_latency,
-            bytes_per_sec: self.bytes_per_sec.min(root.bytes_per_sec()),
-        }
     }
 }
 
@@ -142,7 +123,6 @@ impl Default for InterNodeFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::{Gen, Lanes};
 
     #[test]
     fn delivery_time_is_latency_plus_serialization() {
@@ -158,7 +138,8 @@ mod tests {
     #[test]
     fn rack_hop_dominates_rdma_hop() {
         let rack = InterNodeLink::rack_25g();
-        let rdma = InterNodeLink::rdma_100g();
+        // A kernel-bypass RDMA-class hop: ~3 µs one way, 100 Gb/s.
+        let rdma = InterNodeLink::new(Time::from_us(3), 100_000_000_000 / 8);
         assert!(rack.base_latency > rdma.base_latency);
         assert!(rack.bytes_per_sec < rdma.bytes_per_sec);
         assert!(rack.delivery_time(4096) > rdma.delivery_time(4096));
@@ -170,18 +151,6 @@ mod tests {
         // Bandwidth of 1 B/s would make serialization enormous, but
         // lookahead only promises the size-independent floor.
         assert_eq!(fab.lookahead(), Time::from_us(7));
-    }
-
-    #[test]
-    fn capped_by_root_link() {
-        let fat = InterNodeLink::new(Time::from_us(5), u64::MAX);
-        let root = LinkSpec::new(Gen::Gen3, Lanes::X16);
-        let capped = fat.capped_by(root);
-        assert_eq!(capped.bytes_per_sec, root.bytes_per_sec());
-        assert_eq!(capped.base_latency, Time::from_us(5));
-        // A slim link is unaffected.
-        let slim = InterNodeLink::new(Time::from_us(5), 1_000);
-        assert_eq!(slim.capped_by(root).bytes_per_sec, 1_000);
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl LinkSpec {
     pub fn serial_transfer_time(self, bytes: u64) -> Time {
         transfer_time(bytes, self.bytes_per_sec())
     }
-
-    /// Same link at a different generation (used by the Fig. 19 sweep).
-    pub fn with_gen(self, gen: Gen) -> LinkSpec {
-        LinkSpec { gen, ..self }
-    }
 }
 
 impl fmt::Display for LinkSpec {

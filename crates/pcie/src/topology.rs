@@ -1,7 +1,7 @@
 //! PCIe tree topology: root complex, switches, bump-in-the-wire
 //! multiplexers, and endpoint devices, connected by [`LinkSpec`] links.
 
-use crate::link::{Gen, LinkSpec};
+use crate::link::LinkSpec;
 use dmx_sim::{FastMap, Time};
 use std::collections::hash_map::Entry;
 use std::fmt;
@@ -252,14 +252,6 @@ impl Topology {
         self.links.iter().map(|l| l.spec.bytes_per_sec()).collect()
     }
 
-    /// Rewrites every link to generation `gen`, preserving widths
-    /// (the Fig. 19 PCIe-generation sweep).
-    pub fn set_all_gens(&mut self, gen: Gen) {
-        for l in &mut self.links {
-            l.spec = l.spec.with_gen(gen);
-        }
-    }
-
     /// Computes the unique tree route from `src` to `dst` by walking
     /// both nodes up to their lowest common ancestor. Callers that look
     /// up the same pairs again keep a [`RouteMemo`].
@@ -452,7 +444,7 @@ impl fmt::Display for Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::Lanes;
+    use crate::link::{Gen, Lanes};
 
     fn two_switch_topo() -> (Topology, NodeId, NodeId, NodeId, NodeId, NodeId, NodeId) {
         // root -- sw0 -- a0, a1
@@ -522,15 +514,6 @@ mod tests {
     #[test]
     fn mux_traversal_cheaper_than_switch() {
         assert!(NodeKind::Mux.traversal_latency() < NodeKind::Switch.traversal_latency());
-    }
-
-    #[test]
-    fn set_all_gens_preserves_widths() {
-        let (mut t, root, _, _, a0, _, _) = two_switch_topo();
-        t.set_all_gens(Gen::Gen5);
-        let r = t.route(a0, root);
-        let bw = t.route_bottleneck(&r).unwrap();
-        assert_eq!(bw, LinkSpec::new(Gen::Gen5, Lanes::X8).bytes_per_sec());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! No map in the engine is allowed to *depend* on iteration order for
 //! results (outputs must be byte-identical across `--threads`), so the
 //! hasher choice is free to change; determinism is still enforced by
-//! the serial-vs-parallel compare in `repro bench` and CI.
+//! the serial-vs-parallel compares in CI and in the `repro all` golden
+//! test.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

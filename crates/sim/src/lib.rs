@@ -69,8 +69,7 @@ pub use idmap::IdMap;
 pub use par::{par_map, par_map_with};
 pub use partition::{run_conservative, Outbox, Partition, WindowStats, XMsg};
 pub use queue::{
-    cost_model_nanos, events_delivered, record_cost_model_nanos, record_setup_nanos,
-    set_default_stall_limit, setup_nanos, EventQueue,
+    events_delivered, record_setup_nanos, set_default_stall_limit, setup_nanos, EventQueue,
 };
 pub use resources::{water_fill, FifoServer, PsJobId, PsPool};
 pub use rng::SplitMix64;

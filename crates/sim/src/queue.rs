@@ -13,7 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// Process-global count of delivered events, accumulated as queues are
 /// dropped (one atomic add per queue lifetime, nothing on the hot
-/// path). The `repro bench` harness samples this for events/sec.
+/// path). perfbench samples this around each cell it runs and reports
+/// the count per pass (`system.events`).
 static DELIVERED: AtomicU64 = AtomicU64::new(0);
 
 /// Total events delivered by all [`EventQueue`]s *dropped so far*,
@@ -25,9 +26,9 @@ pub fn events_delivered() -> u64 {
 
 /// Process-global nanoseconds spent in simulation *setup* (system
 /// construction before the event loop starts), accumulated by
-/// [`record_setup_nanos`]. The `repro bench` harness samples this
-/// around each timed experiment so events/sec can be computed over the
-/// event-loop window alone.
+/// [`record_setup_nanos`]. perfbench samples this around each cell it
+/// runs (`system.build_s`), so system construction is reported apart
+/// from the event loop.
 static SETUP_NANOS: AtomicU64 = AtomicU64::new(0);
 
 /// Total nanoseconds recorded as simulation setup so far, process-wide.
@@ -41,26 +42,6 @@ pub fn setup_nanos() -> u64 {
 /// event hot path).
 pub fn record_setup_nanos(nanos: u64) {
     SETUP_NANOS.fetch_add(nanos, AtomicOrdering::Relaxed);
-}
-
-/// Process-global nanoseconds spent in cold DRX cost measurement:
-/// `Edge::drx_cost` compiling and executing an edge's ops on a cache
-/// miss, accumulated by [`record_cost_model_nanos`]. It runs lazily
-/// inside event loops and sweeps, not in system construction, so it
-/// is kept apart from [`setup_nanos`]; the `repro bench` harness
-/// subtracts both from the event-loop window.
-static COST_MODEL_NANOS: AtomicU64 = AtomicU64::new(0);
-
-/// Total nanoseconds recorded as cold cost measurement so far,
-/// process-wide. Sample before and after a run and subtract.
-pub fn cost_model_nanos() -> u64 {
-    COST_MODEL_NANOS.load(AtomicOrdering::Relaxed)
-}
-
-/// Adds `nanos` to the process-global cost-measurement counter (one
-/// add per cache miss).
-pub fn record_cost_model_nanos(nanos: u64) {
-    COST_MODEL_NANOS.fetch_add(nanos, AtomicOrdering::Relaxed);
 }
 
 /// Process-global default for the no-progress watchdog, read once by

@@ -34,8 +34,6 @@ use std::cell::RefCell;
 pub struct FifoServer {
     free_at: Vec<Time>,
     busy: Time,
-    jobs: u64,
-    waited: Time,
 }
 
 impl FifoServer {
@@ -49,8 +47,6 @@ impl FifoServer {
         FifoServer {
             free_at: vec![Time::ZERO; servers],
             busy: Time::ZERO,
-            jobs: 0,
-            waited: Time::ZERO,
         }
     }
 
@@ -73,24 +69,12 @@ impl FifoServer {
         let done = start + service;
         self.free_at[slot] = done;
         self.busy += service;
-        self.waited += start - now;
-        self.jobs += 1;
         done
     }
 
     /// Total service time accumulated across all servers.
     pub fn busy_time(&self) -> Time {
         self.busy
-    }
-
-    /// Number of jobs submitted.
-    pub fn jobs_served(&self) -> u64 {
-        self.jobs
-    }
-
-    /// Total time jobs spent waiting for a server.
-    pub fn total_wait(&self) -> Time {
-        self.waited
     }
 
     /// Mean utilization of the bank over `[0, horizon]`.
@@ -427,8 +411,6 @@ mod tests {
             Time::from_ns(35)
         );
         assert_eq!(s.busy_time(), Time::from_ns(30));
-        assert_eq!(s.jobs_served(), 3);
-        assert_eq!(s.total_wait(), Time::from_ns(10));
     }
 
     #[test]

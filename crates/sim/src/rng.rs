@@ -59,16 +59,6 @@ impl SplitMix64 {
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi]` inclusive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        lo + self.next_below(hi - lo + 1)
-    }
-
     /// Exponentially distributed float with the given mean.
     pub fn next_exp(&mut self, mean: f64) -> f64 {
         let u = 1.0 - self.next_f64(); // avoid ln(0)
@@ -148,8 +138,6 @@ mod tests {
         let mut r = SplitMix64::new(4);
         for _ in 0..1000 {
             assert!(r.next_below(10) < 10);
-            let v = r.next_range(5, 7);
-            assert!((5..=7).contains(&v));
         }
     }
 

@@ -44,18 +44,6 @@ pub enum ArrivalProcess {
     },
 }
 
-impl ArrivalProcess {
-    /// Long-run mean arrival rate of the process.
-    pub fn mean_rate(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate_rps } => rate_rps,
-            ArrivalProcess::Mmpp {
-                low_rps, high_rps, ..
-            } => 0.5 * (low_rps + high_rps),
-        }
-    }
-}
-
 /// Deterministic generator of inter-arrival gaps for one tenant.
 ///
 /// ```
@@ -276,7 +264,6 @@ mod tests {
             high_rps: 900.0,
             mean_dwell: Time::from_ms(20),
         };
-        assert_eq!(p.mean_rate(), 500.0);
         let mut g = ArrivalGen::new(p, SplitMix64::new(2));
         let n = 50_000;
         let span: f64 = (0..n).map(|_| g.next_gap().as_secs_f64()).sum();
