@@ -3,7 +3,7 @@
 //! push real data through a chain while the catalog supplies timing.
 
 use crate::catalog::AccelKind;
-use dmx_kernels::{aes, fft, join, lz, regex, svm, token, video};
+use dmx_kernels::{aes, fft, join, lz, regex, token, video};
 
 /// A functional kernel: bytes in, bytes out.
 pub trait Functional {
@@ -35,38 +35,6 @@ impl Functional for FftAccel {
                 b.extend(c.im.to_le_bytes());
                 b
             })
-            .collect()
-    }
-}
-
-/// SVM accelerator: input `f32` feature rows of `dims`, output one
-/// predicted class byte per row.
-#[derive(Debug, Clone)]
-pub struct SvmAccel {
-    model: svm::LinearSvm,
-}
-
-impl SvmAccel {
-    /// Wraps a trained SVM.
-    pub fn new(model: svm::LinearSvm) -> SvmAccel {
-        SvmAccel { model }
-    }
-}
-
-impl Functional for SvmAccel {
-    fn kind(&self) -> AccelKind {
-        AccelKind::Svm
-    }
-
-    fn process(&self, input: &[u8]) -> Vec<u8> {
-        let dims = self.model.dims();
-        let feats: Vec<f32> = input
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("sized")))
-            .collect();
-        feats
-            .chunks_exact(dims)
-            .map(|row| self.model.predict(row) as u8)
             .collect()
     }
 }
@@ -119,7 +87,7 @@ impl RegexAccel {
     /// # Errors
     ///
     /// Returns the first pattern error.
-    pub fn new(patterns: &[&str]) -> Result<RegexAccel, regex::RegexError> {
+    pub(crate) fn new(patterns: &[&str]) -> Result<RegexAccel, regex::RegexError> {
         Ok(RegexAccel {
             patterns: patterns
                 .iter()
@@ -166,19 +134,6 @@ impl Functional for GzipAccel {
 /// (`u64 key, u64 payload` pairs, build side length prefix).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JoinAccel;
-
-impl JoinAccel {
-    /// Packs build/probe tables into the accelerator's wire format.
-    pub fn pack(build: &[join::Row], probe: &[join::Row]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + (build.len() + probe.len()) * 16);
-        out.extend((build.len() as u64).to_le_bytes());
-        for r in build.iter().chain(probe) {
-            out.extend(r.key.to_le_bytes());
-            out.extend(r.payload.to_le_bytes());
-        }
-        out
-    }
-}
 
 impl Functional for JoinAccel {
     fn kind(&self) -> AccelKind {
@@ -278,6 +233,17 @@ mod tests {
     use super::*;
     use dmx_kernels::join::Row;
 
+    /// Packs build/probe tables into the join accelerator's wire format.
+    fn pack(build: &[Row], probe: &[Row]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(8 + (build.len() + probe.len()) * 16);
+        out.extend((build.len() as u64).to_le_bytes());
+        for r in build.iter().chain(probe) {
+            out.extend(r.key.to_le_bytes());
+            out.extend(r.payload.to_le_bytes());
+        }
+        out
+    }
+
     #[test]
     fn fft_accel_output_shape() {
         let samples: Vec<u8> = (0..2048u32)
@@ -328,7 +294,7 @@ mod tests {
             key: 2,
             payload: 200,
         }];
-        let wire = JoinAccel::pack(&build, &probe);
+        let wire = pack(&build, &probe);
         let out = JoinAccel.process(&wire);
         assert_eq!(out.len(), 24);
         assert_eq!(u64::from_le_bytes(out[..8].try_into().unwrap()), 2);

@@ -14,6 +14,5 @@ pub mod functional;
 
 pub use catalog::{catalog_speedup_geomean, AccelKind, AccelModel};
 pub use functional::{
-    AesAccel, FftAccel, Functional, GzipAccel, JoinAccel, NerAccel, RegexAccel, SvmAccel,
-    VideoAccel,
+    AesAccel, FftAccel, Functional, GzipAccel, JoinAccel, NerAccel, RegexAccel, VideoAccel,
 };

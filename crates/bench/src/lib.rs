@@ -49,15 +49,6 @@ pub struct Outcome {
     pub ok: bool,
 }
 
-/// Runs one experiment by id and returns its rendered report.
-///
-/// # Panics
-///
-/// Panics on an unknown id; call with a member of [`EXPERIMENTS`].
-pub fn run_experiment(suite: &Suite, id: &str) -> String {
-    run_experiment_checked(suite, id, None).report
-}
-
 /// Runs one experiment by id, threading `seed` into the experiments
 /// that take one (`faults`, `overload`, `integrity`, `chaos`,
 /// `failslow`, `fleet`, `failover`; others ignore it), and reports

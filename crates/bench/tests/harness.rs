@@ -3,7 +3,7 @@
 //! its committed golden output byte for byte, serially and fanned
 //! across worker threads.
 
-use dmx_bench::{run_experiment, run_experiment_checked, EXPERIMENTS};
+use dmx_bench::{run_experiment_checked, EXPERIMENTS};
 use dmx_core::experiments::Suite;
 use dmx_sim::{par, par_map};
 
@@ -36,7 +36,7 @@ fn experiment_list_is_complete() {
 fn cheap_experiments_render() {
     let suite = Suite::new();
     for id in ["tab1", "fig8", "fig17"] {
-        let out = run_experiment(&suite, id);
+        let out = run_experiment_checked(&suite, id, None).report;
         assert!(out.len() > 100, "{id} rendered almost nothing");
     }
 }
@@ -44,7 +44,7 @@ fn cheap_experiments_render() {
 #[test]
 fn checked_runner_is_vacuously_ok_without_embedded_checks() {
     let suite = Suite::new();
-    let out = dmx_bench::run_experiment_checked(&suite, "tab1", Some(1));
+    let out = run_experiment_checked(&suite, "tab1", Some(1));
     assert!(out.ok, "tab1 has no embedded checks to fail");
     assert!(out.report.len() > 100);
 }
@@ -53,7 +53,7 @@ fn checked_runner_is_vacuously_ok_without_embedded_checks() {
 #[should_panic(expected = "unknown experiment")]
 fn unknown_experiment_panics() {
     let suite = Suite::new();
-    run_experiment(&suite, "fig99");
+    run_experiment_checked(&suite, "fig99", None);
 }
 
 /// The seven seeded robustness sweeps, as `repro --seed N` runs them.

@@ -46,7 +46,7 @@ impl DrxCost {
     /// Dynamic energy of this cost on `model`: lane operations plus
     /// scratchpad and DRAM traffic. Static power accrues per unit over
     /// the whole run and is charged separately.
-    pub fn dynamic_joules(&self, model: &DrxEnergyModel) -> f64 {
+    pub(crate) fn dynamic_joules(&self, model: &DrxEnergyModel) -> f64 {
         (self.lane_ops * model.pj_per_lane_op
             + self.spad_bytes * model.pj_per_spad_byte
             + self.dram_bytes * model.pj_per_dram_byte)
@@ -442,13 +442,31 @@ impl BenchmarkId {
 
 /// The op used by the Fig. 17 collective experiments: summing two
 /// partial vectors (one reduction step of all-reduce).
-pub fn collective_sum_op(elems_small: u64) -> VecSum {
+pub(crate) fn collective_sum_op(elems_small: u64) -> VecSum {
     VecSum { elems: elems_small }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dynamic_energy_scales_with_work() {
+        let m = DrxEnergyModel::for_clock(dmx_drx::ClockDomain::Asic1GHz);
+        let c1 = DrxCost {
+            time: Time::ZERO,
+            lane_ops: 1e6,
+            dram_bytes: 1e6,
+            spad_bytes: 0.0,
+        };
+        let c2 = DrxCost {
+            lane_ops: 2e6,
+            dram_bytes: 2e6,
+            ..c1
+        };
+        let (e1, e2) = (c1.dynamic_joules(&m), c2.dynamic_joules(&m));
+        assert!((e2 / e1 - 2.0).abs() < 1e-9);
+    }
 
     #[test]
     fn all_benchmarks_build() {

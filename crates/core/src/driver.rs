@@ -40,27 +40,25 @@ pub struct DriverState {
     ema_interval_s: f64,
     irq_count: u64,
     poll_count: u64,
-    lost_count: u64,
     /// If `true`, the driver is pinned to one mode (the abl-irq study).
     forced: Option<NotifyMode>,
 }
 
 impl DriverState {
     /// Creates an adaptive driver.
-    pub fn new(params: DriverParams) -> DriverState {
+    pub(crate) fn new(params: DriverParams) -> DriverState {
         DriverState {
             params,
             last_event: None,
             ema_interval_s: 1.0, // start relaxed: interrupt mode
             irq_count: 0,
             poll_count: 0,
-            lost_count: 0,
             forced: None,
         }
     }
 
     /// Creates a driver pinned to one mode (ablation support).
-    pub fn forced(params: DriverParams, mode: NotifyMode) -> DriverState {
+    pub(crate) fn forced(params: DriverParams, mode: NotifyMode) -> DriverState {
         DriverState {
             forced: Some(mode),
             ..DriverState::new(params)
@@ -68,7 +66,7 @@ impl DriverState {
     }
 
     /// Current mode.
-    pub fn mode(&self) -> NotifyMode {
+    pub(crate) fn mode(&self) -> NotifyMode {
         if let Some(m) = self.forced {
             return m;
         }
@@ -80,7 +78,7 @@ impl DriverState {
     }
 
     /// Registers a completion at `now` and returns its handling cost.
-    pub fn on_completion(&mut self, now: Time) -> NotifyCost {
+    pub(crate) fn on_completion(&mut self, now: Time) -> NotifyCost {
         if let Some(last) = self.last_event {
             let dt = (now.saturating_sub(last)).as_secs_f64();
             self.ema_interval_s = 0.7 * self.ema_interval_s + 0.3 * dt;
@@ -115,7 +113,11 @@ impl DriverState {
     /// the caller pays the watchdog wait plus a polled handling cost.
     /// The NAPI EMA observes the event at the watchdog fire time (the
     /// moment software actually saw it), not its true arrival.
-    pub fn on_lost_completion(&mut self, now: Time, recovery: &RecoveryParams) -> NotifyCost {
+    pub(crate) fn on_lost_completion(
+        &mut self,
+        now: Time,
+        recovery: &RecoveryParams,
+    ) -> NotifyCost {
         // The event becomes visible to software only when the watchdog
         // fires and polls the queue.
         let seen = now + recovery.watchdog_timeout;
@@ -124,7 +126,6 @@ impl DriverState {
             self.ema_interval_s = 0.7 * self.ema_interval_s + 0.3 * dt;
         }
         self.last_event = Some(seen);
-        self.lost_count += 1;
         self.poll_count += 1;
         NotifyCost {
             cpu_seconds: self.params.poll_cpu_seconds + self.params.dma_setup_cpu_seconds,
@@ -137,20 +138,14 @@ impl DriverState {
     /// history is forgotten and the EMA relaxes back to interrupt mode.
     /// Lifetime event counts survive — they are accounting, not device
     /// state.
-    pub fn restart(&mut self) {
+    pub(crate) fn restart(&mut self) {
         self.last_event = None;
         self.ema_interval_s = 1.0;
     }
 
     /// (interrupt, polled) event counts so far.
-    pub fn counts(&self) -> (u64, u64) {
+    pub(crate) fn counts(&self) -> (u64, u64) {
         (self.irq_count, self.poll_count)
-    }
-
-    /// Completions whose interrupts were lost and recovered by the
-    /// watchdog.
-    pub fn lost_count(&self) -> u64 {
-        self.lost_count
     }
 }
 
@@ -288,7 +283,6 @@ mod tests {
         assert_eq!(c.mode, NotifyMode::Polling);
         assert_eq!(c.latency, rec.watchdog_timeout + p.poll_latency);
         assert!(c.latency > p.irq_latency, "loss must cost more than an irq");
-        assert_eq!(d.lost_count(), 1);
         assert_eq!(d.counts(), (0, 1));
     }
 

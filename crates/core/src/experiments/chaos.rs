@@ -184,11 +184,6 @@ fn composed(cal: &Calibration, seed: u64, crashes: Vec<CrashEvent>) -> SystemCon
     }
 }
 
-/// Runs the sweep under the default [`SEED`].
-pub fn run(suite: &Suite) -> Chaos {
-    run_with_seed(suite, SEED)
-}
-
 /// Runs the sweep under an explicit seed.
 pub fn run_with_seed(suite: &Suite, seed: u64) -> Chaos {
     let cal = Calibration::new(suite);
@@ -396,7 +391,7 @@ mod tests {
 
     #[test]
     fn every_scenario_keeps_goodput() {
-        let a = run(&Suite::new());
+        let a = run_with_seed(&Suite::new(), SEED);
         assert_eq!(a.scenarios.len(), SCENARIOS);
         for s in &a.scenarios {
             assert!(s.overload.goodput() > 0, "scenario {} starved", s.index);

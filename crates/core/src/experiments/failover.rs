@@ -227,11 +227,6 @@ fn cell_cfg(
     }
 }
 
-/// Runs the sweep under the default [`SEED`].
-pub fn run(suite: &Suite) -> FailoverSweep {
-    run_with_seed(suite, SEED)
-}
-
 /// Runs the sweep under an explicit seed.
 pub fn run_with_seed(suite: &Suite, seed: u64) -> FailoverSweep {
     let cal = Calibration::new(suite);
@@ -405,7 +400,7 @@ mod tests {
 
     #[test]
     fn kills_hurt_noretry_more_than_retry() {
-        let r = run(&Suite::new());
+        let r = run_with_seed(&Suite::new(), SEED);
         assert_eq!(
             r.cells.len(),
             SERVERS.len() * Fault::ALL.len() * Retry::ALL.len()

@@ -174,11 +174,6 @@ fn conserved(r: &RunResult) -> bool {
         .conserved_with(0)
 }
 
-/// Runs the sweep under the default [`SEED`].
-pub fn run(suite: &Suite) -> FailSlow {
-    run_with_seed(suite, SEED)
-}
-
 /// Runs the sweep under an explicit seed.
 pub fn run_with_seed(suite: &Suite, seed: u64) -> FailSlow {
     let cal = Calibration::new(suite);
@@ -369,7 +364,7 @@ mod tests {
 
     #[test]
     fn every_cell_runs_and_the_merged_summary_renders() {
-        let a = run(&Suite::new());
+        let a = run_with_seed(&Suite::new(), SEED);
         assert_eq!(a.cells.len(), CELLS.len());
         assert!(!a.merged_summary.is_empty(), "merged summary missing");
     }

@@ -15,7 +15,7 @@ pub struct Fig5 {
 /// Characterizes one benchmark's (first) restructuring op. Public so
 /// the `summary` experiment can fan individual ops across its worker
 /// pool (a nested `par_map` inside `run` would serialize there).
-pub fn characterize_one(b: &crate::apps::Benchmark) -> Characterization {
+pub(crate) fn characterize_one(b: &crate::apps::Benchmark) -> Characterization {
     let cache = CacheConfig::default();
     let mut c = characterize_op(&b.edges[0].profile, &cache);
     c.name = format!("{} ({})", b.name, b.edges[0].profile.name);

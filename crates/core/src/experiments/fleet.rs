@@ -83,11 +83,6 @@ pub struct FleetSweep {
     pub checks: Checks,
 }
 
-/// Runs the sweep under the default [`SEED`].
-pub fn run(suite: &Suite) -> FleetSweep {
-    run_with_seed(suite, SEED)
-}
-
 /// Runs the sweep under an explicit seed.
 pub fn run_with_seed(suite: &Suite, seed: u64) -> FleetSweep {
     let cal = Calibration::new(suite);
@@ -269,7 +264,7 @@ mod tests {
 
     #[test]
     fn shedding_grows_with_load() {
-        let r = run(&Suite::new());
+        let r = run_with_seed(&Suite::new(), SEED);
         assert_eq!(r.cells.len(), SERVERS.len() * LOADS.len());
         assert_eq!(r.policies.len(), 3);
         // At 4 servers, saturating load must shed more than light load.

@@ -98,11 +98,6 @@ fn sdc(seed: u64, rate: f64) -> FaultConfig {
     }
 }
 
-/// Runs the experiment under the default [`SEED`].
-pub fn run(suite: &Suite) -> Integrity {
-    run_with_seed(suite, SEED)
-}
-
 /// Runs the experiment under an explicit seed.
 pub fn run_with_seed(suite: &Suite, seed: u64) -> Integrity {
     // Every (mode, rate) cell is an independent simulation.
@@ -235,7 +230,7 @@ mod tests {
 
     #[test]
     fn injection_grows_with_rate_and_checking_costs_time() {
-        let a = run(&Suite::new());
+        let a = run_with_seed(&Suite::new(), SEED);
         assert_eq!(a.sweeps.len(), MODES.len());
         for s in &a.sweeps {
             assert_eq!(s.points.len(), RATES.len());

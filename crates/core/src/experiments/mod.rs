@@ -43,7 +43,7 @@ use dmx_sim::{geomean, par_map, ArrivalProcess, Time};
 /// # Panics
 ///
 /// Panics when `ratios` is empty or contains a non-positive value.
-pub fn ratio_geomean(ratios: impl IntoIterator<Item = f64>) -> f64 {
+pub(crate) fn ratio_geomean(ratios: impl IntoIterator<Item = f64>) -> f64 {
     geomean(&ratios.into_iter().collect::<Vec<_>>()).expect("positive ratios")
 }
 
@@ -133,7 +133,7 @@ impl Suite {
 
     /// Runs a mode at concurrency `n` in latency mode, averaging the
     /// per-benchmark breakdowns (for `n == 1`, each benchmark alone).
-    pub fn breakdown_runs(&self, mode: Mode, n: usize) -> Vec<RunResult> {
+    pub(crate) fn breakdown_runs(&self, mode: Mode, n: usize) -> Vec<RunResult> {
         if n == 1 {
             par_map(&self.benchmarks, |_, b| {
                 simulate(&SystemConfig::latency(mode, vec![b.clone()]))
@@ -145,7 +145,7 @@ impl Suite {
 }
 
 /// Mean breakdown fractions (kernel, restructure, movement) across runs.
-pub fn breakdown_fractions(runs: &[RunResult]) -> (f64, f64, f64) {
+pub(crate) fn breakdown_fractions(runs: &[RunResult]) -> (f64, f64, f64) {
     let mut k = 0.0;
     let mut r = 0.0;
     let mut m = 0.0;
@@ -312,7 +312,7 @@ pub struct Checks(pub(crate) Vec<(&'static str, bool)>);
 
 impl Checks {
     /// True when every check passed.
-    pub fn all(&self) -> bool {
+    pub(crate) fn all(&self) -> bool {
         self.0.iter().all(|&(_, ok)| ok)
     }
 

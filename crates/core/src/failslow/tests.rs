@@ -131,7 +131,13 @@ fn baseline_tracks_fleet_and_floors_at_nominal() {
 fn config_inertness() {
     assert!(FailSlowConfig::none().is_inert());
     assert!(FailSlowConfig::default().is_inert());
-    assert!(!FailSlowConfig::enabled().is_inert());
+    let both = FailSlowConfig {
+        scorer: HealthParams::default(),
+        demote: true,
+        hedge_multiplier: 3.0,
+        hedge_floor: Time::from_us(5),
+    };
+    assert!(!both.is_inert());
     let demote_only = FailSlowConfig {
         demote: true,
         ..FailSlowConfig::none()

@@ -132,7 +132,7 @@ impl fmt::Display for RequestClass {
 }
 
 /// Configuration of the failover layer. Inert by default: a fleet
-/// whose `failover` is `None` *or* [`FailoverConfig::none`] runs the
+/// whose `failover` is `None` *or* `FailoverConfig::none()` runs the
 /// same balancer with the layer off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailoverConfig {
@@ -145,7 +145,7 @@ pub struct FailoverConfig {
 
 impl FailoverConfig {
     /// The inert config: no classes, no timeouts, no re-dispatch.
-    pub fn none() -> FailoverConfig {
+    pub(crate) fn none() -> FailoverConfig {
         FailoverConfig {
             health: LbHealthParams::default(),
             classes: Vec::new(),
@@ -153,7 +153,7 @@ impl FailoverConfig {
     }
 
     /// True when this config changes nothing.
-    pub fn is_inert(&self) -> bool {
+    pub(crate) fn is_inert(&self) -> bool {
         self.classes.is_empty()
     }
 }

@@ -263,17 +263,17 @@ pub struct FleetResult {
 
 impl FleetResult {
     /// Requests resolved (goodput + late + shed).
-    pub fn resolved(&self) -> u64 {
+    pub(crate) fn resolved(&self) -> u64 {
         self.goodput + self.late + self.shed
     }
 
     /// Every offered request resolved exactly once.
-    pub fn conserved(&self) -> bool {
+    pub(crate) fn conserved(&self) -> bool {
         self.offered == self.resolved()
     }
 
     /// The duplicates-aware conservation ledger. With the failover
-    /// layer off this is [`conserved`](FleetResult::conserved); with it
+    /// layer off this is `conserved`; with it
     /// on it additionally demands zero stranded requests and that every
     /// server resolution the LB received either won its request or was
     /// cancelled as a duplicate:
@@ -292,7 +292,7 @@ impl FleetResult {
     /// a trickle workload (every request resolving before the next
     /// arrival) therefore reports an infinite balance with all load on
     /// server 0, which is the documented tie-break, not a bug.
-    pub fn balance(&self) -> f64 {
+    pub(crate) fn balance(&self) -> f64 {
         let max = self.dispatched.iter().copied().max().unwrap_or(0);
         let min = self.dispatched.iter().copied().min().unwrap_or(0);
         if min == 0 {
@@ -310,8 +310,9 @@ impl FleetResult {
 /// # Errors
 ///
 /// `NoApps` / `NoOverload` from server construction; fleet configs with
-/// zero servers or an empty arrival list are rejected as `NoApps`, and
-/// zero `requests_per_tenant` as `NoRequests`.
+/// zero servers or an empty arrival list are rejected as `NoApps`,
+/// zero `requests_per_tenant` as `NoRequests`, and an inter-node link
+/// with a zero base latency or zero bandwidth as `UnusableLink`.
 pub fn try_run_fleet(cfg: &FleetConfig, _shards: usize) -> Result<FleetResult, SimError> {
     run_at(cfg, cfg.fabric.lookahead())
 }
@@ -325,6 +326,10 @@ fn run_at(cfg: &FleetConfig, lookahead: Time) -> Result<FleetResult, SimError> {
     }
     if cfg.requests_per_tenant == 0 {
         return Err(SimError::NoRequests);
+    }
+    let link = cfg.fabric.link;
+    if link.base_latency.is_zero() || link.bytes_per_sec == 0 {
+        return Err(SimError::UnusableLink(link));
     }
     // An inert plan is filtered here, and the balancer treats an inert
     // failover config as off, so `Some(inert)` and `None` run the exact
@@ -529,6 +534,22 @@ mod tests {
         let mut cfg = small_fleet(1, LbPolicy::RoundRobin, 100.0);
         cfg.requests_per_tenant = 0;
         assert_eq!(try_run_fleet(&cfg, 1).err(), Some(SimError::NoRequests));
+    }
+
+    #[test]
+    fn zero_latency_or_bandwidth_links_are_rejected() {
+        use dmx_pcie::InterNodeLink;
+        for link in [
+            InterNodeLink::new(Time::ZERO, 1_000_000_000),
+            InterNodeLink::new(Time::from_us(25), 0),
+        ] {
+            let mut cfg = small_fleet(2, LbPolicy::RoundRobin, 100.0);
+            cfg.fabric = InterNodeFabric { link };
+            assert_eq!(
+                try_run_fleet(&cfg, 1).err(),
+                Some(SimError::UnusableLink(link))
+            );
+        }
     }
 
     #[test]

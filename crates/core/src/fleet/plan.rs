@@ -92,7 +92,7 @@ impl FleetFaultPlan {
     }
 
     /// True when no fleet-level fault can fire.
-    pub fn is_inert(&self) -> bool {
+    pub(crate) fn is_inert(&self) -> bool {
         self.kills.is_empty() && self.grays.is_empty() && self.outages.is_empty()
     }
 
@@ -102,7 +102,11 @@ impl FleetFaultPlan {
     /// leaves `server` untouched — the caller then reuses the shared
     /// config verbatim, keeping unaffected servers bit-identical to a
     /// plan-free fleet.
-    pub fn server_faults(&self, server: usize, base: Option<&FaultConfig>) -> Option<FaultConfig> {
+    pub(crate) fn server_faults(
+        &self,
+        server: usize,
+        base: Option<&FaultConfig>,
+    ) -> Option<FaultConfig> {
         let kills: Vec<&ServerKill> = self.kills.iter().filter(|k| k.server == server).collect();
         let grays: Vec<&ServerGray> = self.grays.iter().filter(|g| g.server == server).collect();
         if kills.is_empty() && grays.is_empty() {
@@ -123,7 +127,7 @@ impl FleetFaultPlan {
 
     /// The network-cut windows covering `server`'s LB hop, in schedule
     /// order.
-    pub fn outages_for(&self, server: usize) -> Vec<LinkOutage> {
+    pub(crate) fn outages_for(&self, server: usize) -> Vec<LinkOutage> {
         self.outages
             .iter()
             .filter(|o| o.server == server)

@@ -51,7 +51,6 @@ fn breaker_failed_probe_reopens() {
     let probe_at = p.cooldown;
     assert_eq!(b.route(probe_at), Route::Probe);
     b.probe_result(probe_at, false, &p);
-    assert_eq!(b.activations(), 2);
     assert_eq!(b.route(probe_at + Time::from_us(1)), Route::Fallback);
     assert_eq!(b.route(probe_at + p.cooldown), Route::Probe);
 }
@@ -88,7 +87,7 @@ fn breaker_window_expires_old_events() {
     assert!(!b.record_fault(Time::from_us(50), &p));
     // The first event has aged out of the window by now.
     assert!(!b.record_fault(Time::from_us(200), &p));
-    assert_eq!(b.activations(), 0);
+    assert_eq!(b.route(Time::from_us(200)), Route::Primary);
 }
 
 #[test]

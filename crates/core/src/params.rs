@@ -9,12 +9,12 @@ use dmx_sim::Time;
 /// connecting to the CPU uses a single link (8 lanes) while the
 /// downstream ports connecting to accelerators use multiple links";
 /// Sec. VI: accelerators attach via x16).
-pub fn upstream_link(gen: Gen) -> LinkSpec {
+pub(crate) fn upstream_link(gen: Gen) -> LinkSpec {
     LinkSpec::new(gen, Lanes::X8)
 }
 
 /// Downstream (device) link.
-pub fn downstream_link(gen: Gen) -> LinkSpec {
+pub(crate) fn downstream_link(gen: Gen) -> LinkSpec {
     LinkSpec::new(gen, Lanes::X16)
 }
 
@@ -22,7 +22,7 @@ pub fn downstream_link(gen: Gen) -> LinkSpec {
 /// Fig. 19 sweep widens the baseline's upstream pipe: "the baselines
 /// are able to use more PCIe lanes to reduce bandwidth contention from
 /// accelerators to CPUs with PCIe Gen 4 and Gen 5".
-pub fn upstream_links_for_gen(gen: Gen) -> u32 {
+pub(crate) fn upstream_links_for_gen(gen: Gen) -> u32 {
     match gen {
         Gen::Gen3 => 1,
         Gen::Gen4 => 2,
@@ -92,7 +92,7 @@ pub struct RecoveryParams {
 impl RecoveryParams {
     /// Backoff before retry `attempt` (0-based): `base * 2^attempt`,
     /// capped at `backoff_max`.
-    pub fn backoff(&self, attempt: u32) -> Time {
+    pub(crate) fn backoff(&self, attempt: u32) -> Time {
         let factor = 1u64 << attempt.min(62);
         let doubled = Time::from_ps(self.backoff_base.as_ps().saturating_mul(factor));
         doubled.min(self.backoff_max)

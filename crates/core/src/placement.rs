@@ -57,17 +57,6 @@ pub enum Mode {
     Dmx(Placement),
 }
 
-impl Mode {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Mode::AllCpu => "All-CPU",
-            Mode::MultiAxl => "Multi-Axl",
-            Mode::Dmx(p) => p.name(),
-        }
-    }
-}
-
 /// A DRX unit that restructures chain edges, listed once in the
 /// layout's unit table: a bump-in-the-wire DRX, a standalone card, or a
 /// shared pool.
@@ -122,14 +111,14 @@ pub struct ServerLayout {
 
 impl ServerLayout {
     /// Number of PCIe switches.
-    pub fn switch_count(&self) -> usize {
+    pub(crate) fn switch_count(&self) -> usize {
         self.switches.len()
     }
 
     /// Number of physical DRXs the layout deploys. Under
     /// bump-in-the-wire this includes the DRX in front of each chain's
     /// last accelerator, which restructures nothing and so is no unit.
-    pub fn drx_unit_count(&self, mode: Mode) -> usize {
+    pub(crate) fn drx_unit_count(&self, mode: Mode) -> usize {
         if mode == Mode::Dmx(Placement::BumpInTheWire) {
             self.accel_nodes.iter().map(Vec::len).sum()
         } else {
@@ -164,7 +153,7 @@ impl ServerLayout {
 
 /// Builds the server for `apps` under `mode` at PCIe `gen`, its DRX
 /// engines sized by `fleet`.
-pub fn build_layout(
+pub(crate) fn build_layout(
     mode: Mode,
     apps: &[BenchmarkRef],
     gen: Gen,
@@ -440,10 +429,6 @@ mod tests {
 
     #[test]
     fn mode_names() {
-        assert_eq!(Mode::AllCpu.name(), "All-CPU");
-        assert_eq!(
-            Mode::Dmx(Placement::BumpInTheWire).name(),
-            "Bump-in-the-Wire"
-        );
+        assert_eq!(Placement::BumpInTheWire.name(), "Bump-in-the-Wire");
     }
 }

@@ -33,13 +33,8 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// True if no data rows were added.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
@@ -74,17 +69,17 @@ impl Table {
 }
 
 /// Formats a ratio as `N.NNx`.
-pub fn ratio(x: f64) -> String {
+pub(crate) fn ratio(x: f64) -> String {
     format!("{x:.2}x")
 }
 
 /// Formats a fraction as a percentage.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
 /// Formats milliseconds.
-pub fn ms(t: dmx_sim::Time) -> String {
+pub(crate) fn ms(t: dmx_sim::Time) -> String {
     format!("{:.2}ms", t.as_ms_f64())
 }
 
@@ -102,8 +97,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[1].starts_with('-'));
         assert!(lines[2].starts_with("xxxx"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub struct CrashReport {
 
 impl CrashReport {
     /// True if any crash fired or any recovery action ran.
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         *self != CrashReport::default()
     }
 }

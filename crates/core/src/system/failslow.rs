@@ -116,7 +116,7 @@ pub struct HealthScorer {
 
 impl HealthScorer {
     /// Creates a scorer with the given tuning.
-    pub fn new(params: HealthParams) -> HealthScorer {
+    pub(crate) fn new(params: HealthParams) -> HealthScorer {
         HealthScorer {
             params,
             devs: BTreeMap::new(),
@@ -130,7 +130,7 @@ impl HealthScorer {
     /// the *other* devices' rolling means (those with enough samples),
     /// floored at the nominal ratio 1. With no peers to compare
     /// against the baseline is nominal.
-    pub fn baseline_excluding(&self, unit: u64) -> f64 {
+    pub(crate) fn baseline_excluding(&self, unit: u64) -> f64 {
         let mut means: Vec<f64> = self
             .devs
             .iter()
@@ -153,7 +153,7 @@ impl HealthScorer {
     /// Routing decision for batch `id` headed to `unit` at `now`. Once
     /// a suspect's probation has elapsed, `id` becomes its probe, so
     /// exactly one batch probes at a time.
-    pub fn route(&mut self, now: Time, unit: u64, id: u64) -> Route {
+    pub(crate) fn route(&mut self, now: Time, unit: u64, id: u64) -> Route {
         let Some(dev) = self.devs.get_mut(&unit) else {
             return Route::Primary;
         };
@@ -172,7 +172,7 @@ impl HealthScorer {
     /// starts another probation. Any other batch is one more sample.
     /// Returns `true` when this sample flags the device as
     /// suspected-gray.
-    pub fn observe(&mut self, now: Time, unit: u64, id: u64, ratio: f64) -> bool {
+    pub(crate) fn observe(&mut self, now: Time, unit: u64, id: u64, ratio: f64) -> bool {
         let p = self.params;
         let demoted = Health::Demoted {
             until: now + p.probation,
@@ -207,24 +207,24 @@ impl HealthScorer {
     }
 
     /// True while `unit` is flagged (suspected or probing).
-    pub fn suspected(&self, unit: u64) -> bool {
+    pub(crate) fn suspected(&self, unit: u64) -> bool {
         self.devs
             .get(&unit)
             .is_some_and(|d| d.state != Health::Healthy)
     }
 
     /// Times any device was flagged suspected-gray.
-    pub fn gray_flags(&self) -> u64 {
+    pub(crate) fn gray_flags(&self) -> u64 {
         self.gray_flags
     }
 
     /// Times a probe reinstated a flagged device.
-    pub fn recoveries(&self) -> u64 {
+    pub(crate) fn recoveries(&self) -> u64 {
         self.recoveries
     }
 
     /// Probe batches dispatched.
-    pub fn probes(&self) -> u64 {
+    pub(crate) fn probes(&self) -> u64 {
         self.probes
     }
 }
@@ -266,18 +266,8 @@ impl FailSlowConfig {
         }
     }
 
-    /// Both mitigations on with default tuning.
-    pub fn enabled() -> FailSlowConfig {
-        FailSlowConfig {
-            scorer: HealthParams::default(),
-            demote: true,
-            hedge_multiplier: 3.0,
-            hedge_floor: Time::from_us(5),
-        }
-    }
-
     /// True when neither mitigation can ever fire.
-    pub fn is_inert(&self) -> bool {
+    pub(crate) fn is_inert(&self) -> bool {
         !self.demote && self.hedge_multiplier == 0.0
     }
 }

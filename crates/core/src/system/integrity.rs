@@ -88,12 +88,12 @@ impl IntegrityConfig {
 
     /// True when the layer does nothing: results must be byte-identical
     /// to a run with the layer absent.
-    pub fn is_inert(&self) -> bool {
+    pub(crate) fn is_inert(&self) -> bool {
         self.mode == ChecksumMode::None
     }
 
     /// Modeled wall time to digest `bytes`.
-    pub fn check_time(&self, bytes: u64) -> Time {
+    pub(crate) fn check_time(&self, bytes: u64) -> Time {
         Time::from_secs_f64(bytes as f64 / self.checksum_bytes_per_sec.max(1.0))
     }
 }
@@ -147,7 +147,7 @@ pub struct IntegrityReport {
 
 impl IntegrityReport {
     /// True if any corruption fired or any integrity action ran.
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         *self != IntegrityReport::default()
     }
 

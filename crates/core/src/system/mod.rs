@@ -36,7 +36,8 @@ use crate::placement::{build_layout, Engine, Mode, Placement, ServerLayout};
 use dmx_cpu::{CpuEnergyModel, HostCpuConfig};
 use dmx_drx::{DrxConfig, DrxEnergyModel};
 use dmx_pcie::{
-    transfer_faults, FabricError, FlowNet, Gen, LinkId, NodeId, PcieEnergyModel, ReplayParams,
+    transfer_faults, FabricError, FlowNet, Gen, InterNodeLink, LinkId, NodeId, PcieEnergyModel,
+    ReplayParams,
 };
 use dmx_sim::health::Route;
 use dmx_sim::{
@@ -168,6 +169,9 @@ pub enum SimError {
     /// between each pair of consecutive stages, or more than 256 edges,
     /// the most a [`units::bitw`] id can number.
     MalformedApp(usize),
+    /// A fleet's inter-node link has a zero base latency, which leaves
+    /// the window loop no lookahead, or zero bandwidth.
+    UnusableLink(InterNodeLink),
 }
 
 impl fmt::Display for SimError {
@@ -186,6 +190,12 @@ impl fmt::Display for SimError {
                 f,
                 "app {app} needs at least one stage, one edge between consecutive stages \
                  and at most {MAX_EDGES} edges"
+            ),
+            SimError::UnusableLink(link) => write!(
+                f,
+                "inter-node link with base latency {} and {} B/s needs a nonzero \
+                 base latency and bandwidth",
+                link.base_latency, link.bytes_per_sec
             ),
         }
     }
@@ -387,7 +397,7 @@ impl RunResult {
     /// `layer / metric / value` rows, instead of five disjoint report
     /// blocks. Layers that are absent or never fired are skipped; the
     /// empty string means the run was entirely clean.
-    pub fn robustness_summary(&self) -> String {
+    pub(crate) fn robustness_summary(&self) -> String {
         use crate::report::{ms, Table};
         let mut t = Table::new(vec!["layer".into(), "metric".into(), "value".into()]);
         let mut row = |layer: &str, metric: &str, value: String| {
@@ -2130,11 +2140,6 @@ impl<'a> Stepped<'a> {
         self.sim.q.peek_time()
     }
 
-    /// Current local simulation time.
-    pub fn now(&self) -> Time {
-        self.sim.q.now()
-    }
-
     /// Schedules one arrival of tenant `app` at absolute time `at`
     /// (which must not precede any horizon already pumped past),
     /// stamped with an opaque caller `tag`. The arrival runs the full
@@ -2180,7 +2185,7 @@ impl<'a> Stepped<'a> {
     }
 
     /// Engine events this server has processed so far.
-    pub fn events_processed(&self) -> u64 {
+    pub(crate) fn events_processed(&self) -> u64 {
         self.sim.q.events_processed()
     }
 

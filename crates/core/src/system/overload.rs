@@ -52,7 +52,7 @@ pub struct AdmissionParams {
 
 impl AdmissionParams {
     /// No admission control at all.
-    pub fn unlimited() -> AdmissionParams {
+    pub(crate) fn unlimited() -> AdmissionParams {
         AdmissionParams {
             tokens_per_sec: f64::INFINITY,
             burst: f64::INFINITY,
@@ -62,7 +62,7 @@ impl AdmissionParams {
 
     /// True when neither the rate limiter nor the concurrency cap can
     /// ever refuse or queue a request.
-    pub fn is_unlimited(&self) -> bool {
+    pub(crate) fn is_unlimited(&self) -> bool {
         self.tokens_per_sec.is_infinite() && self.max_inflight == usize::MAX
     }
 }
@@ -163,7 +163,7 @@ impl Default for BreakerParams {
 /// Fault events are timestamps; the breaker trips when `threshold`
 /// events land within `window`. While open, all traffic reroutes; once
 /// `cooldown` elapses every batch routes as a probe until
-/// [`Breaker::probe_result`] reports one: a probe's outcome is known at
+/// `Breaker::probe_result` reports one: a probe's outcome is known at
 /// dispatch, so the breaker never enters [`Health::Probing`]. A clean
 /// probe closes the breaker (and clears the window), a faulty one
 /// re-opens it for another cooldown.
@@ -173,20 +173,17 @@ pub struct Breaker {
     events: Vec<Time>,
     /// Closed (`Healthy`), or open until the cooldown ends (`Demoted`).
     health: Health,
-    /// Times the breaker tripped (including re-opens after a failed
-    /// probe).
-    activations: u64,
 }
 
 impl Breaker {
     /// Routing decision for a batch arriving at `now`.
-    pub fn route(&self, now: Time) -> Route {
+    pub(crate) fn route(&self, now: Time) -> Route {
         self.health.route(now)
     }
 
     /// Records a fault event on the unit; returns `true` when this
     /// event trips the breaker open.
-    pub fn record_fault(&mut self, now: Time, p: &BreakerParams) -> bool {
+    pub(crate) fn record_fault(&mut self, now: Time, p: &BreakerParams) -> bool {
         if self.health != Health::Healthy {
             // Already rerouting; residual faults don't re-trip.
             return false;
@@ -204,7 +201,7 @@ impl Breaker {
 
     /// Reports the outcome of a probe batch dispatched after
     /// [`Breaker::route`] returned [`Route::Probe`].
-    pub fn probe_result(&mut self, now: Time, clean: bool, p: &BreakerParams) {
+    pub(crate) fn probe_result(&mut self, now: Time, clean: bool, p: &BreakerParams) {
         if clean {
             self.health = Health::Healthy;
             self.events.clear();
@@ -219,12 +216,6 @@ impl Breaker {
             dark: false,
         };
         self.events.clear();
-        self.activations += 1;
-    }
-
-    /// Times the breaker tripped open so far.
-    pub fn activations(&self) -> u64 {
-        self.activations
     }
 }
 
@@ -276,7 +267,7 @@ impl OverloadConfig {
 
     /// True when no mechanism of the layer can ever fire: the config
     /// behaves exactly like `overload: None`.
-    pub fn is_inert(&self) -> bool {
+    pub(crate) fn is_inert(&self) -> bool {
         self.arrivals.is_empty()
             && self.admission.is_unlimited()
             && self.deadline == Time::MAX
@@ -325,13 +316,13 @@ pub struct TenantOverload {
 
 impl TenantOverload {
     /// Arrivals shed anywhere (admission, queue, or deadline).
-    pub fn shed(&self) -> u64 {
+    pub(crate) fn shed(&self) -> u64 {
         self.rejected_admission + self.rejected_queue_full + self.shed_deadline
     }
 
     /// Fraction of offered load shed anywhere (admission, queue, or
     /// deadline).
-    pub fn shed_rate(&self) -> f64 {
+    pub(crate) fn shed_rate(&self) -> f64 {
         if self.offered == 0 {
             return 0.0;
         }
@@ -380,7 +371,7 @@ impl OverloadReport {
     /// The request ledger: every offered arrival completed (in or out
     /// of deadline), was shed, or is one of `extra` requests resolved
     /// by another layer (quarantined, crash-killed).
-    pub fn conserved_with(&self, extra: u64) -> bool {
+    pub(crate) fn conserved_with(&self, extra: u64) -> bool {
         let resolved: u64 = self
             .tenants
             .iter()
@@ -672,7 +663,6 @@ mod tests {
         assert!(!b.record_fault(Time::from_us(10), &p));
         assert!(!b.record_fault(Time::from_us(20), &p));
         assert!(b.record_fault(Time::from_us(30), &p), "third fault trips");
-        assert_eq!(b.activations(), 1);
         // Open: reroute during the cooldown.
         assert_eq!(b.route(Time::from_us(40)), Route::Fallback);
         let after = Time::from_us(30) + p.cooldown;

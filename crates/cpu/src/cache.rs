@@ -16,7 +16,6 @@ pub struct Cache {
     ways: usize,
     line_bits: u32,
     set_mask: u64,
-    accesses: u64,
     misses: u64,
 }
 
@@ -27,7 +26,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics unless `capacity / (ways * 64)` is a nonzero power of two.
-    pub fn new(capacity: usize, ways: usize) -> Cache {
+    pub(crate) fn new(capacity: usize, ways: usize) -> Cache {
         let line = 64;
         let n_sets = capacity / (ways * line);
         assert!(
@@ -39,14 +38,12 @@ impl Cache {
             ways,
             line_bits: 6,
             set_mask: n_sets as u64 - 1,
-            accesses: 0,
             misses: 0,
         }
     }
 
     /// Accesses an address; returns `true` on hit.
-    pub fn access(&mut self, addr: u64) -> bool {
-        self.accesses += 1;
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_bits;
         let set = (line & self.set_mask) as usize;
         let tag = line >> self.set_mask.count_ones();
@@ -66,7 +63,7 @@ impl Cache {
     }
 
     /// Installs a line without counting an access (hardware prefetch).
-    pub fn install(&mut self, addr: u64) {
+    pub(crate) fn install(&mut self, addr: u64) {
         let line = addr >> self.line_bits;
         let set = (line & self.set_mask) as usize;
         let tag = line >> self.set_mask.count_ones();
@@ -82,13 +79,8 @@ impl Cache {
         ways.push(tag);
     }
 
-    /// Total accesses.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
     /// Total misses.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 }
@@ -255,7 +247,6 @@ mod tests {
         assert!(c.access(0)); // hit
         assert!(c.access(63)); // same line
         assert!(!c.access(64)); // next line
-        assert_eq!(c.accesses(), 4);
         assert_eq!(c.misses(), 2);
     }
 

@@ -27,11 +27,6 @@ impl CpuEnergyModel {
     pub fn energy(&self, wall_secs: f64, busy_core_secs: f64) -> f64 {
         self.idle_watts * wall_secs + self.active_watts_per_core * busy_core_secs
     }
-
-    /// Package power when `cores` cores are busy.
-    pub fn power(&self, cores: f64) -> f64 {
-        self.idle_watts + self.active_watts_per_core * cores
-    }
 }
 
 #[cfg(test)]
@@ -41,7 +36,8 @@ mod tests {
     #[test]
     fn fully_loaded_socket_near_tdp() {
         let m = CpuEnergyModel::default();
-        let p = m.power(16.0);
+        // Joules over one second with all 16 cores busy: watts.
+        let p = m.energy(1.0, 16.0);
         assert!(p > 140.0 && p < 200.0, "full-socket power {p} W");
     }
 

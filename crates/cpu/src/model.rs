@@ -51,7 +51,7 @@ impl Default for HostCpuConfig {
 impl HostCpuConfig {
     /// Peak vector operations per second per core (one AVX-256 f32 op
     /// per lane per cycle).
-    pub fn peak_vec_ops_per_sec(&self) -> f64 {
+    pub(crate) fn peak_vec_ops_per_sec(&self) -> f64 {
         self.freq_hz as f64 * (self.vector_bytes / 4) as f64
     }
 

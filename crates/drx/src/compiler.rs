@@ -44,11 +44,6 @@ pub struct Layout {
 }
 
 impl Layout {
-    /// Placement of a buffer.
-    pub fn placement(&self, buf: BufId) -> BufPlacement {
-        self.entries[buf.index()]
-    }
-
     /// DRAM byte address of a buffer.
     pub fn addr(&self, buf: BufId) -> u64 {
         self.entries[buf.index()].addr

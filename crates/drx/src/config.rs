@@ -15,7 +15,7 @@ pub enum ClockDomain {
 
 impl ClockDomain {
     /// Clock frequency in hertz.
-    pub fn hz(self) -> u64 {
+    pub(crate) fn hz(self) -> u64 {
         match self {
             ClockDomain::Fpga250MHz => 250_000_000,
             ClockDomain::Asic1GHz => 1_000_000_000,
@@ -50,7 +50,7 @@ impl Default for DramConfig {
 
 impl DramConfig {
     /// Aggregate bandwidth across channels, bytes/second.
-    pub fn bytes_per_sec(&self) -> u64 {
+    pub(crate) fn bytes_per_sec(&self) -> u64 {
         self.channel_bytes_per_sec * self.channels as u64
     }
 }
@@ -111,7 +111,7 @@ impl DrxConfig {
     }
 
     /// DRAM bytes the off-chip data access engine can move per DRX cycle.
-    pub fn dram_bytes_per_cycle(&self) -> f64 {
+    pub(crate) fn dram_bytes_per_cycle(&self) -> f64 {
         self.dram.bytes_per_sec() as f64 / self.clock.hz() as f64
     }
 
@@ -120,7 +120,7 @@ impl DrxConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.lanes == 0 || !self.lanes.is_power_of_two() {
             return Err(format!(
                 "lane count must be a power of two, got {}",

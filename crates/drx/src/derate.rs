@@ -43,11 +43,6 @@ impl Derate {
         self.factor *= factor;
     }
 
-    /// The composed slowdown factor (1 when healthy).
-    pub fn factor(&self) -> f64 {
-        self.factor
-    }
-
     /// True when this derate cannot change any service time.
     pub fn is_unity(&self) -> bool {
         self.factor == 1.0
@@ -90,7 +85,6 @@ mod tests {
         let mut d = Derate::none();
         d.compose(2.0);
         d.compose(1.5);
-        assert!((d.factor() - 3.0).abs() < 1e-12);
         assert_eq!(d.apply(Time::from_us(10)), Time::from_us(30));
     }
 

@@ -5,15 +5,11 @@
 //! DRX, its DRAM, and — for the bump-in-the-wire placement — the
 //! per-unit glue logic and dual-port PCIe multiplexer whose replication
 //! is what lets the Standalone placement win energy efficiency at high
-//! concurrency (Sec. VII.B). The model integrates per-event energies
-//! from [`crate::machine::ExecStats`] plus static power over time.
+//! concurrency (Sec. VII.B). The system charges per-event energies
+//! (lane operations, scratchpad and DRAM bytes) plus static power over
+//! time.
 
-use crate::config::{ClockDomain, DrxConfig};
-use crate::machine::ExecStats;
-
-/// Energy in joules (kept local to avoid a dependency cycle; the system
-/// crate converts to its own accounting type).
-pub type Joules = f64;
+use crate::config::ClockDomain;
 
 /// Per-event and static energy parameters of a DRX implementation.
 #[derive(Debug, Clone, Copy)]
@@ -56,25 +52,6 @@ impl DrxEnergyModel {
             },
         }
     }
-
-    /// Dynamic energy of one program run.
-    pub fn dynamic_energy(&self, stats: &ExecStats) -> Joules {
-        (stats.lane_ops as f64 * self.pj_per_lane_op
-            + stats.spad_bytes as f64 * self.pj_per_spad_byte
-            + stats.dram_bytes as f64 * self.pj_per_dram_byte)
-            * 1e-12
-    }
-
-    /// Average power while restructuring at full tilt on `config`
-    /// (used by system-level sanity checks; a 128-lane ASIC DRX lands
-    /// in the handful-of-watts range, far below a Xeon socket).
-    pub fn active_watts(&self, config: &DrxConfig) -> f64 {
-        // lanes * pJ/op * ops/s + DRAM stream power + static
-        let hz = config.clock.hz() as f64;
-        let lane_power = config.lanes as f64 * self.pj_per_lane_op * 1e-12 * hz;
-        let dram_power = config.dram.bytes_per_sec() as f64 * self.pj_per_dram_byte * 1e-12;
-        lane_power + dram_power + self.static_watts
-    }
 }
 
 #[cfg(test)]
@@ -87,29 +64,5 @@ mod tests {
         let f = DrxEnergyModel::for_clock(ClockDomain::Fpga250MHz);
         assert!(a.pj_per_lane_op < f.pj_per_lane_op);
         assert!(a.static_watts < f.static_watts);
-    }
-
-    #[test]
-    fn dynamic_energy_scales_with_work() {
-        let m = DrxEnergyModel::for_clock(ClockDomain::Asic1GHz);
-        let s1 = ExecStats {
-            lane_ops: 1_000_000,
-            dram_bytes: 1_000_000,
-            ..ExecStats::default()
-        };
-        let mut s2 = s1.clone();
-        s2.lane_ops *= 2;
-        s2.dram_bytes *= 2;
-        let e1 = m.dynamic_energy(&s1);
-        let e2 = m.dynamic_energy(&s2);
-        assert!((e2 / e1 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn active_power_is_modest() {
-        let m = DrxEnergyModel::for_clock(ClockDomain::Asic1GHz);
-        let w = m.active_watts(&DrxConfig::default());
-        // 128 lanes at 1 pJ/op/GHz ~ 0.128 W, DDR4 stream ~ 0.5 W.
-        assert!(w > 0.5 && w < 10.0, "active power {w} W out of range");
     }
 }

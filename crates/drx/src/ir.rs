@@ -23,7 +23,7 @@ pub struct BufId(pub(crate) usize);
 
 impl BufId {
     /// Raw index into the kernel's buffer table.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }
@@ -45,7 +45,7 @@ pub struct BufferDecl {
 
 impl BufferDecl {
     /// Buffer size in bytes.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.elems * self.dtype.size()
     }
 }
@@ -91,7 +91,7 @@ impl Access {
 
     /// Smallest and largest element index touched over `dims`
     /// (inclusive). `dims[0]` can be overridden to reason about tiles.
-    pub fn extent(&self, dims: &[u64]) -> (i64, i64) {
+    pub(crate) fn extent(&self, dims: &[u64]) -> (i64, i64) {
         let mut lo = self.offset;
         let mut hi = self.offset;
         for (d, &s) in self.strides.iter().enumerate() {
@@ -290,28 +290,6 @@ impl Kernel {
     /// Appends a loop nest.
     pub fn nest(&mut self, dims: Vec<u64>, stmts: Vec<VecStmt>) {
         self.nests.push(LoopNest { dims, stmts });
-    }
-
-    /// Total bytes read plus written per execution, assuming each
-    /// buffer element in a nest footprint moves once (the cost-model
-    /// "traffic" of the kernel).
-    pub fn traffic_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        for nest in &self.nests {
-            for stmt in &nest.stmts {
-                let mut accs = vec![&stmt.dst, &stmt.src0];
-                if let Some(s1) = &stmt.src1 {
-                    accs.push(s1);
-                }
-                for a in accs {
-                    let (lo, hi) = a.extent(&nest.dims);
-                    let elems = (hi - lo + 1).max(0) as u64;
-                    total +=
-                        elems.min(self.buffers[a.buf.0].elems) * self.buffers[a.buf.0].dtype.size();
-                }
-            }
-        }
-        total
     }
 
     /// Validates the kernel.
@@ -558,11 +536,5 @@ mod tests {
             }],
         );
         assert_eq!(k.validate(), Err(IrError::ScatterUnsupported { nest: 0 }));
-    }
-
-    #[test]
-    fn traffic_accounts_all_operands() {
-        let k = scale_kernel();
-        assert_eq!(k.traffic_bytes(), 2 * 1024 * 4);
     }
 }

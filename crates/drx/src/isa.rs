@@ -56,7 +56,7 @@ impl Dtype {
     }
 
     /// True for the floating-point type.
-    pub fn is_float(self) -> bool {
+    pub(crate) fn is_float(self) -> bool {
         self == Dtype::F32
     }
 }
@@ -92,7 +92,7 @@ impl Port {
     pub const ALL: [Port; 3] = [Port::Src0, Port::Src1, Port::Dst];
 
     /// Dense index for table lookups.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Port::Src0 => 0,
             Port::Src1 => 1,
@@ -181,7 +181,7 @@ pub enum VectorOp {
 
 impl VectorOp {
     /// True if the op consumes a second streamed operand through `src1`.
-    pub fn uses_src1(self) -> bool {
+    pub(crate) fn uses_src1(self) -> bool {
         matches!(
             self,
             VectorOp::Add
@@ -214,7 +214,7 @@ impl VectorOp {
     }
 
     /// True if the op is only defined on integer element types.
-    pub fn integer_only(self) -> bool {
+    pub(crate) fn integer_only(self) -> bool {
         matches!(
             self,
             VectorOp::And
@@ -227,7 +227,7 @@ impl VectorOp {
     }
 
     /// True if the op is only defined on the float element type.
-    pub fn float_only(self) -> bool {
+    pub(crate) fn float_only(self) -> bool {
         matches!(
             self,
             VectorOp::Div | VectorOp::Log | VectorOp::Exp | VectorOp::Sqrt | VectorOp::Recip
@@ -237,7 +237,7 @@ impl VectorOp {
     /// Issue interval in cycles per loop-nest point: transcendental and
     /// division units are pipelined shallower than the ALU datapath;
     /// gather/scatter pay scratchpad bank arbitration.
-    pub fn issue_interval(self) -> u64 {
+    pub(crate) fn issue_interval(self) -> u64 {
         match self {
             VectorOp::Div | VectorOp::Log | VectorOp::Exp | VectorOp::Sqrt | VectorOp::Recip => 4,
             VectorOp::Gather | VectorOp::Scatter => 2,
@@ -246,7 +246,7 @@ impl VectorOp {
     }
 
     /// Pipeline fill latency charged once per [`Instr::Vec`] execution.
-    pub fn fill_latency(self) -> u64 {
+    pub(crate) fn fill_latency(self) -> u64 {
         8
     }
 

@@ -234,7 +234,7 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid ([`DrxConfig::validate`]).
+    /// Panics if the configuration is invalid (`DrxConfig::validate`).
     pub fn new(config: DrxConfig) -> Machine {
         config.validate().expect("invalid DRX configuration");
         Machine {
@@ -280,25 +280,9 @@ impl Machine {
         out
     }
 
-    /// Reads bytes from the scratchpad (for tests and debugging).
-    pub fn read_spad(&self, addr: u64, len: u64) -> &[u8] {
-        &self.spad[addr as usize..(addr + len) as usize]
-    }
-
     /// Current value of a scalar register.
     pub fn reg(&self, r: u8) -> i64 {
         self.regs[r as usize]
-    }
-
-    /// Flips one bit of scratchpad SRAM in place: the silent-data-
-    /// corruption hook for the fault-injection layer. Out-of-range
-    /// offsets are ignored (the plan draws against the configured
-    /// scratchpad size, which is always `spad.len()`, but callers may
-    /// inject against a staged sub-buffer).
-    pub fn flip_spad_bit(&mut self, offset: u64, bit: u8) {
-        if let Some(b) = self.spad.get_mut(offset as usize) {
-            *b ^= 1 << (bit & 7);
-        }
     }
 
     /// Flips one bit of device DRAM in place (silent-corruption hook).
@@ -1467,11 +1451,6 @@ mod tests {
         assert_eq!(m.read_dram(1000, 1), vec![0x01]);
         // ...but out-of-capacity flips are ignored.
         m.flip_dram_bit(1 << 21, 0);
-        m.flip_spad_bit(5, 7);
-        assert_eq!(m.read_spad(5, 1), &[0x80]);
-        m.flip_spad_bit(u64::MAX, 0); // ignored
-        m.flip_spad_bit(5, 7);
-        assert_eq!(m.read_spad(5, 1), &[0x00]);
     }
 
     fn vec_cfg(ports: &mut Program, base0: u64, based: u64, n: u32, elem: i64) {

@@ -67,7 +67,7 @@ impl Aes128 {
     }
 
     /// Encrypts one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+    pub(crate) fn encrypt_block(&self, block: &mut [u8; 16]) {
         let add = |b: &mut [u8; 16], k: &[u8; 16]| {
             for i in 0..16 {
                 b[i] ^= k[i];

@@ -65,21 +65,20 @@ impl Default for Checksum {
     }
 }
 
-/// Applies injected silent bit flips to a payload in place: each
-/// `(offset, bit)` pair XORs one bit. Offsets at or past the buffer
-/// end are ignored (the fault plan draws against the staged buffer
-/// size, which can exceed a short final batch).
-pub fn apply_bit_flips(bytes: &mut [u8], flips: impl IntoIterator<Item = (u64, u8)>) {
-    for (offset, bit) in flips {
-        if let Some(b) = bytes.get_mut(offset as usize) {
-            *b ^= 1 << (bit & 7);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Applies silent bit flips to a payload in place: each
+    /// `(offset, bit)` pair XORs one bit. Offsets at or past the buffer
+    /// end are ignored.
+    fn apply_bit_flips(bytes: &mut [u8], flips: impl IntoIterator<Item = (u64, u8)>) {
+        for (offset, bit) in flips {
+            if let Some(b) = bytes.get_mut(offset as usize) {
+                *b ^= 1 << (bit & 7);
+            }
+        }
+    }
 
     #[test]
     fn matches_known_fnv1a_vectors() {

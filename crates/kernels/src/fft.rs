@@ -14,18 +14,13 @@ pub struct Complex {
 
 impl Complex {
     /// Creates a complex number.
-    pub fn new(re: f32, im: f32) -> Complex {
+    pub(crate) fn new(re: f32, im: f32) -> Complex {
         Complex { re, im }
     }
 
     /// Squared magnitude `re² + im²`.
     pub fn norm_sq(self) -> f32 {
         self.re * self.re + self.im * self.im
-    }
-
-    /// Magnitude.
-    pub fn abs(self) -> f32 {
-        self.norm_sq().sqrt()
     }
 
     fn mul(self, other: Complex) -> Complex {
@@ -55,7 +50,7 @@ impl Complex {
 /// # Panics
 ///
 /// Panics if the length is not a power of two.
-pub fn fft_in_place(data: &mut [Complex]) {
+pub(crate) fn fft_in_place(data: &mut [Complex]) {
     let n = data.len();
     assert!(n.is_power_of_two(), "FFT length must be a power of two");
     if n <= 1 {
@@ -91,26 +86,6 @@ pub fn fft_in_place(data: &mut [Complex]) {
     }
 }
 
-/// Inverse FFT, in place: recovers the time-domain signal from a full
-/// complex spectrum (conjugate → forward FFT → conjugate → scale).
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-pub fn ifft_in_place(data: &mut [Complex]) {
-    let n = data.len();
-    assert!(n.is_power_of_two(), "IFFT length must be a power of two");
-    for c in data.iter_mut() {
-        c.im = -c.im;
-    }
-    fft_in_place(data);
-    let scale = 1.0 / n as f32;
-    for c in data.iter_mut() {
-        c.re *= scale;
-        c.im = -c.im * scale;
-    }
-}
-
 /// FFT of a real signal, returning the full complex spectrum.
 ///
 /// # Panics
@@ -123,7 +98,7 @@ pub fn fft_real(signal: &[f32]) -> Vec<Complex> {
 }
 
 /// Hann window of length `n`.
-pub fn hann_window(n: usize) -> Vec<f32> {
+pub(crate) fn hann_window(n: usize) -> Vec<f32> {
     (0..n)
         .map(|i| 0.5 * (1.0 - (2.0 * PI * i as f32 / n as f32).cos()))
         .collect()
@@ -162,24 +137,40 @@ pub fn stft(signal: &[f32], frame: usize, hop: usize) -> (Vec<Complex>, usize, u
     (out, n_frames, bins)
 }
 
-/// Naive O(n²) DFT used as a test oracle.
-pub fn dft_naive(signal: &[f32]) -> Vec<Complex> {
-    let n = signal.len();
-    (0..n)
-        .map(|k| {
-            let mut acc = Complex::default();
-            for (t, &x) in signal.iter().enumerate() {
-                let ang = -2.0 * PI * (k * t) as f32 / n as f32;
-                acc = acc.add(Complex::new(x * ang.cos(), x * ang.sin()));
-            }
-            acc
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Naive O(n²) DFT, the oracle the FFT is checked against.
+    fn dft_naive(signal: &[f32]) -> Vec<Complex> {
+        let n = signal.len();
+        (0..n)
+            .map(|k| {
+                let mut acc = Complex::default();
+                for (t, &x) in signal.iter().enumerate() {
+                    let ang = -2.0 * PI * (k * t) as f32 / n as f32;
+                    acc = acc.add(Complex::new(x * ang.cos(), x * ang.sin()));
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// Inverse FFT, in place: recovers the time-domain signal from a
+    /// full complex spectrum (conjugate → forward FFT → conjugate →
+    /// scale).
+    fn ifft_in_place(data: &mut [Complex]) {
+        let n = data.len();
+        for c in data.iter_mut() {
+            c.im = -c.im;
+        }
+        fft_in_place(data);
+        let scale = 1.0 / n as f32;
+        for c in data.iter_mut() {
+            c.re *= scale;
+            c.im = -c.im * scale;
+        }
+    }
 
     #[test]
     fn impulse_has_flat_spectrum() {
@@ -211,7 +202,7 @@ mod tests {
             .map(|i| (2.0 * PI * k as f32 * i as f32 / n as f32).sin())
             .collect();
         let spec = fft_real(&signal);
-        let mags: Vec<f32> = spec.iter().take(n / 2).map(|c| c.abs()).collect();
+        let mags: Vec<f32> = spec.iter().take(n / 2).map(|c| c.norm_sq()).collect();
         let peak = mags
             .iter()
             .enumerate()

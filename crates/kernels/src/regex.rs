@@ -395,11 +395,6 @@ impl Regex {
         })
     }
 
-    /// Number of NFA states (complexity measure used by the cost model).
-    pub fn states(&self) -> usize {
-        self.nodes.len()
-    }
-
     fn add_state(&self, state: usize, set: &mut Vec<usize>, on: &mut [bool]) {
         if on[state] {
             return;
@@ -422,7 +417,7 @@ impl Regex {
     }
 
     /// Finds the leftmost match at or after `from`.
-    pub fn find_at(&self, haystack: &[u8], from: usize) -> Option<(usize, usize)> {
+    pub(crate) fn find_at(&self, haystack: &[u8], from: usize) -> Option<(usize, usize)> {
         for start in from..=haystack.len() {
             if let Some(end) = self.match_end(haystack, start) {
                 return Some((start, end));

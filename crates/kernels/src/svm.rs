@@ -14,30 +14,9 @@ pub struct LinearSvm {
 }
 
 impl LinearSvm {
-    /// Creates an SVM from explicit weights (`classes x dims`) and biases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if sizes are inconsistent or empty.
-    pub fn from_weights(weights: Vec<f32>, bias: Vec<f32>, dims: usize) -> LinearSvm {
-        assert!(dims > 0, "dims must be nonzero");
-        assert!(!bias.is_empty(), "at least one class required");
-        assert_eq!(weights.len(), bias.len() * dims, "weight matrix shape");
-        LinearSvm {
-            weights,
-            bias,
-            dims,
-        }
-    }
-
     /// Number of classes.
-    pub fn classes(&self) -> usize {
+    pub(crate) fn classes(&self) -> usize {
         self.bias.len()
-    }
-
-    /// Feature dimensionality.
-    pub fn dims(&self) -> usize {
-        self.dims
     }
 
     /// Per-class decision values for one feature vector.
@@ -45,7 +24,7 @@ impl LinearSvm {
     /// # Panics
     ///
     /// Panics if `x.len() != dims`.
-    pub fn decision(&self, x: &[f32]) -> Vec<f32> {
+    pub(crate) fn decision(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.dims, "feature size mismatch");
         (0..self.classes())
             .map(|c| {
@@ -125,6 +104,18 @@ impl LinearSvm {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LinearSvm {
+        /// An SVM with explicit weights (`classes x dims`) and biases.
+        fn from_weights(weights: Vec<f32>, bias: Vec<f32>, dims: usize) -> LinearSvm {
+            assert_eq!(weights.len(), bias.len() * dims, "weight matrix shape");
+            LinearSvm {
+                weights,
+                bias,
+                dims,
+            }
+        }
+    }
 
     /// Two well-separated 2-D blobs.
     fn blobs() -> (Vec<f32>, Vec<usize>) {

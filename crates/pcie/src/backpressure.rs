@@ -55,7 +55,6 @@ pub struct CreditGate {
     endpoints: HashMap<u64, Endpoint>,
     stalls: u64,
     stall_time: Time,
-    peak_in_use: u64,
 }
 
 impl CreditGate {
@@ -75,13 +74,7 @@ impl CreditGate {
             endpoints: HashMap::new(),
             stalls: 0,
             stall_time: Time::ZERO,
-            peak_in_use: 0,
         }
-    }
-
-    /// Per-endpoint credit capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
     }
 
     /// Transfers that had to stall for credit so far.
@@ -92,21 +85,6 @@ impl CreditGate {
     /// Total time stalled transfers spent parked.
     pub fn stall_time(&self) -> Time {
         self.stall_time
-    }
-
-    /// Largest credit reservation ever observed on any endpoint.
-    pub fn peak_in_use(&self) -> u64 {
-        self.peak_in_use
-    }
-
-    /// Bytes currently reserved on `endpoint`.
-    pub fn in_use(&self, endpoint: u64) -> u64 {
-        self.endpoints.get(&endpoint).map_or(0, |e| e.in_use)
-    }
-
-    /// Transfers currently parked on `endpoint`.
-    pub fn parked(&self, endpoint: u64) -> usize {
-        self.endpoints.get(&endpoint).map_or(0, |e| e.waiting.len())
     }
 
     /// Tries to reserve `bytes` of ingress credit on `endpoint` for the
@@ -128,7 +106,6 @@ impl CreditGate {
         let ep = self.endpoints.entry(endpoint).or_default();
         if ep.waiting.is_empty() && ep.in_use + bytes <= self.capacity {
             ep.in_use += bytes;
-            self.peak_in_use = self.peak_in_use.max(ep.in_use);
             true
         } else {
             ep.waiting.push_back((token, bytes, now));
@@ -190,7 +167,6 @@ impl CreditGate {
             }
             ep.waiting.pop_front();
             ep.in_use += need;
-            self.peak_in_use = self.peak_in_use.max(ep.in_use);
             self.stall_time += now.saturating_sub(since);
             woken.push(token);
         }
@@ -201,6 +177,18 @@ impl CreditGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CreditGate {
+        /// Bytes currently reserved on `endpoint`.
+        fn in_use(&self, endpoint: u64) -> u64 {
+            self.endpoints.get(&endpoint).map_or(0, |e| e.in_use)
+        }
+
+        /// Transfers currently parked on `endpoint`.
+        fn parked(&self, endpoint: u64) -> usize {
+            self.endpoints.get(&endpoint).map_or(0, |e| e.waiting.len())
+        }
+    }
 
     #[test]
     fn grants_until_full_then_parks() {
@@ -260,7 +248,6 @@ mod tests {
         assert!(g.try_acquire(Time::ZERO, 2, 20, 50));
         assert_eq!(g.in_use(1), 50);
         assert_eq!(g.in_use(2), 50);
-        assert_eq!(g.peak_in_use(), 50);
     }
 
     #[test]

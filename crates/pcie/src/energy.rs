@@ -17,7 +17,7 @@ impl Joules {
     pub const ZERO: Joules = Joules(0.0);
 
     /// Energy from power (watts) over a duration.
-    pub fn from_power(watts: f64, t: Time) -> Joules {
+    pub(crate) fn from_power(watts: f64, t: Time) -> Joules {
         Joules(watts * t.as_secs_f64())
     }
 

@@ -97,7 +97,6 @@ pub struct FlowNet {
     /// buffer is recycled once drained instead of reallocated.
     finished_head: usize,
     link_bytes: Vec<f64>, // cumulative bytes crossing each link
-    flows_completed: u64,
 }
 
 impl FlowNet {
@@ -127,7 +126,6 @@ impl FlowNet {
             finished: Vec::new(),
             finished_head: 0,
             link_bytes: vec![0.0; n],
-            flows_completed: 0,
         }
     }
 
@@ -161,11 +159,6 @@ impl FlowNet {
     /// Number of flows in progress.
     pub fn active_flows(&self) -> usize {
         self.flows.len()
-    }
-
-    /// Number of flows that have completed.
-    pub fn flows_completed(&self) -> u64 {
-        self.flows_completed
     }
 
     /// Cumulative bytes that have crossed each link (for energy
@@ -445,9 +438,7 @@ impl FlowNet {
                 true
             }
         });
-        let retired = before - self.flows.len();
-        if retired > 0 {
-            self.flows_completed += retired as u64;
+        if self.flows.len() < before {
             self.generation += 1;
             self.invalidate_rates();
         }
@@ -540,7 +531,6 @@ impl FlowNet {
             links.clear();
             self.links_pool.push(links);
             self.finished.push(id);
-            self.flows_completed += 1;
         } else {
             for &l in &links {
                 self.link_flows[l] += 1;
@@ -756,7 +746,7 @@ mod tests {
         net.advance(t);
         assert!((net.link_bytes()[0] - 1e6).abs() < 1.0);
         assert!((net.link_bytes()[1] - 1e6).abs() < 1.0);
-        assert_eq!(net.flows_completed(), 1);
+        assert_eq!(drain(&mut net), vec![1]);
     }
 
     #[test]

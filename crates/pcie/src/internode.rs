@@ -33,7 +33,7 @@ impl InterNodeLink {
     /// A software-load-balancer hop over 25GbE inside one rack:
     /// ~25 µs one way (kernel network stack + ToR switch), 25 Gb/s of
     /// body bandwidth. The default fleet fabric.
-    pub fn rack_25g() -> InterNodeLink {
+    pub(crate) fn rack_25g() -> InterNodeLink {
         InterNodeLink {
             base_latency: Time::from_us(25),
             bytes_per_sec: 25_000_000_000 / 8,
@@ -50,7 +50,7 @@ impl InterNodeLink {
 
     /// One-way delivery time for a `bytes`-byte message: base latency
     /// plus serialization.
-    pub fn delivery_time(&self, bytes: u64) -> Time {
+    pub(crate) fn delivery_time(&self, bytes: u64) -> Time {
         self.base_latency + transfer_time(bytes, self.bytes_per_sec)
     }
 }
@@ -95,7 +95,7 @@ pub struct InterNodeFabric {
 
 impl InterNodeFabric {
     /// A fabric where every hop uses `link`.
-    pub fn uniform(link: InterNodeLink) -> InterNodeFabric {
+    pub(crate) fn uniform(link: InterNodeLink) -> InterNodeFabric {
         InterNodeFabric { link }
     }
 

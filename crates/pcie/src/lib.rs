@@ -51,6 +51,6 @@ pub use backpressure::{CreditGate, CreditToken};
 pub use energy::{Joules, PcieEnergyModel};
 pub use flow::{FlowId, FlowNet};
 pub use internode::{InterNodeFabric, InterNodeLink, LinkOutage};
-pub use link::{Gen, InvalidLanes, Lanes, LinkSpec};
+pub use link::{Gen, Lanes, LinkSpec};
 pub use replay::{transfer_faults, ReplayParams, TransferFaults};
 pub use topology::{FabricError, LinkId, NodeId, NodeKind, Route, RouteMemo, Topology};

@@ -68,7 +68,7 @@ pub struct TransferFaults {
 
 impl TransferFaults {
     /// A clean transfer: nothing replayed.
-    pub fn clean() -> TransferFaults {
+    pub(crate) fn clean() -> TransferFaults {
         TransferFaults::default()
     }
 }

@@ -53,7 +53,7 @@ pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
     /// Raw index (stable for the lifetime of the topology).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 }

@@ -74,7 +74,7 @@ impl Lowered {
     }
 
     /// Total output bytes across segments.
-    pub fn output_bytes(&self) -> u64 {
+    pub(crate) fn output_bytes(&self) -> u64 {
         self.outputs.iter().map(|(_, b)| b).sum()
     }
 

@@ -36,7 +36,7 @@ impl TokenizeGather {
     }
 
     /// Payload bytes per sequence.
-    pub fn payload(&self) -> u64 {
+    pub(crate) fn payload(&self) -> u64 {
         self.seq_len - 2
     }
 }

@@ -49,7 +49,7 @@ pub struct Gen {
 
 impl Gen {
     /// Creates a generator from a seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Gen {
             rng: SplitMix64::new(seed),
         }
@@ -103,11 +103,6 @@ impl Gen {
     /// Random bytes with length drawn from `[len_lo, len_hi)`.
     pub fn bytes(&mut self, len_lo: usize, len_hi: usize) -> Vec<u8> {
         self.vec(len_lo, len_hi, |g| g.u64_in(0, 256) as u8)
-    }
-
-    /// Access to the raw RNG for distributions the helpers don't cover.
-    pub fn rng(&mut self) -> &mut SplitMix64 {
-        &mut self.rng
     }
 }
 

@@ -51,7 +51,7 @@ impl SdcConfig {
     }
 
     /// True when no silent corruption can fire.
-    pub fn is_inert(&self) -> bool {
+    pub(crate) fn is_inert(&self) -> bool {
         self.spad_flip_rate == 0.0 && self.dma_flip_rate == 0.0 && self.ddr_flip_rate_per_sec == 0.0
     }
 }
@@ -82,15 +82,6 @@ impl SdcDomain {
             SdcDomain::Ddr => 3,
         }
     }
-}
-
-/// One injected silent bit flip inside a batch buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SdcEvent {
-    /// Byte offset of the flipped bit within the buffer.
-    pub offset: u64,
-    /// Which bit (0..8) of that byte flips.
-    pub bit: u8,
 }
 
 /// What a crash-stop event takes down.
@@ -225,7 +216,7 @@ impl DegradeEvent {
 
     /// True when `now` falls inside the degradation window (ignoring
     /// the duty cycle).
-    pub fn window_covers(&self, now: Time) -> bool {
+    pub(crate) fn window_covers(&self, now: Time) -> bool {
         now >= self.at && self.ends_at().map(|e| now < e).unwrap_or(true)
     }
 
@@ -329,16 +320,6 @@ impl FaultPlan {
         FaultPlan { cfg }
     }
 
-    /// The underlying config.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
-    /// True when no fault of any kind can fire.
-    pub fn is_inert(&self) -> bool {
-        self.cfg.is_inert()
-    }
-
     /// A fresh sub-stream for `(domain, a, b)`. SplitMix64's output
     /// function is a strong 64-bit mixer, so feeding each key through
     /// one round decorrelates the streams.
@@ -387,47 +368,21 @@ impl FaultPlan {
         self.stream(DOMAIN_STALL, job, attempt as u64).next_f64() < self.cfg.stall_rate
     }
 
-    /// The silent bit flips batch `batch` of device `device` picks up
-    /// while exposed to `domain` for one pass of `bytes` bytes
+    /// How many silent bit flips batch `batch` of device `device` picks
+    /// up while exposed to `domain` for one pass of `bytes` bytes
     /// (`residency_secs` scales the DDR rate; ignored elsewhere).
     ///
     /// `attempt` is the re-execution attempt: a retried batch re-rolls
     /// its exposure rather than deterministically re-corrupting, which
     /// is what makes quarantine/re-execute recovery converge.
     ///
-    /// The flip *count* is a Poisson draw on the batch's own sub-stream
-    /// with mean `bytes x rate` (inverse-transform, so one stream walk
-    /// per query regardless of buffer size — a per-byte Bernoulli over
-    /// megabyte batches would dominate the run), followed by one
-    /// `(offset, bit)` draw per flip. Order-independent like every
-    /// other plan query.
-    pub fn sdc_flips(
-        &self,
-        domain: SdcDomain,
-        device: u64,
-        batch: u64,
-        attempt: u32,
-        bytes: u64,
-        residency_secs: f64,
-    ) -> Vec<SdcEvent> {
-        let Some((count, mut rng)) =
-            self.sdc_flip_draw(domain, device, batch, attempt, bytes, residency_secs)
-        else {
-            return Vec::new();
-        };
-        (0..count)
-            .map(|_| SdcEvent {
-                offset: rng.next_below(bytes),
-                bit: (rng.next_u64() & 7) as u8,
-            })
-            .collect()
-    }
-
-    /// Count-only variant of [`FaultPlan::sdc_flips`]: same Poisson draw
-    /// on the same sub-stream, so `sdc_flip_count(..) == sdc_flips(..).len()`
-    /// always — but without materializing per-flip positions. The hot
-    /// integrity path only needs the count, and the per-flip draws were
-    /// the allocation it paid for.
+    /// The count is a Poisson draw on the batch's own sub-stream with
+    /// mean `bytes x rate` (inverse-transform, so one stream walk per
+    /// query regardless of buffer size — a per-byte Bernoulli over
+    /// megabyte batches would dominate the run). No stream is touched
+    /// when the exposure cannot fire (zero rate or empty batch), the
+    /// common case on hot paths. Order-independent like every other
+    /// plan query.
     pub fn sdc_flip_count(
         &self,
         domain: SdcDomain,
@@ -437,24 +392,6 @@ impl FaultPlan {
         bytes: u64,
         residency_secs: f64,
     ) -> u64 {
-        self.sdc_flip_draw(domain, device, batch, attempt, bytes, residency_secs)
-            .map_or(0, |(count, _)| count)
-    }
-
-    /// The shared Poisson count draw behind [`FaultPlan::sdc_flips`] and
-    /// [`FaultPlan::sdc_flip_count`]. Returns the count and the stream
-    /// positioned just past it (where per-flip draws continue), or
-    /// `None` without touching any stream when the exposure cannot fire
-    /// (zero rate or empty batch) — the common case on hot paths.
-    fn sdc_flip_draw(
-        &self,
-        domain: SdcDomain,
-        device: u64,
-        batch: u64,
-        attempt: u32,
-        bytes: u64,
-        residency_secs: f64,
-    ) -> Option<(u64, SplitMix64)> {
         let rate = match domain {
             SdcDomain::Scratchpad => self.cfg.sdc.spad_flip_rate,
             SdcDomain::DmaStaging => self.cfg.sdc.dma_flip_rate,
@@ -462,7 +399,7 @@ impl FaultPlan {
         };
         let mean = bytes as f64 * rate;
         if mean <= 0.0 || bytes == 0 {
-            return None;
+            return 0;
         }
         let mut rng = self.stream(
             DOMAIN_SDC ^ (domain.tag() << 8),
@@ -485,7 +422,7 @@ impl FaultPlan {
             }
             count += 1;
         }
-        Some((count, rng))
+        count
     }
 
     /// The crash-stop schedule, ordered by crash time (ties broken by
@@ -540,7 +477,11 @@ mod tests {
     use super::*;
 
     fn lossy() -> FaultPlan {
-        FaultPlan::new(FaultConfig {
+        FaultPlan::new(lossy_config())
+    }
+
+    fn lossy_config() -> FaultConfig {
+        FaultConfig {
             seed: 42,
             bit_error_rate: 1e-9,
             lost_completion_rate: 0.1,
@@ -554,7 +495,7 @@ mod tests {
             },
             crashes: Vec::new(),
             degrades: Vec::new(),
-        })
+        }
     }
 
     #[test]
@@ -579,11 +520,11 @@ mod tests {
     fn seeds_change_outcomes() {
         let a = FaultPlan::new(FaultConfig {
             seed: 1,
-            ..lossy().config().clone()
+            ..lossy_config()
         });
         let b = FaultPlan::new(FaultConfig {
             seed: 2,
-            ..lossy().config().clone()
+            ..lossy_config()
         });
         let hits = |p: &FaultPlan| (0..1000).filter(|&e| p.completion_lost(e)).count();
         let (ha, hb) = (hits(&a), hits(&b));
@@ -602,8 +543,8 @@ mod tests {
 
     #[test]
     fn inert_plan_never_fires() {
+        assert!(FaultConfig::none().is_inert());
         let p = FaultPlan::new(FaultConfig::none());
-        assert!(p.is_inert());
         for i in 0..100 {
             assert_eq!(
                 p.corrupted_chunks(i, 1000, p.chunk_corruption_probability(2e6)),
@@ -642,7 +583,7 @@ mod tests {
         let immortal = FaultPlan::new(FaultConfig {
             death_mttf_secs: None,
             kills: vec![],
-            ..lossy().config().clone()
+            ..lossy_config()
         });
         assert_eq!(immortal.death_time(4), None);
     }
@@ -655,30 +596,26 @@ mod tests {
     #[test]
     fn sdc_flips_deterministic_and_in_bounds() {
         let p = lossy();
-        let a = p.sdc_flips(SdcDomain::Scratchpad, 7, 3, 0, 1 << 20, 0.0);
-        let b = lossy().sdc_flips(SdcDomain::Scratchpad, 7, 3, 0, 1 << 20, 0.0);
-        assert_eq!(a, b);
-        for f in &a {
-            assert!(f.offset < 1 << 20);
-            assert!(f.bit < 8);
+        for b in 0..50 {
+            let n = p.sdc_flip_count(SdcDomain::Scratchpad, 7, b, 0, 1 << 20, 0.0);
+            assert_eq!(
+                n,
+                lossy().sdc_flip_count(SdcDomain::Scratchpad, 7, b, 0, 1 << 20, 0.0)
+            );
+            assert!(n <= 4096, "the draw is capped at 4096 flips");
         }
-    }
-
-    #[test]
-    fn sdc_flip_count_matches_flips_len() {
-        let p = lossy();
-        for b in 0..200 {
-            for (dom, res) in [
-                (SdcDomain::Scratchpad, 0.0),
-                (SdcDomain::DmaStaging, 0.0),
-                (SdcDomain::Ddr, 0.5),
-            ] {
-                assert_eq!(
-                    p.sdc_flip_count(dom, 3, b, 1, 1 << 20, res),
-                    p.sdc_flips(dom, 3, b, 1, 1 << 20, res).len() as u64,
-                );
-            }
-        }
+        // A mean far past a tiny buffer's bit count is capped there.
+        let heavy = FaultPlan::new(FaultConfig {
+            sdc: SdcConfig {
+                dma_flip_rate: 100.0,
+                ..SdcConfig::none()
+            },
+            ..FaultConfig::none()
+        });
+        assert_eq!(
+            heavy.sdc_flip_count(SdcDomain::DmaStaging, 1, 0, 0, 2, 0.0),
+            16
+        );
     }
 
     #[test]
@@ -686,11 +623,8 @@ mod tests {
         let p = lossy();
         // 1 MB at 1e-6/byte: mean ~1.05 flips per batch; over 500
         // batches expect ~524.
-        let total: usize = (0..500)
-            .map(|b| {
-                p.sdc_flips(SdcDomain::DmaStaging, 1, b, 0, 1 << 20, 0.0)
-                    .len()
-            })
+        let total: u64 = (0..500)
+            .map(|b| p.sdc_flip_count(SdcDomain::DmaStaging, 1, b, 0, 1 << 20, 0.0))
             .sum();
         assert!((350..750).contains(&total), "{total}");
     }
@@ -698,32 +632,35 @@ mod tests {
     #[test]
     fn sdc_domains_and_attempts_draw_disjoint_streams() {
         let p = lossy();
-        let spad = p.sdc_flips(SdcDomain::Scratchpad, 7, 3, 0, 1 << 22, 0.0);
-        let dma = p.sdc_flips(SdcDomain::DmaStaging, 7, 3, 0, 1 << 22, 0.0);
-        assert_ne!(spad, dma, "domains must not alias");
+        let counts = |dom, attempt| -> Vec<u64> {
+            (0..50)
+                .map(|b| p.sdc_flip_count(dom, 7, b, attempt, 1 << 22, 0.0))
+                .collect()
+        };
+        let spad = counts(SdcDomain::Scratchpad, 0);
+        assert_ne!(
+            spad,
+            counts(SdcDomain::DmaStaging, 0),
+            "domains must not alias"
+        );
         // A re-execution re-rolls the exposure: over many batches the
-        // attempt-1 schedule must differ from attempt-0 somewhere.
-        let differs = (0..50).any(|b| {
-            p.sdc_flips(SdcDomain::Scratchpad, 7, b, 0, 1 << 22, 0.0)
-                != p.sdc_flips(SdcDomain::Scratchpad, 7, b, 1, 1 << 22, 0.0)
-        });
-        assert!(differs, "attempt must be part of the draw key");
+        // attempt-1 counts must differ from attempt-0 somewhere.
+        assert_ne!(
+            spad,
+            counts(SdcDomain::Scratchpad, 1),
+            "attempt must be part of the draw key"
+        );
     }
 
     #[test]
     fn sdc_ddr_scales_with_residency() {
         let p = lossy();
-        let short: usize = (0..200)
-            .map(|b| p.sdc_flips(SdcDomain::Ddr, 2, b, 0, 1 << 20, 1e-3).len())
-            .sum();
-        let long: usize = (0..200)
-            .map(|b| p.sdc_flips(SdcDomain::Ddr, 2, b, 0, 1 << 20, 1.0).len())
-            .sum();
+        let ddr = |b, res| p.sdc_flip_count(SdcDomain::Ddr, 2, b, 0, 1 << 20, res);
+        let short: u64 = (0..200).map(|b| ddr(b, 1e-3)).sum();
+        let long: u64 = (0..200).map(|b| ddr(b, 1.0)).sum();
         assert!(long > short * 10, "long {long} short {short}");
         // Zero residency: DDR rate is per-second, so nothing can fire.
-        assert!(p
-            .sdc_flips(SdcDomain::Ddr, 2, 0, 0, 1 << 20, 0.0)
-            .is_empty());
+        assert_eq!(ddr(0, 0.0), 0);
     }
 
     #[test]
@@ -851,9 +788,10 @@ mod tests {
     fn inert_sdc_never_fires() {
         let p = FaultPlan::new(FaultConfig::none());
         for b in 0..100 {
-            assert!(p
-                .sdc_flips(SdcDomain::Scratchpad, 1, b, 0, 1 << 24, 1.0)
-                .is_empty());
+            assert_eq!(
+                p.sdc_flip_count(SdcDomain::Scratchpad, 1, b, 0, 1 << 24, 1.0),
+                0
+            );
         }
         // A config whose only live rates are SDC is not inert.
         let sdc_only = FaultConfig {

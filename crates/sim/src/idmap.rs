@@ -15,34 +15,15 @@
 #[derive(Debug, Clone)]
 pub struct IdMap<V> {
     slots: Vec<Option<V>>,
-    len: usize,
 }
 
 impl<V> Default for IdMap<V> {
     fn default() -> Self {
-        IdMap {
-            slots: Vec::new(),
-            len: 0,
-        }
+        IdMap { slots: Vec::new() }
     }
 }
 
 impl<V> IdMap<V> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The value for `id`, if present.
     #[inline]
     pub fn get(&self, id: u64) -> Option<&V> {
@@ -61,21 +42,13 @@ impl<V> IdMap<V> {
         if i >= self.slots.len() {
             self.slots.resize_with(i + 1, || None);
         }
-        let old = self.slots[i].replace(v);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
+        self.slots[i].replace(v)
     }
 
     /// Removes and returns the value at `id`, if present.
     #[inline]
     pub fn remove(&mut self, id: u64) -> Option<V> {
-        let old = self.slots.get_mut(id as usize)?.take();
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
+        self.slots.get_mut(id as usize)?.take()
     }
 
     /// Live ids, ascending.
@@ -102,24 +75,24 @@ mod tests {
 
     #[test]
     fn insert_get_remove_roundtrip() {
-        let mut m: IdMap<String> = IdMap::new();
-        assert!(m.is_empty());
+        let mut m: IdMap<String> = IdMap::default();
+        assert_eq!(m.keys().next(), None);
         assert_eq!(m.insert(3, "three".into()), None);
         assert_eq!(m.insert(0, "zero".into()), None);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.keys().count(), 2);
         assert_eq!(m.get(3).map(String::as_str), Some("three"));
         assert_eq!(m.get(1), None);
         assert_eq!(m.get(99), None);
         assert_eq!(m.insert(3, "THREE".into()).as_deref(), Some("three"));
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.keys().count(), 2);
         assert_eq!(m.remove(3).as_deref(), Some("THREE"));
         assert_eq!(m.remove(3), None);
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.keys().count(), 1);
     }
 
     #[test]
     fn iteration_is_ascending() {
-        let mut m: IdMap<u32> = IdMap::new();
+        let mut m: IdMap<u32> = IdMap::default();
         for id in [5u64, 1, 9, 2] {
             m.insert(id, id as u32 * 10);
         }
@@ -133,7 +106,7 @@ mod tests {
 
     #[test]
     fn get_mut_mutates_in_place() {
-        let mut m: IdMap<u32> = IdMap::new();
+        let mut m: IdMap<u32> = IdMap::default();
         m.insert(4, 1);
         *m.get_mut(4).unwrap() += 10;
         assert_eq!(m.get(4), Some(&11));

@@ -63,7 +63,7 @@ pub use check::{cases, run_cases, Gen};
 pub use fastmap::{FastHasher, FastMap, FastSet};
 pub use fault::{
     CrashEvent, CrashTarget, DegradeEvent, DegradeTarget, DutyCycle, FaultConfig, FaultPlan,
-    SdcConfig, SdcDomain, SdcEvent,
+    SdcConfig, SdcDomain,
 };
 pub use idmap::IdMap;
 pub use par::{par_map, par_map_with};

@@ -47,7 +47,7 @@ pub fn set_threads(n: usize) -> usize {
 }
 
 /// The current process-global worker count.
-pub fn threads() -> usize {
+pub(crate) fn threads() -> usize {
     THREADS.load(Ordering::Relaxed)
 }
 

@@ -109,16 +109,6 @@ impl<M> Outbox<M> {
             },
         ));
     }
-
-    /// Messages queued since the partition's last advance.
-    pub fn len(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
-    }
 }
 
 /// One logical partition of a conservative run: a sequential
@@ -621,10 +611,10 @@ mod tests {
         let mut ob: Outbox<u32> = Outbox::new(3);
         ob.send(0, Time::from_ns(100), 11);
         ob.send(1, Time::from_ns(100), 22);
-        assert_eq!(ob.len(), 2);
+        assert_eq!(ob.msgs.len(), 2);
         let mut chan: Vec<Channel<u32>> = vec![Channel::default(), Channel::default()];
         collect_outbox(&mut ob, Time::from_ns(100), &mut chan);
-        assert!(ob.is_empty());
+        assert!(ob.msgs.is_empty());
         assert_eq!(chan[0].msgs[0].seq, 0);
         assert_eq!(chan[1].msgs[0].seq, 1);
         assert_eq!(chan[1].msgs[0].src, 3);

@@ -53,8 +53,7 @@ static DEFAULT_STALL_LIMIT: AtomicU64 = AtomicU64::new(0);
 /// `limit` consecutive events without simulated time advancing panics
 /// with a diagnostic dump of its pending events instead of spinning
 /// forever. `0` disables the watchdog (the default). Test harnesses
-/// arm this so a livelocked simulation aborts loudly; individual
-/// queues can override via [`EventQueue::set_stall_limit`].
+/// arm this so a livelocked simulation aborts loudly.
 pub fn set_default_stall_limit(limit: u64) {
     DEFAULT_STALL_LIMIT.store(limit, AtomicOrdering::Relaxed);
 }
@@ -134,14 +133,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Overrides the no-progress watchdog for this queue: deliver
-    /// `limit` consecutive events without the clock advancing and
-    /// [`pop`](EventQueue::pop) panics with a dump of the pending
-    /// queue. 0 disables.
-    pub fn set_stall_limit(&mut self, limit: u64) {
-        self.stall_limit = limit;
-    }
-
     /// Current simulated time (the timestamp of the last popped event).
     pub fn now(&self) -> Time {
         self.now
@@ -198,11 +189,11 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// With the no-progress watchdog armed (see
-    /// [`set_default_stall_limit`] / [`set_stall_limit`](EventQueue::set_stall_limit)),
-    /// panics with a dump of the pending queue once `stall_limit`
-    /// consecutive events are delivered without the clock advancing —
-    /// the signature of a model livelock (e.g. two stages endlessly
-    /// rescheduling each other at the same instant).
+    /// [`set_default_stall_limit`]), panics with a dump of the pending
+    /// queue once `stall_limit` consecutive events are delivered
+    /// without the clock advancing — the signature of a model livelock
+    /// (e.g. two stages endlessly rescheduling each other at the same
+    /// instant).
     pub fn pop(&mut self) -> Option<E>
     where
         E: std::fmt::Debug,
@@ -329,7 +320,7 @@ mod tests {
     #[test]
     fn watchdog_off_by_default_tolerates_long_same_time_runs() {
         let mut q = EventQueue::new();
-        q.set_stall_limit(0);
+        q.stall_limit = 0;
         for i in 0..10_000u64 {
             q.schedule_at(Time::from_ns(7), i);
         }
@@ -344,7 +335,7 @@ mod tests {
     #[should_panic(expected = "event queue made no progress")]
     fn watchdog_trips_on_livelock() {
         let mut q = EventQueue::new();
-        q.set_stall_limit(100);
+        q.stall_limit = 100;
         // A self-rescheduling zero-delay event: time never advances.
         q.schedule_at(Time::from_ns(1), 0u64);
         while let Some(e) = q.pop() {
@@ -355,7 +346,7 @@ mod tests {
     #[test]
     fn watchdog_streak_resets_when_time_advances() {
         let mut q = EventQueue::new();
-        q.set_stall_limit(50);
+        q.stall_limit = 50;
         // 40 same-instant events per step stays under the limit as
         // long as the clock moves between bursts.
         for step in 0..10u64 {
@@ -402,7 +393,7 @@ mod tests {
     fn watchdog_dump_lists_tripping_event_then_delivery_order() {
         let msg = std::panic::catch_unwind(|| {
             let mut q = EventQueue::new();
-            q.set_stall_limit(3);
+            q.stall_limit = 3;
             // The a* events share t = 1: a0 moves the clock, a1..a3 do
             // not, so a3 trips. The rest are scheduled out of delivery
             // order, p9 first, and p3a and p3b tie at t = 3.

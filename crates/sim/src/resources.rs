@@ -50,11 +50,6 @@ impl FifoServer {
         }
     }
 
-    /// Number of servers in the bank.
-    pub fn servers(&self) -> usize {
-        self.free_at.len()
-    }
-
     /// Submits a job at `now` needing `service` time on one server and
     /// returns its completion time.
     pub fn submit(&mut self, now: Time, service: Time) -> Time {
@@ -75,16 +70,6 @@ impl FifoServer {
     /// Total service time accumulated across all servers.
     pub fn busy_time(&self) -> Time {
         self.busy
-    }
-
-    /// Mean utilization of the bank over `[0, horizon]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is zero.
-    pub fn utilization(&self, horizon: Time) -> f64 {
-        assert!(!horizon.is_zero(), "horizon must be nonzero");
-        self.busy.as_ps() as f64 / (horizon.as_ps() as f64 * self.free_at.len() as f64)
     }
 }
 
@@ -136,7 +121,6 @@ pub struct PsPool {
     /// cycles allocate nothing.
     scratch: RefCell<PsScratch>,
     busy_core_ps: f64,
-    jobs_completed: u64,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -170,13 +154,7 @@ impl PsPool {
             finished_head: 0,
             scratch: RefCell::new(PsScratch::default()),
             busy_core_ps: 0.0,
-            jobs_completed: 0,
         }
-    }
-
-    /// Total core capacity.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
     }
 
     /// Current generation; bumped on every state change so that stale
@@ -188,11 +166,6 @@ impl PsPool {
     /// Number of jobs currently in service.
     pub fn active_jobs(&self) -> usize {
         self.jobs.len()
-    }
-
-    /// Number of jobs that have completed.
-    pub fn jobs_completed(&self) -> u64 {
-        self.jobs_completed
     }
 
     /// Integral of allocated cores over time, in core-seconds.
@@ -253,9 +226,7 @@ impl PsPool {
                 true
             }
         });
-        let retired = before - self.jobs.len();
-        if retired > 0 {
-            self.jobs_completed += retired as u64;
+        if self.jobs.len() < before {
             self.generation += 1;
             self.scratch.get_mut().valid = false;
         }
@@ -275,7 +246,6 @@ impl PsPool {
         let remaining = work.as_ps() as f64;
         if remaining < 1.0 {
             self.finished.push(id);
-            self.jobs_completed += 1;
         } else {
             self.jobs.push(PsJob { id, remaining, cap });
             self.scratch.get_mut().valid = false;
@@ -419,7 +389,8 @@ mod tests {
         assert_eq!(s.submit(Time::ZERO, Time::from_ns(10)), Time::from_ns(10));
         assert_eq!(s.submit(Time::ZERO, Time::from_ns(10)), Time::from_ns(10));
         assert_eq!(s.submit(Time::ZERO, Time::from_ns(10)), Time::from_ns(20));
-        assert!((s.utilization(Time::from_ns(20)) - 0.75).abs() < 1e-9);
+        // 30 ns of service over two servers for 20 ns: 75% utilization.
+        assert_eq!(s.busy_time(), Time::from_ns(30));
     }
 
     #[test]
@@ -521,6 +492,6 @@ mod tests {
         let t = pool.next_event(Time::ZERO).unwrap();
         pool.advance(t);
         assert!((pool.busy_core_secs() - 1.0).abs() < 1e-6);
-        assert_eq!(pool.jobs_completed(), 1);
+        assert_eq!(drain(&mut pool), vec![1]);
     }
 }

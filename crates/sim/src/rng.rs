@@ -51,7 +51,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be nonzero");
         // Multiplicative bounded sampling (Lemire); the tiny modulo bias
         // of the plain fallback would be irrelevant here, but this is
@@ -60,7 +60,7 @@ impl SplitMix64 {
     }
 
     /// Exponentially distributed float with the given mean.
-    pub fn next_exp(&mut self, mean: f64) -> f64 {
+    pub(crate) fn next_exp(&mut self, mean: f64) -> f64 {
         let u = 1.0 - self.next_f64(); // avoid ln(0)
         -mean * u.ln()
     }

@@ -18,7 +18,6 @@ use crate::time::Time;
 pub struct Summary {
     count: u64,
     sum: f64,
-    sum_sq: f64,
     min: f64,
     max: f64,
 }
@@ -29,7 +28,6 @@ impl Summary {
         Summary {
             count: 0,
             sum: 0.0,
-            sum_sq: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -39,24 +37,18 @@ impl Summary {
     pub fn record(&mut self, v: f64) {
         self.count += 1;
         self.sum += v;
-        self.sum_sq += v * v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
 
     /// Records a duration sample in seconds.
-    pub fn record_time(&mut self, t: Time) {
+    pub(crate) fn record_time(&mut self, t: Time) {
         self.record(t.as_secs_f64());
     }
 
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     /// Mean of samples; zero when empty.
@@ -66,15 +58,6 @@ impl Summary {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    /// Population variance; zero when fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        (self.sum_sq / n - (self.sum / n).powi(2)).max(0.0)
     }
 
     /// Smallest sample; zero when empty.
@@ -116,17 +99,15 @@ pub struct TimeWeighted {
     value: f64,
     last: Time,
     integral: f64,
-    max: f64,
 }
 
 impl TimeWeighted {
     /// Starts tracking with an initial value at time zero.
-    pub fn new(initial: f64) -> Self {
+    pub(crate) fn new(initial: f64) -> Self {
         TimeWeighted {
             value: initial,
             last: Time::ZERO,
             integral: 0.0,
-            max: initial,
         }
     }
 
@@ -135,26 +116,15 @@ impl TimeWeighted {
     /// # Panics
     ///
     /// Panics if `now` precedes the previous update.
-    pub fn set(&mut self, now: Time, value: f64) {
+    pub(crate) fn set(&mut self, now: Time, value: f64) {
         assert!(now >= self.last, "TimeWeighted updated backwards");
         self.integral += self.value * (now - self.last).as_secs_f64();
         self.last = now;
         self.value = value;
-        self.max = self.max.max(value);
-    }
-
-    /// Current value of the signal.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// Largest value seen.
-    pub fn max(&self) -> f64 {
-        self.max
     }
 
     /// Time-weighted mean over `[0, now]`, flushing up to `now`.
-    pub fn mean(&mut self, now: Time) -> f64 {
+    pub(crate) fn mean(&mut self, now: Time) -> f64 {
         self.set(now, self.value);
         if now.is_zero() {
             self.value
@@ -178,7 +148,6 @@ mod tests {
         assert_eq!(s.mean(), 3.0);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 4.0);
-        assert!((s.variance() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -203,7 +172,6 @@ mod tests {
         tw.set(Time::from_secs(3), 0.0); // 10 for 2s
         let m = tw.mean(Time::from_secs(4)); // 0 for 1s
         assert!((m - 5.0).abs() < 1e-9);
-        assert_eq!(tw.max(), 10.0);
     }
 }
 
@@ -242,7 +210,7 @@ impl Percentiles {
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&mut self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
         if self.samples.is_empty() {
             return None;

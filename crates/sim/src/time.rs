@@ -116,7 +116,7 @@ impl Time {
     }
 
     /// The later of two times.
-    pub fn max(self, other: Time) -> Time {
+    pub(crate) fn max(self, other: Time) -> Time {
         if self >= other {
             self
         } else {
@@ -125,7 +125,7 @@ impl Time {
     }
 
     /// The earlier of two times.
-    pub fn min(self, other: Time) -> Time {
+    pub(crate) fn min(self, other: Time) -> Time {
         if self <= other {
             self
         } else {

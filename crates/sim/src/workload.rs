@@ -176,21 +176,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Largest occupancy ever observed.
     pub fn peak(&self) -> usize {
         self.peak
@@ -278,11 +263,11 @@ mod tests {
         // Squared coefficient of variation of inter-arrival gaps: 1 for
         // Poisson, > 1 for MMPP with distinct phase rates.
         let cv2 = |mut g: ArrivalGen| {
-            let mut s = Summary::new();
-            for _ in 0..30_000 {
-                s.record(g.next_gap().as_secs_f64());
-            }
-            s.variance() / (s.mean() * s.mean())
+            let gaps: Vec<f64> = (0..30_000).map(|_| g.next_gap().as_secs_f64()).collect();
+            let n = gaps.len() as f64;
+            let mean = gaps.iter().sum::<f64>() / n;
+            let var = gaps.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+            var / (mean * mean)
         };
         let poisson = cv2(ArrivalGen::new(
             ArrivalProcess::Poisson { rate_rps: 500.0 },
@@ -369,17 +354,21 @@ mod tests {
             for _ in 0..g.usize_in(1, 120) {
                 now += Time::from_ns(g.u64_in(1, 1000));
                 if g.chance(0.6) {
-                    let full = q.len() == cap;
+                    let full = q.items.len() == cap;
                     let ok = q.try_push(now, g.u64_in(0, 50), ());
                     assert_eq!(ok, !full, "push must succeed iff below the bound");
                     accepted += ok as u64;
                 } else if q.pop_min(now).is_some() {
                     popped += 1;
                 }
-                assert!(q.len() <= cap, "occupancy {} over bound {cap}", q.len());
+                assert!(
+                    q.items.len() <= cap,
+                    "occupancy {} over bound {cap}",
+                    q.items.len()
+                );
             }
             assert!(q.peak() <= cap);
-            assert_eq!(accepted - popped, q.len() as u64);
+            assert_eq!(accepted - popped, q.items.len() as u64);
             assert_eq!(q.wait_stats().count(), popped);
         });
     }

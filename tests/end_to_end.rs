@@ -340,3 +340,115 @@ fn four_kernel_custom_chain() {
         "DMX wins on longer chains too"
     );
 }
+
+/// One open-loop server driven from outside `dmx-core` the way a
+/// front end drives it: tagged arrivals injected a window at a time,
+/// each window pumped and drained, then pumped to each next event
+/// until nothing is outstanding. Faults, SDC under per-hop checksums,
+/// a device and a driver crash and a fail-slow device all fire.
+#[test]
+fn stepped_server_resolves_every_tagged_arrival_once() {
+    use dmx_core::failslow::FailSlowConfig;
+    use dmx_core::integrity::{ChecksumMode, IntegrityConfig};
+    use dmx_core::overload::{AdmissionParams, BreakerParams, OverloadConfig, ShedPolicy};
+    use dmx_core::system::{units, Stepped};
+    use dmx_sim::{CrashEvent, CrashTarget, DegradeEvent, DegradeTarget, FaultConfig, SdcConfig};
+
+    dmx_sim::set_default_stall_limit(1_000_000);
+    let apps: Vec<_> = BenchmarkId::FIVE.iter().map(|b| b.build()).collect();
+    // Eight arrivals per tenant, 6 ms apart, tenants 1 ms apart.
+    let mut arrivals: Vec<(Time, usize)> = (0..8u64)
+        .flat_map(|i| (0..5).map(move |t| (Time::from_us(6_000 * i + 1_000 * t as u64), t)))
+        .collect();
+    arrivals.sort();
+    let cfg = SystemConfig {
+        faults: Some(FaultConfig {
+            seed: 7,
+            bit_error_rate: 1e-9,
+            lost_completion_rate: 0.02,
+            stall_rate: 0.05,
+            sdc: SdcConfig {
+                spad_flip_rate: 3e-8,
+                dma_flip_rate: 1e-8,
+                ddr_flip_rate_per_sec: 0.0,
+            },
+            crashes: vec![
+                CrashEvent {
+                    target: CrashTarget::Device(units::bitw(1, 0)),
+                    at: Time::from_ms(10),
+                    down_for: Some(Time::from_ms(5)),
+                },
+                CrashEvent {
+                    target: CrashTarget::Driver,
+                    at: Time::from_ms(30),
+                    down_for: Some(Time::from_ms(1)),
+                },
+            ],
+            degrades: vec![DegradeEvent {
+                target: DegradeTarget::Device(units::bitw(2, 0)),
+                at: Time::ZERO,
+                down_for: Some(Time::from_ms(20)),
+                slowdown: 4.0,
+                jitter: 0.0,
+                duty: None,
+            }],
+            ..FaultConfig::none()
+        }),
+        overload: Some(OverloadConfig {
+            admission: AdmissionParams {
+                tokens_per_sec: 200.0,
+                burst: 4.0,
+                max_inflight: 8,
+            },
+            deadline: Time::from_ms(300),
+            shed: ShedPolicy::Reject,
+            queue_capacity: 8,
+            breaker: BreakerParams {
+                enabled: true,
+                ..BreakerParams::default()
+            },
+            ..OverloadConfig::none()
+        }),
+        integrity: Some(IntegrityConfig::checked(ChecksumMode::PerHop)),
+        failslow: Some(FailSlowConfig {
+            demote: true,
+            hedge_multiplier: 1.2,
+            hedge_floor: Time::from_us(1),
+            ..FailSlowConfig::none()
+        }),
+        ..SystemConfig::latency(Mode::Dmx(Placement::BumpInTheWire), apps)
+    };
+    let mut sim = Stepped::new(&cfg).expect("a live overload section");
+    let window = Time::from_ms(5);
+    let (mut horizon, mut next, mut tags) = (Time::ZERO, 0, Vec::new());
+    while next < arrivals.len() {
+        horizon += window;
+        while let Some(&(at, tenant)) = arrivals.get(next).filter(|a| a.0 < horizon) {
+            sim.inject_arrival_tagged(tenant, at, next as u64 + 1);
+            next += 1;
+        }
+        sim.pump_until(horizon).expect("pump a window");
+        tags.extend(sim.drain_resolutions().iter().map(|r| r.tag));
+    }
+    while let Some(at) = sim.next_time() {
+        sim.pump_until(at + Time::from_ps(1))
+            .expect("pump an event");
+        tags.extend(sim.drain_resolutions().iter().map(|r| r.tag));
+    }
+    let r = sim.finish();
+
+    tags.sort_unstable();
+    assert!(
+        tags.iter().copied().eq(1..=arrivals.len() as u64),
+        "{} arrivals, {} resolutions",
+        arrivals.len(),
+        tags.len()
+    );
+    let o = r.overload.as_ref().expect("overload report");
+    let late: u64 = o.tenants.iter().map(|t| t.late).sum();
+    assert_eq!(o.offered(), arrivals.len() as u64);
+    assert_eq!(
+        o.offered(),
+        o.goodput() + late + o.shed() + r.integrity.quarantine_shed + r.crashes.crash_killed
+    );
+}
