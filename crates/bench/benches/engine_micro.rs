@@ -168,9 +168,9 @@ fn main() {
     let down = LinkSpec::new(Gen::Gen4, Lanes::X16);
     let mut leaves = Vec::new();
     for s in 0..4 {
-        let sw = topo.add_node(NodeKind::Switch, format!("sw{s}"), topo.root(), up);
+        let sw = topo.add_node(NodeKind::Switch, "sw", &[s], topo.root(), up);
         for d in 0..4 {
-            leaves.push(topo.add_node(NodeKind::Device, format!("dev{s}.{d}"), sw, down));
+            leaves.push(topo.add_node(NodeKind::Device, "dev", &[s, d], sw, down));
         }
     }
     bench("route_16dev_all_pairs_x50", || {
@@ -180,7 +180,7 @@ fn main() {
             for &a in &leaves {
                 for &b in &leaves {
                     if a != b {
-                        hops += memo.route(&topo, a, b).map_or(0, |r| r.links.len());
+                        hops += memo.route(&topo, a, b).map_or(0, |(links, _)| links.len());
                     }
                 }
             }

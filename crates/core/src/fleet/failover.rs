@@ -228,6 +228,8 @@ pub(super) struct ServerHealth {
     darks: u64,
     probes: u64,
     recoveries: u64,
+    /// [`ServerHealth::baseline_excluding`]'s buffer.
+    scratch: Vec<f64>,
 }
 
 impl ServerHealth {
@@ -241,6 +243,7 @@ impl ServerHealth {
             darks: 0,
             probes: 0,
             recoveries: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -254,17 +257,19 @@ impl ServerHealth {
 
     /// Median of the *other* servers' mean RTTs — the fleet baseline a
     /// server is judged against, excluding its own (possibly inflated)
-    /// samples.
-    fn baseline_excluding(&self, s: usize) -> Option<f64> {
-        let mut means: Vec<f64> = (0..self.states.len())
-            .filter(|&o| o != s)
-            .filter_map(|o| self.mean(o))
-            .collect();
-        if means.is_empty() {
-            return None;
-        }
+    /// samples. The means are sorted in a buffer kept across calls.
+    fn baseline_excluding(&mut self, s: usize) -> Option<f64> {
+        let mut means = std::mem::take(&mut self.scratch);
+        means.clear();
+        means.extend(
+            (0..self.states.len())
+                .filter(|&o| o != s)
+                .filter_map(|o| self.mean(o)),
+        );
         means.sort_by(|a, b| a.partial_cmp(b).expect("RTTs are finite"));
-        Some(means[means.len() / 2])
+        let median = means.get(means.len() / 2).copied();
+        self.scratch = means;
+        median
     }
 
     /// Demotes `s` for one probation, counted as a Dark transition or a
@@ -369,7 +374,7 @@ fn untag(tag: u64) -> (usize, usize) {
 }
 
 /// One dispatch attempt of one request.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Attempt {
     server: usize,
     sent_at: Time,
@@ -380,13 +385,80 @@ struct Attempt {
     hedge: bool,
 }
 
+/// Attempts a request holds in place: its dispatch and one hedge or
+/// retry. Only a request re-dispatched more often spills to the heap.
+const INLINE_ATTEMPTS: usize = 2;
+
+/// One request's dispatch attempts in launch order, indexed by attempt
+/// number: the first [`INLINE_ATTEMPTS`] in place, the rest spilled.
+#[derive(Debug, Default)]
+struct Attempts {
+    inline: [Attempt; INLINE_ATTEMPTS],
+    len: usize,
+    spilled: Vec<Attempt>,
+}
+
+impl Attempts {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, a: Attempt) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = a,
+            None => self.spilled.push(a),
+        }
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Attempt> {
+        self.inline[..self.len.min(INLINE_ATTEMPTS)]
+            .iter()
+            .chain(&self.spilled)
+    }
+
+    fn last(&self) -> Option<&Attempt> {
+        self.len.checked_sub(1).map(|k| &self[k])
+    }
+}
+
+impl std::ops::Index<usize> for Attempts {
+    type Output = Attempt;
+
+    fn index(&self, k: usize) -> &Attempt {
+        assert!(
+            k < self.len,
+            "attempt {k} of {} was never launched",
+            self.len
+        );
+        match self.inline.get(k) {
+            Some(a) => a,
+            None => &self.spilled[k - INLINE_ATTEMPTS],
+        }
+    }
+}
+
+impl std::ops::IndexMut<usize> for Attempts {
+    fn index_mut(&mut self, k: usize) -> &mut Attempt {
+        assert!(
+            k < self.len,
+            "attempt {k} of {} was never launched",
+            self.len
+        );
+        match self.inline.get_mut(k) {
+            Some(a) => a,
+            None => &mut self.spilled[k - INLINE_ATTEMPTS],
+        }
+    }
+}
+
 /// One request's LB-side lifecycle.
 #[derive(Debug)]
 struct LbReq {
     tenant: usize,
     class: usize,
     arrived: Time,
-    attempts: Vec<Attempt>,
+    attempts: Attempts,
     retries_used: u32,
     open: bool,
 }
@@ -639,7 +711,7 @@ impl LbPart {
             tenant,
             class: tenant % self.cfg.classes.len().max(1),
             arrived: now,
-            attempts: Vec::new(),
+            attempts: Attempts::default(),
             retries_used: 0,
             open: true,
         });

@@ -54,12 +54,13 @@ pub use failover::{
 };
 pub use plan::{FleetFaultPlan, ServerGray, ServerKill, ServerOutage};
 
-use crate::system::{Outcome, RunResult, SimError, Stepped, SystemConfig};
+use crate::system::{Outcome, RunResult, ServerPlan, SimError, Stepped, SystemConfig};
 use dmx_pcie::{InterNodeFabric, LinkOutage};
 use dmx_sim::partition::{run_conservative, Outbox, Partition, WindowStats, XMsg};
 use dmx_sim::{ArrivalProcess, Time};
 use failover::LbPart;
 use std::fmt;
+use std::rc::Rc;
 
 /// Configuration of one fleet run.
 #[derive(Debug, Clone)]
@@ -331,6 +332,9 @@ fn run_at(cfg: &FleetConfig, lookahead: Time) -> Result<FleetResult, SimError> {
     if link.base_latency.is_zero() || link.bytes_per_sec == 0 {
         return Err(SimError::UnusableLink(link));
     }
+    // One static plan for every server: their configs differ only in
+    // faults, which no part of the plan reads.
+    let server = ServerPlan::new(&cfg.server)?;
     // An inert plan is filtered here, and the balancer treats an inert
     // failover config as off, so `Some(inert)` and `None` run the exact
     // same code path, bit for bit.
@@ -354,7 +358,10 @@ fn run_at(cfg: &FleetConfig, lookahead: Time) -> Result<FleetResult, SimError> {
     let mut parts: Vec<FleetPart<ServerPart>> = Vec::with_capacity(cfg.servers + 1);
     for (s, server_cfg) in server_cfgs.iter().enumerate() {
         parts.push(FleetPart::Server(Box::new(ServerPart {
-            sim: Stepped::new(server_cfg.as_ref().unwrap_or(&cfg.server))?,
+            sim: Stepped::on(
+                server_cfg.as_ref().unwrap_or(&cfg.server),
+                Rc::clone(&server),
+            )?,
             lb: cfg.servers,
             fabric: cfg.fabric,
             response_bytes: cfg.response_bytes,

@@ -6,7 +6,7 @@ use crate::params::{
     downstream_link, upstream_link, upstream_links_for_gen, DrxFleetParams, SWITCH_PORTS,
 };
 use crate::system::units;
-use dmx_pcie::{FabricError, Gen, Lanes, LinkSpec, NodeId, NodeKind, Route, RouteMemo, Topology};
+use dmx_pcie::{Gen, Lanes, LinkSpec, NodeId, NodeKind, Topology};
 use dmx_sim::{FifoServer, PsPool};
 
 /// Where the DRXs sit (Fig. 4).
@@ -68,12 +68,13 @@ pub(crate) struct DrxUnit {
     /// The node its batches land on: its own endpoint, the switch of a
     /// PCIe-Integrated pool, or the root for the Integrated pool.
     pub(crate) node: NodeId,
-    /// How it serves batches.
+    /// How it serves batches, idle: each run serves them on a copy of
+    /// its own.
     pub(crate) engine: Engine,
 }
 
 /// The engine of a DRX unit.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Engine {
     /// Its own PCIe endpoint (a bump-in-the-wire DRX or a standalone
     /// card), serving one batch at a time in arrival order. `slowdown`
@@ -87,7 +88,23 @@ pub(crate) enum Engine {
     Pool(PsPool),
 }
 
-/// The built server: topology, device-to-node maps and DRX units.
+impl Engine {
+    /// The shared pool of a pool unit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the unit is an endpoint.
+    pub(crate) fn pool(&mut self) -> &mut PsPool {
+        match self {
+            Engine::Pool(pool) => pool,
+            Engine::Endpoint { .. } => panic!("an endpoint unit has no pool"),
+        }
+    }
+}
+
+/// The built server: topology, device-to-node maps and DRX units. It
+/// is static: a run reads it and never changes it, so every server of
+/// a fleet shares one.
 #[derive(Debug)]
 pub struct ServerLayout {
     /// The PCIe tree.
@@ -104,9 +121,6 @@ pub struct ServerLayout {
     /// Per `[app][edge]`, the index in `units` of the unit restructuring
     /// it; empty when the mode deploys no DRXs.
     edge_units: Vec<Vec<usize>>,
-    /// `topo`'s routes, walked once per `(src, dst)` pair: every
-    /// transfer a request starts looks its route up here.
-    routes: RouteMemo,
 }
 
 impl ServerLayout {
@@ -130,24 +144,6 @@ impl ServerLayout {
     /// `None` when the mode deploys no DRXs.
     pub(crate) fn unit_of(&self, app: usize, e: usize) -> Option<usize> {
         self.edge_units[app].get(e).copied()
-    }
-
-    /// The route from `src` to `dst` in `topo`: [`Topology::try_route`]
-    /// memoized, so a repeated pair costs one hash probe and no clone.
-    pub(crate) fn route(&mut self, src: NodeId, dst: NodeId) -> Result<&Route, FabricError> {
-        self.routes.route(&self.topo, src, dst)
-    }
-
-    /// The shared pool of unit `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unit `u` is an endpoint.
-    pub(crate) fn pool(&mut self, u: usize) -> &mut PsPool {
-        match &mut self.units[u].engine {
-            Engine::Pool(pool) => pool,
-            Engine::Endpoint { .. } => panic!("unit {u} is an endpoint, not a pool"),
-        }
     }
 }
 
@@ -181,7 +177,7 @@ pub(crate) fn build_layout(
                 slots_used[i] += 1;
                 return i;
             }
-            let sw = topo.add_node(NodeKind::Switch, format!("sw{}", switches.len()), root, up);
+            let sw = topo.add_node(NodeKind::Switch, "sw", &[switches.len()], root, up);
             switches.push(sw);
             slots_used.push(1);
             switches.len() - 1
@@ -210,14 +206,14 @@ pub(crate) fn build_layout(
             app_switches.push(sw);
             // Bump-in-the-wire: switch -> mux -> { accel, drx }.
             let port = if bitw {
-                topo.add_node(NodeKind::Mux, format!("mux{ai}.{si}"), switches[sw], down)
+                topo.add_node(NodeKind::Mux, "mux", &[ai, si], switches[sw], down)
             } else {
                 switches[sw]
             };
-            let accel = topo.add_node(NodeKind::Device, format!("accel{ai}.{si}"), port, down);
+            let accel = topo.add_node(NodeKind::Device, "accel", &[ai, si], port, down);
             app_accels.push(accel);
             if bitw {
-                let drx = topo.add_node(NodeKind::Device, format!("drx{ai}.{si}"), port, down);
+                let drx = topo.add_node(NodeKind::Device, "drx", &[ai, si], port, down);
                 // The DRX in front of the last accelerator restructures
                 // nothing.
                 if si < edges {
@@ -230,7 +226,7 @@ pub(crate) fn build_layout(
             Mode::Dmx(Placement::Standalone) => {
                 // Install the app's card next to its first accelerator.
                 let sw = switches[app_switches[0]];
-                let card = topo.add_node(NodeKind::Device, format!("card{ai}"), sw, down);
+                let card = topo.add_node(NodeKind::Device, "card", &[ai], sw, down);
                 app_units = vec![table.len(); edges];
                 table.push(endpoint(
                     units::card(ai),
@@ -272,7 +268,6 @@ pub(crate) fn build_layout(
         switches,
         units: table,
         edge_units,
-        routes: RouteMemo::default(),
     }
 }
 

@@ -64,7 +64,7 @@ impl Sim<'_> {
         }
         let now = self.q.now();
         let r = self.reqs.get(id)?;
-        let step = *self.steps[r.app].get(r.step)?;
+        let step = *self.server.steps[r.app].get(r.step)?;
         (0..self.crash_sched.len()).find(|&i| {
             self.crash_live(i, now)
                 && match self.crash_sched[i].target {
@@ -80,18 +80,19 @@ impl Sim<'_> {
     /// with an endpoint inside it. Driver steps run on the host and
     /// never enter a switch subtree.
     fn step_in_subtree(&self, app: usize, step: Step, s: usize) -> bool {
-        let Some(&root) = self.layout.switches.get(s) else {
+        let Some(&root) = self.server.layout.switches.get(s) else {
             return false;
         };
-        let within = |n: NodeId| self.layout.topo.in_subtree(n, root);
+        let within = |n: NodeId| self.server.layout.topo.in_subtree(n, root);
         match step {
-            Step::Kernel(k) => within(self.layout.accel_nodes[app][k]),
+            Step::Kernel(k) => within(self.server.layout.accel_nodes[app][k]),
             Step::ToRestr(e) => {
-                within(self.layout.accel_nodes[app][e]) || within(self.restr_node(app, e))
+                within(self.server.layout.accel_nodes[app][e]) || within(self.restr_node(app, e))
             }
             Step::Restr(e) => within(self.restr_node(app, e)),
             Step::ToNext(e) => {
-                within(self.restr_node(app, e)) || within(self.layout.accel_nodes[app][e + 1])
+                within(self.restr_node(app, e))
+                    || within(self.server.layout.accel_nodes[app][e + 1])
             }
             Step::DriverPost(_) | Step::DriverPre(_) => false,
         }
@@ -165,22 +166,23 @@ impl Sim<'_> {
         // endpoints; DMA over their links dies with the device. Pool
         // units live on switches/root and keep the fabric.
         let endpoint = self
+            .server
             .layout
             .units
             .iter()
             .find(|u| u.id == unit && matches!(u.engine, Engine::Endpoint { .. }));
         if let Some(node) = endpoint.map(|u| u.node) {
-            let links = self.layout.topo.subtree_links(node);
+            let links = self.server.layout.topo.subtree_links(node);
             torn.extend(self.abort_flows_on(&links)?);
         }
         for (id, r) in self.reqs.iter() {
-            if r.step >= self.steps[r.app].len() {
+            if r.step >= self.server.steps[r.app].len() {
                 continue;
             }
             // Anything whose data sits in (or is headed into / parked
             // for) the removed unit is torn; batches already rerouted
             // to the host fallback are unaffected.
-            let on_unit = match self.steps[r.app][r.step] {
+            let on_unit = match self.server.steps[r.app][r.step] {
                 Step::ToRestr(e) | Step::DriverPre(e) => self.unit_for(r.app, e) == Some(unit),
                 Step::Restr(e) => !r.degraded && self.unit_for(r.app, e) == Some(unit),
                 _ => false,
@@ -196,7 +198,7 @@ impl Sim<'_> {
     /// every flow crossing into it dies, and requests resident inside
     /// migrate from their last checkpoint.
     fn crash_subtree(&mut self, s: usize) -> Result<(), SimError> {
-        let Some(&root) = self.layout.switches.get(s) else {
+        let Some(&root) = self.server.layout.switches.get(s) else {
             // Schedules may name more subtrees than the layout has.
             return Ok(());
         };
@@ -204,13 +206,13 @@ impl Sim<'_> {
             *self.down_devices.entry(unit).or_insert(0) += 1;
             self.dead_units.insert(unit);
         }
-        let links = self.layout.topo.subtree_links(root);
+        let links = self.server.layout.topo.subtree_links(root);
         let mut torn = self.abort_flows_on(&links)?;
         for (id, r) in self.reqs.iter() {
-            if r.step >= self.steps[r.app].len() {
+            if r.step >= self.server.steps[r.app].len() {
                 continue;
             }
-            let step = self.steps[r.app][r.step];
+            let step = self.server.steps[r.app][r.step];
             if r.degraded && matches!(step, Step::Restr(_)) {
                 continue;
             }
@@ -232,10 +234,11 @@ impl Sim<'_> {
 
     /// Every deployed DRX unit whose batches land under `root`.
     fn units_in_subtree(&self, root: NodeId) -> Vec<u64> {
-        self.layout
+        let layout = &self.server.layout;
+        layout
             .units
             .iter()
-            .filter(|u| self.layout.topo.in_subtree(u.node, root))
+            .filter(|u| layout.topo.in_subtree(u.node, root))
             .map(|u| u.id)
             .collect()
     }
@@ -342,7 +345,7 @@ impl Sim<'_> {
         match self.crash_sched[i].target {
             CrashTarget::Device(u) => self.revive_unit(u),
             CrashTarget::Subtree(s) => {
-                if let Some(&root) = self.layout.switches.get(s) {
+                if let Some(&root) = self.server.layout.switches.get(s) {
                     for u in self.units_in_subtree(root) {
                         self.revive_unit(u);
                     }

@@ -112,6 +112,8 @@ pub struct HealthScorer {
     gray_flags: u64,
     recoveries: u64,
     probes: u64,
+    /// [`HealthScorer::baseline_excluding`]'s buffer.
+    scratch: Vec<f64>,
 }
 
 impl HealthScorer {
@@ -123,6 +125,7 @@ impl HealthScorer {
             gray_flags: 0,
             recoveries: 0,
             probes: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -130,13 +133,15 @@ impl HealthScorer {
     /// the *other* devices' rolling means (those with enough samples),
     /// floored at the nominal ratio 1. With no peers to compare
     /// against the baseline is nominal.
-    pub(crate) fn baseline_excluding(&self, unit: u64) -> f64 {
-        let mut means: Vec<f64> = self
-            .devs
-            .iter()
-            .filter(|(&u, d)| u != unit && d.samples.len() >= self.params.min_samples)
-            .filter_map(|(_, d)| d.mean())
-            .collect();
+    pub(crate) fn baseline_excluding(&mut self, unit: u64) -> f64 {
+        let means = &mut self.scratch;
+        means.clear();
+        means.extend(
+            self.devs
+                .iter()
+                .filter(|(&u, d)| u != unit && d.samples.len() >= self.params.min_samples)
+                .filter_map(|(_, d)| d.mean()),
+        );
         if means.is_empty() {
             return 1.0;
         }
@@ -390,7 +395,7 @@ impl Sim<'_> {
                 && !self.dead_units.contains(&u.id)
                 && !self.fs.as_ref().is_some_and(|(_, s)| s.suspected(u.id))
         };
-        let peers = || self.layout.units.iter().enumerate().filter(peer);
+        let peers = || self.server.layout.units.iter().enumerate().filter(peer);
         let n = peers().count() as u64;
         let pick = key.checked_rem(n)?;
         peers().nth(pick as usize).map(|(i, _)| i)
@@ -411,7 +416,7 @@ impl Sim<'_> {
     ) -> Time {
         let now = self.q.now();
         let (_, service) = self.drx_batch(id, app, e, peer, expose);
-        let Engine::Endpoint { fifo, .. } = &mut self.layout.units[peer].engine else {
+        let Engine::Endpoint { fifo, .. } = &mut self.engines[peer] else {
             unreachable!("healthy_peer returns endpoint units only");
         };
         fifo.submit(now, service) + self.cfg.driver.irq_latency
@@ -433,7 +438,7 @@ impl Sim<'_> {
             let Some(u) = r.restr_unit else {
                 return Ok(());
             };
-            let Step::Restr(e) = self.steps[r.app][r.step] else {
+            let Step::Restr(e) = self.server.steps[r.app][r.step] else {
                 return Ok(());
             };
             (r.app, e, u, r.epoch)
@@ -449,7 +454,7 @@ impl Sim<'_> {
             // Host duplicate, re-reading the checkpointed staging copy
             // (no fresh DDR exposure — the integrity ledger must not
             // depend on which arm wins).
-            let cost = self.costs[app].edges[e];
+            let cost = self.server.costs[app].edges[e];
             let jid = self.job_id();
             self.jobs.insert(jid, (id, Time::ZERO, true));
             self.cpu
@@ -464,15 +469,16 @@ impl Sim<'_> {
     /// device targets (those derate service at submit instead).
     fn degrade_links_of(&self, i: usize) -> Vec<LinkId> {
         match self.degrade_sched[i].target {
-            DegradeTarget::Link(l) if l < self.layout.topo.link_count() => {
+            DegradeTarget::Link(l) if l < self.server.layout.topo.link_count() => {
                 vec![LinkId::from_index(l)]
             }
             DegradeTarget::Link(_) => Vec::new(),
             DegradeTarget::Subtree(s) => self
+                .server
                 .layout
                 .switches
                 .get(s)
-                .map(|&root| self.layout.topo.subtree_links(root))
+                .map(|&root| self.server.layout.topo.subtree_links(root))
                 .unwrap_or_default(),
             DegradeTarget::Device(_) => Vec::new(),
         }

@@ -260,7 +260,7 @@ impl Sim<'_> {
             }
             // The digest itself is data-motion overhead.
             r.breakdown.movement += now - r.step_started;
-            let finished = r.step == self.steps[r.app].len();
+            let finished = r.step == self.server.steps[r.app].len();
             let next = if r.flips == 0 {
                 r.verified_step = r.step;
                 r.verified_at = now;

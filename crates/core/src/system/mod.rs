@@ -37,7 +37,7 @@ use dmx_cpu::{CpuEnergyModel, HostCpuConfig};
 use dmx_drx::{DrxConfig, DrxEnergyModel};
 use dmx_pcie::{
     transfer_faults, FabricError, FlowNet, Gen, InterNodeLink, LinkId, NodeId, PcieEnergyModel,
-    ReplayParams,
+    ReplayParams, RouteMemo,
 };
 use dmx_sim::health::Route;
 use dmx_sim::{
@@ -47,7 +47,9 @@ use dmx_sim::{
 use failslow::{FailSlowConfig, FailSlowReport, HealthScorer};
 use integrity::{IntegrityConfig, IntegrityReport};
 use overload::{OvState, OverloadConfig, OverloadReport, TenantOverload};
+use std::cell::RefCell;
 use std::fmt;
+use std::rc::Rc;
 
 /// Cores one All-CPU kernel can use (vendor kernels are threaded).
 const KERNEL_CAP: f64 = 4.0;
@@ -535,9 +537,9 @@ fn steps_for(app: &BenchmarkRef, mode: Mode) -> Vec<Step> {
 }
 
 /// The chain walk's run constants for one app: every value here is
-/// fixed by the config and the layout, so [`Sim::build`] computes each
-/// once, with the same calls on the same inputs that the walk would
-/// otherwise make per request.
+/// fixed by the config and the layout, so [`ServerPlan::build`]
+/// computes each once, with the same calls on the same inputs that the
+/// walk would otherwise make per request.
 #[derive(Debug)]
 struct ChainCosts {
     /// Per stage.
@@ -624,6 +626,55 @@ impl ChainCosts {
             })
             .collect();
         ChainCosts { stages, edges }
+    }
+}
+
+/// The static half of a server: what a run reads and never changes.
+/// Everything here is fixed by the config's mode, apps, PCIe
+/// generation, DRX fleet, host and driver, none of which a fleet's
+/// fault plan touches, so every server of a fleet run shares one
+/// plan; each [`Sim`] keeps its own live state beside it.
+#[derive(Debug)]
+pub(crate) struct ServerPlan {
+    layout: ServerLayout,
+    /// Per app, its chain's steps.
+    steps: Vec<Vec<Step>>,
+    /// Per app, the run constants its steps read.
+    costs: Vec<ChainCosts>,
+    /// `layout.topo`'s routes, each walked once per plan: every
+    /// transfer a request starts looks its route up here. The plan's
+    /// servers run on one thread, one at a time, so a `RefCell`
+    /// serves them all.
+    routes: RefCell<RouteMemo>,
+}
+
+impl ServerPlan {
+    /// Checks `cfg`'s apps, then builds its plan, timed: the cost feeds
+    /// the process-global setup counter, as [`Sim::new`]'s does.
+    ///
+    /// # Errors
+    ///
+    /// `NoApps` or `MalformedApp`, from [`check_apps`].
+    pub(crate) fn new(cfg: &SystemConfig) -> Result<Rc<ServerPlan>, SimError> {
+        check_apps(cfg)?;
+        let t0 = std::time::Instant::now();
+        let plan = Rc::new(ServerPlan::build(cfg));
+        dmx_sim::record_setup_nanos(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        Ok(plan)
+    }
+
+    fn build(cfg: &SystemConfig) -> ServerPlan {
+        let layout = build_layout(cfg.mode, &cfg.apps, cfg.gen, &cfg.fleet);
+        let steps = cfg.apps.iter().map(|a| steps_for(a, cfg.mode)).collect();
+        let costs = (0..cfg.apps.len())
+            .map(|a| ChainCosts::new(cfg, &layout, a))
+            .collect();
+        ServerPlan {
+            layout,
+            steps,
+            costs,
+            routes: RefCell::default(),
+        }
     }
 }
 
@@ -787,16 +838,16 @@ impl AppStatsCols {
 
 struct Sim<'a> {
     cfg: &'a SystemConfig,
-    layout: ServerLayout,
+    /// The static half, shared with every other server of a fleet run.
+    server: Rc<ServerPlan>,
+    /// The live engine of each unit of the layout's unit table.
+    engines: Vec<Engine>,
     q: EventQueue<Ev>,
     flows: FlowNet,
     cpu: PsPool,
     accel: Vec<Vec<FifoServer>>,
     driver: DriverState,
     reqs: IdMap<Req>,
-    steps: Vec<Vec<Step>>,
-    /// Per app, the run constants its steps read.
-    costs: Vec<ChainCosts>,
     next_req: u64,
     next_job: u64,
     /// Every live job on a fluid resource, by job id: its request, the
@@ -912,24 +963,23 @@ impl<'a> Sim<'a> {
     /// Timed wrapper around [`Sim::build`]: construction cost feeds the
     /// process-global setup counter, which perfbench reads to report
     /// system build time apart from the event loop.
-    fn new(cfg: &'a SystemConfig, external: bool) -> Sim<'a> {
+    fn new(cfg: &'a SystemConfig, server: Rc<ServerPlan>, external: bool) -> Sim<'a> {
         let t0 = std::time::Instant::now();
-        let sim = Sim::build(cfg, external);
+        let sim = Sim::build(cfg, server, external);
         dmx_sim::record_setup_nanos(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
         sim
     }
 
-    fn build(cfg: &'a SystemConfig, external: bool) -> Sim<'a> {
-        let layout = build_layout(cfg.mode, &cfg.apps, cfg.gen, &cfg.fleet);
+    /// The live half of a server run on `server`, a plan built from a
+    /// config equal to `cfg` in all but its faults.
+    fn build(cfg: &'a SystemConfig, server: Rc<ServerPlan>, external: bool) -> Sim<'a> {
+        let layout = &server.layout;
         let flows = FlowNet::new(layout.topo.link_bandwidths());
+        let engines = layout.units.iter().map(|u| u.engine.clone()).collect();
         let accel = cfg
             .apps
             .iter()
             .map(|a| a.stages.iter().map(|_| FifoServer::new(1)).collect())
-            .collect();
-        let steps = cfg.apps.iter().map(|a| steps_for(a, cfg.mode)).collect();
-        let costs = (0..cfg.apps.len())
-            .map(|a| ChainCosts::new(cfg, &layout, a))
             .collect();
         let plan = cfg
             .faults
@@ -949,7 +999,8 @@ impl<'a> Sim<'a> {
             .unwrap_or_default();
         Sim {
             cfg,
-            layout,
+            server,
+            engines,
             q: EventQueue::new(),
             flows,
             cpu: PsPool::new(cfg.cpu.cores as f64),
@@ -959,8 +1010,6 @@ impl<'a> Sim<'a> {
                 None => DriverState::new(cfg.driver),
             },
             reqs: IdMap::default(),
-            steps,
-            costs,
             next_req: 0,
             next_job: 0,
             jobs: FastMap::default(),
@@ -1061,7 +1110,7 @@ impl<'a> Sim<'a> {
                 Res::Cpu => (self.cpu.next_event(now), self.cpu.generation()),
                 Res::Flows => (self.flows.next_event(now), self.flows.generation()),
                 Res::Shared(u) => {
-                    let pool = self.layout.pool(u);
+                    let pool = self.engines[u].pool();
                     (pool.next_event(now), pool.generation())
                 }
             };
@@ -1079,8 +1128,8 @@ impl<'a> Sim<'a> {
         match r {
             Res::Cpu if gen == self.cpu.generation() => self.cpu.advance(now),
             Res::Flows if gen == self.flows.generation() => self.flows.advance(now),
-            Res::Shared(u) if gen == self.layout.pool(u).generation() => {
-                self.layout.pool(u).advance(now);
+            Res::Shared(u) if gen == self.engines[u].pool().generation() => {
+                self.engines[u].pool().advance(now);
             }
             _ => return Ok(()),
         }
@@ -1098,7 +1147,7 @@ impl<'a> Sim<'a> {
             let finished = match r {
                 Res::Cpu => self.cpu.pop_finished(),
                 Res::Flows => self.flows.pop_finished(),
-                Res::Shared(u) => self.layout.pool(u).pop_finished(),
+                Res::Shared(u) => self.engines[u].pool().pop_finished(),
             };
             let Some(jid) = finished else { break };
             if self.cancelled_jobs.remove(&jid) {
@@ -1157,12 +1206,14 @@ impl<'a> Sim<'a> {
     ) -> Result<(), SimError> {
         let now = self.q.now();
         let fid = self.job_id();
-        let route = self.layout.route(from, to)?;
+        let server = &*self.server;
+        let mut routes = server.routes.borrow_mut();
+        let (links, latency) = routes.route(&server.layout.topo, from, to)?;
         let mut bytes = bytes;
         let mut extra = extra_latency;
         // Replays on a transfer into a DRX count against that unit's
-        // circuit breaker, fed after the insert: `route` borrows the
-        // layout until then.
+        // circuit breaker, fed after the insert: `links` borrows the
+        // plan's routes until then.
         let mut breaker = None;
         // PCIe bit errors: corrupted chunks replay (extra bytes on the
         // wire + turnaround latency); an error burst retrains the
@@ -1175,7 +1226,7 @@ impl<'a> Sim<'a> {
                 bytes += tf.extra_bytes;
                 extra += tf.extra_latency;
                 if tf.retrain {
-                    let link = route.links[0];
+                    let link = links[0];
                     self.flows
                         .degrade_link(now, link, self.cfg.replay.retrain_bw_scale);
                     self.q.schedule_at(
@@ -1190,8 +1241,9 @@ impl<'a> Sim<'a> {
                 }
             }
         }
-        self.jobs.insert(fid, (req, route.latency + extra, false));
-        self.flows.try_insert(now, fid, bytes, &route.links)?;
+        self.jobs.insert(fid, (req, latency + extra, false));
+        self.flows.try_insert(now, fid, bytes, links)?;
+        drop(routes);
         if let Some((unit, app, replays)) = breaker {
             self.breaker_faults(unit, app, replays);
         }
@@ -1202,16 +1254,24 @@ impl<'a> Sim<'a> {
     /// unit's. Without a unit, or once it is dead, restructuring runs
     /// on host cores, so data stages through host memory at the root.
     fn restr_node(&self, app: usize, e: usize) -> NodeId {
-        match self.layout.unit_of(app, e).map(|u| &self.layout.units[u]) {
+        match self
+            .server
+            .layout
+            .unit_of(app, e)
+            .map(|u| &self.server.layout.units[u])
+        {
             Some(unit) if !self.dead_units.contains(&unit.id) => unit.node,
-            _ => self.layout.topo.root(),
+            _ => self.server.layout.topo.root(),
         }
     }
 
     /// The id of the DRX unit restructuring `(app, e)`, if the mode
     /// deploys one.
     fn unit_for(&self, app: usize, e: usize) -> Option<u64> {
-        self.layout.unit_of(app, e).map(|u| self.layout.units[u].id)
+        self.server
+            .layout
+            .unit_of(app, e)
+            .map(|u| self.server.layout.units[u].id)
     }
 
     fn begin_step(&mut self, id: u64) -> Result<(), SimError> {
@@ -1219,12 +1279,12 @@ impl<'a> Sim<'a> {
         let (app, step, step_index) = {
             let r = self.reqs.get_mut(id).ok_or(SimError::UnknownRequest(id))?;
             r.step_started = now;
-            (r.app, self.steps[r.app][r.step], r.step)
+            (r.app, self.server.steps[r.app][r.step], r.step)
         };
         let bench = &self.cfg.apps[app];
         match step {
             Step::Kernel(s) => {
-                let cost = self.costs[app].stages[s];
+                let cost = self.server.costs[app].stages[s];
                 if self.cfg.mode == Mode::AllCpu {
                     self.cpu_job(id, cost.cpu_work, KERNEL_CAP, Time::ZERO)?;
                 } else {
@@ -1283,14 +1343,14 @@ impl<'a> Sim<'a> {
             }
             Step::ToNext(e) => {
                 let from = self.restr_node(app, e);
-                let to = self.layout.accel_nodes[app][e + 1];
+                let to = self.server.layout.accel_nodes[app][e + 1];
                 let bytes = bench.edges[e].bytes_out;
                 // Staged again on the way out to the next accelerator.
                 let unit = self
                     .unit_for(app, e)
                     .filter(|u| !self.dead_units.contains(u));
                 self.inject_sdc(id, SdcDomain::DmaStaging, unit.unwrap_or(0), bytes, 0.0);
-                let extra = self.costs[app].edges[e].handshake_out;
+                let extra = self.server.costs[app].edges[e].handshake_out;
                 self.start_flow_with_extra(id, from, to, bytes, extra, None)?;
             }
         }
@@ -1300,10 +1360,10 @@ impl<'a> Sim<'a> {
     /// Starts the DMA into the restructuring engine for `id`'s edge `e`
     /// (possibly after a backpressure stall).
     fn flow_to_restr(&mut self, id: u64, app: usize, e: usize) -> Result<(), SimError> {
-        let from = self.layout.accel_nodes[app][e];
+        let from = self.server.layout.accel_nodes[app][e];
         let to = self.restr_node(app, e);
         let bytes = self.cfg.apps[app].edges[e].bytes_in;
-        let extra = self.costs[app].edges[e].handshake_in;
+        let extra = self.server.costs[app].edges[e].handshake_in;
         let unit = self.unit_for(app, e);
         self.start_flow_with_extra(id, from, to, bytes, extra, unit)
     }
@@ -1316,7 +1376,7 @@ impl<'a> Sim<'a> {
             return Ok(());
         };
         let app = r.app;
-        let Step::ToRestr(e) = self.steps[app][r.step] else {
+        let Step::ToRestr(e) = self.server.steps[app][r.step] else {
             return Ok(());
         };
         self.flow_to_restr(id, app, e)
@@ -1333,7 +1393,7 @@ impl<'a> Sim<'a> {
         extra_latency: Time,
         degraded: bool,
     ) -> Result<(), SimError> {
-        let cost = self.costs[app].edges[e];
+        let cost = self.server.costs[app].edges[e];
         // Host-path restructuring stages the batch in (non-ECC) DDR;
         // its exposure window is the nominal core-seconds of the pass —
         // a deterministic proxy for wall residency, which would depend
@@ -1357,10 +1417,10 @@ impl<'a> Sim<'a> {
     /// hold the per-(app, edge) gate.
     fn submit_restr(&mut self, id: u64, app: usize, e: usize) -> Result<(), SimError> {
         let now = self.q.now();
-        let Some(u) = self.layout.unit_of(app, e) else {
+        let Some(u) = self.server.layout.unit_of(app, e) else {
             return self.submit_restr_cpu(id, app, e, Time::ZERO, false);
         };
-        let unit = self.layout.units[u].id;
+        let unit = self.server.layout.units[u].id;
         // Graceful degradation: a dead unit's batches reroute to host
         // cores (the Multi-Axl path) while healthy apps keep their DRXs.
         if self.dead_units.contains(&unit) {
@@ -1463,7 +1523,7 @@ impl<'a> Sim<'a> {
             r.restr_nominal = nominal;
             r.restr_seq = r.restr_seq.wrapping_add(1);
         }
-        if let Engine::Endpoint { fifo, .. } = &mut self.layout.units[u].engine {
+        if let Engine::Endpoint { fifo, .. } = &mut self.engines[u] {
             let done = fifo.submit(now, service);
             self.arm_hedge(id, done.saturating_sub(service), hedge_after);
             return self.schedule_step_done(done, id);
@@ -1471,7 +1531,7 @@ impl<'a> Sim<'a> {
         self.arm_hedge(id, now, hedge_after);
         let jid = self.job_id();
         self.jobs.insert(jid, (id, Time::ZERO, false));
-        self.layout.pool(u).insert(now, jid, service, 1.0);
+        self.engines[u].pool().insert(now, jid, service, 1.0);
         self.settle(Res::Shared(u))
     }
 
@@ -1480,7 +1540,7 @@ impl<'a> Sim<'a> {
     /// exposure (when `expose`) and its breaker feed, dynamic energy,
     /// the engine's slowdown, and the unit's active degrades.
     fn drx_batch(&mut self, id: u64, app: usize, e: usize, u: usize, expose: bool) -> (Time, Time) {
-        let unit = self.layout.units[u].id;
+        let unit = self.server.layout.units[u].id;
         if expose {
             // The batch streams through the DRX's (ECC-less) scratchpad.
             // Repeated silent corruption on one unit trips its breaker —
@@ -1492,9 +1552,9 @@ impl<'a> Sim<'a> {
                 self.breaker_faults(unit, app, n);
             }
         }
-        let cost = self.costs[app].edges[e];
+        let cost = self.server.costs[app].edges[e];
         self.drx_dynamic_j += cost.drx_joules;
-        let nominal = match self.layout.units[u].engine {
+        let nominal = match self.server.layout.units[u].engine {
             Engine::Endpoint {
                 slowdown: Some(s), ..
             } => cost.drx_time.scale(s),
@@ -1636,7 +1696,7 @@ impl<'a> Sim<'a> {
             let elapsed = now - r.step_started;
             let mut release = None;
             let mut credit = None;
-            let prev_step = self.steps[r.app][r.step];
+            let prev_step = self.server.steps[r.app][r.step];
             match prev_step {
                 Step::Kernel(_) => r.breakdown.kernel += elapsed,
                 Step::Restr(e) => {
@@ -1669,7 +1729,7 @@ impl<'a> Sim<'a> {
             }
             if !self.crash_sched.is_empty()
                 && matches!(prev_step, Step::ToNext(_))
-                && r.step < self.steps[r.app].len()
+                && r.step < self.server.steps[r.app].len()
             {
                 // Chain-hop boundary: the driver snapshots the
                 // inter-accelerator handoff so a crash rewinds here
@@ -1683,7 +1743,7 @@ impl<'a> Sim<'a> {
             (
                 r.app,
                 prev_step,
-                r.step == self.steps[r.app].len(),
+                r.step == self.server.steps[r.app].len(),
                 release,
                 credit,
             )
@@ -1805,7 +1865,7 @@ impl<'a> Sim<'a> {
     /// requests (external mode seeds neither — arrivals are injected).
     fn seed(&mut self) -> Result<(), SimError> {
         if let Some(plan) = &self.plan {
-            for unit in &self.layout.units {
+            for unit in &self.server.layout.units {
                 if let Some(t) = plan.death_time(unit.id) {
                     if t <= Self::DEATH_HORIZON {
                         self.q.schedule_at(t, Ev::UnitDeath(unit.id));
@@ -1986,7 +2046,7 @@ impl<'a> Sim<'a> {
         }
 
         let drx_model = DrxEnergyModel::for_clock(self.cfg.drx.clock);
-        let units = self.layout.drx_unit_count(self.cfg.mode) as f64;
+        let units = self.server.layout.drx_unit_count(self.cfg.mode) as f64;
         let glue = if self.cfg.mode == Mode::Dmx(Placement::BumpInTheWire) {
             drx_model.glue_watts * units * wall
         } else if self.cfg.mode == Mode::Dmx(Placement::Standalone) {
@@ -2005,7 +2065,7 @@ impl<'a> Sim<'a> {
         let bytes: f64 = self.flows.link_bytes().iter().sum();
         let pcie_j = pcie_model.transfer_energy(bytes).as_joules()
             + pcie_model
-                .switch_static_energy(self.layout.switch_count(), makespan)
+                .switch_static_energy(self.server.layout.switch_count(), makespan)
                 .as_joules();
 
         RunResult {
@@ -2046,20 +2106,20 @@ pub fn simulate(cfg: &SystemConfig) -> RunResult {
 
 /// Fallible variant of [`simulate`].
 pub fn try_simulate(cfg: &SystemConfig) -> Result<RunResult, SimError> {
-    check_apps(cfg)?;
+    let server = ServerPlan::new(cfg)?;
     if cfg.requests_per_app == 0 {
         return Err(SimError::NoRequests);
     }
     if cfg.inflight_per_app == 0 {
         return Err(SimError::NoInflight);
     }
-    Sim::new(cfg, false).run()
+    Sim::new(cfg, server, false).run()
 }
 
 /// Rejects apps the engine cannot walk: none at all, or one without
 /// stages, without exactly one edge between consecutive stages, or with
-/// more edges than unit ids can number. Runs before [`Sim::new`], whose
-/// layout indexes every app's stages.
+/// more edges than unit ids can number. Runs before
+/// [`ServerPlan::build`], whose layout indexes every app's stages.
 fn check_apps(cfg: &SystemConfig) -> Result<(), SimError> {
     if cfg.apps.is_empty() {
         return Err(SimError::NoApps);
@@ -2110,8 +2170,21 @@ impl<'a> Stepped<'a> {
     /// non-inert overload section (the admission machinery is what
     /// receives injected arrivals).
     pub fn new(cfg: &'a SystemConfig) -> Result<Stepped<'a>, SimError> {
-        check_apps(cfg)?;
-        let mut sim = Sim::new(cfg, true);
+        Stepped::on(cfg, ServerPlan::new(cfg)?)
+    }
+
+    /// [`Stepped::new`] on `server`, a plan built from a config equal
+    /// to `cfg` in all but its faults: a fleet run builds one plan and
+    /// puts every server on it.
+    ///
+    /// # Errors
+    ///
+    /// `NoOverload`, as [`Stepped::new`].
+    pub(crate) fn on(
+        cfg: &'a SystemConfig,
+        server: Rc<ServerPlan>,
+    ) -> Result<Stepped<'a>, SimError> {
+        let mut sim = Sim::new(cfg, server, true);
         if sim.ov.is_none() {
             return Err(SimError::NoOverload);
         }
@@ -2172,9 +2245,11 @@ impl<'a> Stepped<'a> {
     }
 
     /// Takes the resolutions recorded since the last call, in
-    /// resolution (time) order.
+    /// resolution (time) order. The engine keeps its buffer, so the
+    /// event loop records resolutions without allocating; the returned
+    /// `Vec` is allocated here, once per call that has any.
     pub fn drain_resolutions(&mut self) -> Vec<Resolution> {
-        std::mem::take(&mut self.sim.resolutions)
+        self.sim.resolutions.drain(..).collect()
     }
 
     /// [`drain_resolutions`](Stepped::drain_resolutions) in place: the
@@ -2204,6 +2279,11 @@ mod tests {
 
     fn apps(n: usize) -> Vec<BenchmarkRef> {
         (0..n).map(|i| BenchmarkId::FIVE[i % 5].build()).collect()
+    }
+
+    /// A closed-loop server on a plan of its own.
+    fn new_sim(cfg: &SystemConfig) -> Sim<'_> {
+        Sim::new(cfg, ServerPlan::new(cfg).unwrap(), false)
     }
 
     fn quick(mode: Mode, n: usize) -> RunResult {
@@ -2495,7 +2575,7 @@ mod tests {
         // gets one tick, not one per change.
         let mut cfg = SystemConfig::latency(Mode::AllCpu, apps(3));
         cfg.inflight_per_app = 4;
-        let mut sim = Sim::new(&cfg, false);
+        let mut sim = new_sim(&cfg);
         sim.seed().unwrap();
         assert_eq!(sim.cpu.active_jobs(), 12);
         assert_eq!(sim.q.len(), 1);
@@ -2515,9 +2595,9 @@ mod tests {
         ] {
             let mut cfg = SystemConfig::latency(mode, apps(3));
             cfg.queue_bytes = 4 << 20;
-            let sim = Sim::new(&cfg, false);
+            let sim = new_sim(&cfg);
             for (a, app) in cfg.apps.iter().enumerate() {
-                let costs = &sim.costs[a];
+                let costs = &sim.server.costs[a];
                 for (stage, cost) in app.stages.iter().zip(&costs.stages) {
                     let model = stage.kind.model();
                     assert_eq!(cost.service, model.service_time(stage.input_bytes));
@@ -2536,7 +2616,7 @@ mod tests {
                     };
                     assert_eq!(cost.handshake_in, handshakes(edge.bytes_in));
                     assert_eq!(cost.handshake_out, handshakes(edge.bytes_out));
-                    if sim.layout.unit_of(a, e).is_some() {
+                    if sim.server.layout.unit_of(a, e).is_some() {
                         let drx = edge.drx_cost(&cfg.drx);
                         let energy = DrxEnergyModel::for_clock(cfg.drx.clock);
                         assert_eq!(cost.drx_time, drx.time);
@@ -2562,7 +2642,7 @@ mod tests {
         // order ticks pushed at every change would have fired in when
         // two fall due at one instant.
         let cfg = SystemConfig::latency(Mode::Dmx(Placement::PcieIntegrated), apps(2));
-        let mut sim = Sim::new(&cfg, false);
+        let mut sim = new_sim(&cfg);
         for r in [Res::Cpu, Res::Flows, Res::Shared(0), Res::Cpu] {
             sim.mark(r);
         }
@@ -2593,7 +2673,7 @@ mod tests {
         });
         // Without the degrade: the first transfer, and the instant it
         // finishes computed on a clone of the network.
-        let mut probe = Sim::new(&cfg, false);
+        let mut probe = new_sim(&cfg);
         probe.degrade_sched.clear();
         probe.seed().unwrap();
         while probe.flows.active_flows() == 0 {
@@ -2609,7 +2689,7 @@ mod tests {
         assert_eq!(net.pop_finished(), Some(fid));
         // The same run with the degrade seeded at that instant, so it
         // is delivered before the transfer's tick.
-        let mut sim = Sim::new(&cfg, false);
+        let mut sim = new_sim(&cfg);
         sim.degrade_sched[0].at = done;
         sim.seed().unwrap();
         while sim.q.peek_time().is_some_and(|t| t <= done) {
@@ -2635,7 +2715,7 @@ mod tests {
         let mut cfg = SystemConfig::latency(Mode::MultiAxl, apps(1));
         cfg.requests_per_app = 1;
         let in_flight = |cfg| {
-            let mut sim = Sim::new(cfg, false);
+            let mut sim = new_sim(cfg);
             sim.seed().unwrap();
             while sim.flows.active_flows() == 0 {
                 let ev = sim.q.pop().expect("a transfer starts");
@@ -2655,7 +2735,11 @@ mod tests {
         assert_eq!(sim.remaining, 1);
 
         let (mut sim, _) = in_flight(&cfg);
-        let links = sim.layout.topo.subtree_links(sim.layout.topo.root());
+        let links = sim
+            .server
+            .layout
+            .topo
+            .subtree_links(sim.server.layout.topo.root());
         assert_eq!(sim.abort_flows_on(&links).unwrap(), Vec::<u64>::new());
         assert_eq!(sim.flows.active_flows(), 0, "the transfer was aborted");
     }

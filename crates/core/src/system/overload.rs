@@ -471,6 +471,10 @@ pub(super) struct OvState {
     pub(super) breakers: FastMap<u64, Breaker>,
     /// Ingress credit gate; `None` when backpressure is disabled.
     pub(super) gate: Option<CreditGate>,
+    /// [`Sim::free_slot_and_dispatch`]'s buffers: the requests it pops
+    /// to start and to shed.
+    to_start: Vec<(usize, Time, Time, u64)>,
+    to_shed: Vec<(usize, u64)>,
 }
 
 impl OvState {
@@ -513,6 +517,8 @@ impl OvState {
             inflight: 0,
             breakers: FastMap::default(),
             gate: (o.ingress_queue_bytes > 0).then(|| CreditGate::new(o.ingress_queue_bytes)),
+            to_start: Vec::new(),
+            to_shed: Vec::new(),
         }
     }
 }
@@ -602,32 +608,35 @@ impl Sim<'_> {
     /// shedding (under `ShedPolicy::Reject`) requests whose deadlines
     /// already passed while they waited.
     pub(super) fn free_slot_and_dispatch(&mut self, now: Time) -> Result<(), SimError> {
-        let mut to_start: Vec<(usize, Time, Time, u64)> = Vec::new();
-        let mut shed_apps: Vec<(usize, u64)> = Vec::new();
-        {
-            let Some(ov) = self.ov.as_mut() else {
-                return Ok(());
+        let Some(ov) = self.ov.as_mut() else {
+            return Ok(());
+        };
+        // Borrowed out of the layer for the call, so the starts below
+        // can reach `self`; a start that re-enters finds them empty.
+        let mut to_start = std::mem::take(&mut ov.to_start);
+        let mut to_shed = std::mem::take(&mut ov.to_shed);
+        ov.inflight = ov.inflight.saturating_sub(1);
+        while ov.inflight < ov.cfg.admission.max_inflight {
+            let Some((_, p, _)) = ov.pending.pop_min(now) else {
+                break;
             };
-            ov.inflight = ov.inflight.saturating_sub(1);
-            while ov.inflight < ov.cfg.admission.max_inflight {
-                let Some((_, p, _)) = ov.pending.pop_min(now) else {
-                    break;
-                };
-                if now > p.deadline && ov.cfg.shed == ShedPolicy::Reject {
-                    ov.tenants[p.app].stats.shed_deadline += 1;
-                    shed_apps.push((p.app, p.tag));
-                    continue;
-                }
-                ov.inflight += 1;
-                to_start.push((p.app, p.arrived, p.deadline, p.tag));
+            if now > p.deadline && ov.cfg.shed == ShedPolicy::Reject {
+                ov.tenants[p.app].stats.shed_deadline += 1;
+                to_shed.push((p.app, p.tag));
+                continue;
             }
+            ov.inflight += 1;
+            to_start.push((p.app, p.arrived, p.deadline, p.tag));
         }
-        self.remaining = self.remaining.saturating_sub(shed_apps.len());
-        for (app, tag) in shed_apps {
+        self.remaining = self.remaining.saturating_sub(to_shed.len());
+        for (app, tag) in to_shed.drain(..) {
             self.resolve(app, tag, Outcome::Shed);
         }
-        for (app, arrived, deadline, tag) in to_start {
+        for (app, arrived, deadline, tag) in to_start.drain(..) {
             self.start_request_at(app, arrived, deadline, tag)?;
+        }
+        if let Some(ov) = self.ov.as_mut() {
+            (ov.to_start, ov.to_shed) = (to_start, to_shed);
         }
         Ok(())
     }

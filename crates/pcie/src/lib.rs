@@ -21,11 +21,11 @@
 //!
 //! // A server: root complex, one switch, two accelerators.
 //! let mut topo = Topology::new();
-//! let sw = topo.add_node(NodeKind::Switch, "sw", topo.root(),
+//! let sw = topo.add_node(NodeKind::Switch, "sw", &[], topo.root(),
 //!                        LinkSpec::new(Gen::Gen3, Lanes::X8));
-//! let a = topo.add_node(NodeKind::Device, "a", sw,
+//! let a = topo.add_node(NodeKind::Device, "a", &[], sw,
 //!                       LinkSpec::new(Gen::Gen3, Lanes::X16));
-//! let b = topo.add_node(NodeKind::Device, "b", sw,
+//! let b = topo.add_node(NodeKind::Device, "b", &[], sw,
 //!                       LinkSpec::new(Gen::Gen3, Lanes::X16));
 //!
 //! // Move 1 MiB from a to b: two x16 hops under the switch.

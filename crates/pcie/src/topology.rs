@@ -110,9 +110,26 @@ impl NodeKind {
 #[derive(Debug, Clone)]
 struct Node {
     kind: NodeKind,
-    label: String,
+    /// The label's name and its index parts: `("mux", [0, 1], 2)`
+    /// reads `mux0.1`. Formatted only when read.
+    name: &'static str,
+    index: [usize; 2],
+    index_len: usize,
     parent: Option<(NodeId, LinkId)>,
     depth: usize,
+}
+
+impl fmt::Display for Node {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name)?;
+        for (k, i) in self.index[..self.index_len].iter().enumerate() {
+            if k > 0 {
+                f.write_str(".")?;
+            }
+            write!(f, "{i}")?;
+        }
+        Ok(())
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -159,9 +176,10 @@ impl Route {
 /// let root = topo.root();
 /// let up = LinkSpec::new(Gen::Gen3, Lanes::X8);
 /// let down = LinkSpec::new(Gen::Gen3, Lanes::X16);
-/// let sw = topo.add_node(NodeKind::Switch, "switch0", root, up);
-/// let a = topo.add_node(NodeKind::Device, "accel0", sw, down);
-/// let b = topo.add_node(NodeKind::Device, "accel1", sw, down);
+/// let sw = topo.add_node(NodeKind::Switch, "switch", &[0], root, up);
+/// let a = topo.add_node(NodeKind::Device, "accel", &[0, 0], sw, down);
+/// let b = topo.add_node(NodeKind::Device, "accel", &[0, 1], sw, down);
+/// assert_eq!(topo.label(b), "accel0.1");
 /// let route = topo.route(a, b);
 /// assert_eq!(route.hop_count(), 2);          // a->switch, switch->b
 /// assert_eq!(route.via, vec![sw]);           // through one switch
@@ -178,7 +196,9 @@ impl Topology {
         Topology {
             nodes: vec![Node {
                 kind: NodeKind::RootComplex,
-                label: "root".to_owned(),
+                name: "root",
+                index: [0; 2],
+                index_len: 0,
                 parent: None,
                 depth: 0,
             }],
@@ -191,20 +211,28 @@ impl Topology {
         NodeId(0)
     }
 
-    /// Adds a node of `kind` under `parent`, connected by `link`.
-    /// Returns the new node's id.
+    /// Adds a node of `kind` under `parent`, connected by `link`,
+    /// labelled `name` followed by the `index` parts joined by dots
+    /// (`"mux", &[0, 1]` reads `mux0.1`). Returns the new node's id.
     ///
     /// # Panics
     ///
     /// Panics if `parent` is out of range or a `Device` (leaves cannot
-    /// have children).
+    /// have children), or if `index` has more than two parts.
     pub fn add_node(
         &mut self,
         kind: NodeKind,
-        label: impl Into<String>,
+        name: &'static str,
+        index: &[usize],
         parent: NodeId,
         link: LinkSpec,
     ) -> NodeId {
+        let mut parts = [0; 2];
+        assert!(
+            index.len() <= parts.len(),
+            "a label has at most two index parts"
+        );
+        parts[..index.len()].copy_from_slice(index);
         assert!(parent.0 < self.nodes.len(), "parent out of range");
         assert!(
             self.nodes[parent.0].kind != NodeKind::Device,
@@ -219,7 +247,9 @@ impl Topology {
         let depth = self.nodes[parent.0].depth + 1;
         self.nodes.push(Node {
             kind,
-            label: label.into(),
+            name,
+            index: parts,
+            index_len: index.len(),
             parent: Some((parent, link_id)),
             depth,
         });
@@ -236,9 +266,9 @@ impl Topology {
         self.nodes[node.0].kind
     }
 
-    /// The label a node was created with.
-    pub fn label(&self, node: NodeId) -> &str {
-        &self.nodes[node.0].label
+    /// The label a node was created with, formatted.
+    pub fn label(&self, node: NodeId) -> String {
+        self.nodes[node.0].to_string()
     }
 
     /// The parent of a node, with the connecting link.
@@ -273,6 +303,41 @@ impl Topology {
 
     /// Fallible variant of [`Topology::route`].
     pub fn try_route(&self, src: NodeId, dst: NodeId) -> Result<Route, FabricError> {
+        let mut links = Vec::new();
+        let latency = self.walk(src, dst, &mut links)?;
+        // Consecutive links share one node: the first's child end where
+        // the path descends through it, else its parent end (the path
+        // climbs through it or turns there).
+        let ends = |l: LinkId| {
+            let child = self.links[l.0].child;
+            let (parent, _) = self.nodes[child.0]
+                .parent
+                .expect("a link's child has a parent");
+            (parent, child)
+        };
+        let via = links
+            .windows(2)
+            .map(|w| {
+                let ((pa, ca), (pb, _)) = (ends(w[0]), ends(w[1]));
+                if ca == pb {
+                    ca
+                } else {
+                    pa
+                }
+            })
+            .collect();
+        Ok(Route {
+            links,
+            via,
+            latency,
+        })
+    }
+
+    /// Walks the tree route from `src` to `dst`, appending its links
+    /// to `links` in traversal order, and returns its fixed latency:
+    /// the traversal latencies of the nodes strictly between the
+    /// endpoints. On error `links` is left as it was.
+    fn walk(&self, src: NodeId, dst: NodeId, links: &mut Vec<LinkId>) -> Result<Time, FabricError> {
         for n in [src, dst] {
             if n.0 >= self.nodes.len() {
                 return Err(FabricError::UnknownNode(n));
@@ -281,55 +346,44 @@ impl Topology {
         let parent_of = |n: NodeId| -> Result<(NodeId, LinkId), FabricError> {
             self.nodes[n.0].parent.ok_or(FabricError::OrphanNode(n))
         };
-        // Walk both nodes up to their lowest common ancestor.
-        let mut up_links = Vec::new(); // src -> lca
-        let mut up_nodes = Vec::new();
-        let mut down_links = Vec::new(); // dst -> lca (reversed later)
-        let mut down_nodes = Vec::new();
-        let mut a = src;
-        let mut b = dst;
-        while self.nodes[a.0].depth > self.nodes[b.0].depth {
-            let (p, l) = parent_of(a)?;
-            up_links.push(l);
-            up_nodes.push(p);
-            a = p;
+        let depth = |n: NodeId| self.nodes[n.0].depth;
+        // The lowest common ancestor: climb the deeper node to the
+        // other's depth, then both together.
+        let (mut a, mut b) = (src, dst);
+        while depth(a) > depth(b) {
+            a = parent_of(a)?.0;
         }
-        while self.nodes[b.0].depth > self.nodes[a.0].depth {
-            let (p, l) = parent_of(b)?;
-            down_links.push(l);
-            down_nodes.push(p);
-            b = p;
+        while depth(b) > depth(a) {
+            b = parent_of(b)?.0;
         }
         while a != b {
-            let (pa, la) = parent_of(a)?;
-            let (pb, lb) = parent_of(b)?;
-            up_links.push(la);
-            up_nodes.push(pa);
-            down_links.push(lb);
-            down_nodes.push(pb);
-            a = pa;
-            b = pb;
+            a = parent_of(a)?.0;
+            b = parent_of(b)?.0;
         }
-        // Both climbs end at the LCA. Count it as an intermediate node
-        // exactly once — and not at all when it is itself an endpoint
-        // (dst an ancestor of src, or vice versa).
-        let mut via = up_nodes;
-        if down_nodes.pop().is_none() {
-            // dst == LCA: the climb from src ended *at* the destination.
-            via.pop();
+        let lca = a;
+        // Both climbs again, now known to reach the ancestor: up from
+        // `src` in traversal order, then up from `dst`, reversed.
+        let mut latency = Time::ZERO;
+        for (from, reverse) in [(src, false), (dst, true)] {
+            let start = links.len();
+            let mut n = from;
+            while n != lca {
+                let (p, l) = parent_of(n)?;
+                links.push(l);
+                if p != lca {
+                    latency += self.nodes[p.0].kind.traversal_latency();
+                }
+                n = p;
+            }
+            if reverse {
+                links[start..].reverse();
+            }
         }
-        via.extend(down_nodes.into_iter().rev());
-        let mut links = up_links;
-        links.extend(down_links.into_iter().rev());
-        let latency = via
-            .iter()
-            .map(|n| self.nodes[n.0].kind.traversal_latency())
-            .sum();
-        Ok(Route {
-            links,
-            via,
-            latency,
-        })
+        // The ancestor is crossed once, unless it is an endpoint.
+        if lca != src && lca != dst {
+            latency += self.nodes[lca.0].kind.traversal_latency();
+        }
+        Ok(latency)
     }
 
     /// True when `node` lies in the subtree rooted at `ancestor`
@@ -371,39 +425,53 @@ impl Topology {
 }
 
 /// The routes of one [`Topology`], memoized by `(src, dst)`: a pair's
-/// first lookup walks the tree, every later one is a single hash probe
-/// that returns the stored route by reference. The tree is append-only
-/// (nodes are never re-parented and traversal latencies are fixed per
-/// kind), so an entry never goes stale as the topology grows or its
-/// links change generation. Errors are returned, not stored.
+/// first lookup walks the tree into one shared link buffer, every
+/// later one is a single hash probe that returns the stored links by
+/// reference. The tree is append-only (nodes are never re-parented and
+/// traversal latencies are fixed per kind), so an entry never goes
+/// stale as the topology grows or its links change generation. Errors
+/// are returned, not stored.
 ///
 /// ```
 /// use dmx_pcie::{Gen, Lanes, LinkSpec, NodeKind, RouteMemo, Topology};
 /// let mut topo = Topology::new();
 /// let link = LinkSpec::new(Gen::Gen3, Lanes::X16);
-/// let a = topo.add_node(NodeKind::Device, "a", topo.root(), link);
+/// let a = topo.add_node(NodeKind::Device, "a", &[], topo.root(), link);
 /// let mut memo = RouteMemo::default();
-/// assert_eq!(memo.route(&topo, a, topo.root()), Ok(&topo.route(a, topo.root())));
+/// let walked = topo.route(a, topo.root());
+/// assert_eq!(
+///     memo.route(&topo, a, topo.root()),
+///     Ok((&walked.links[..], walked.latency))
+/// );
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RouteMemo {
-    routes: FastMap<(NodeId, NodeId), Route>,
+    /// Per walked pair: its span of `links` and its latency.
+    spans: FastMap<(NodeId, NodeId), (usize, usize, Time)>,
+    /// Every walked route's links, back to back.
+    links: Vec<LinkId>,
 }
 
 impl RouteMemo {
-    /// The route from `src` to `dst` in `topo`, the topology this memo
-    /// serves: exactly [`Topology::try_route`]'s result, errors
+    /// The links and latency of the route from `src` to `dst` in
+    /// `topo`, the topology this memo serves: exactly
+    /// [`Topology::try_route`]'s `links` and `latency`, errors
     /// included.
     pub fn route(
         &mut self,
         topo: &Topology,
         src: NodeId,
         dst: NodeId,
-    ) -> Result<&Route, FabricError> {
-        match self.routes.entry((src, dst)) {
-            Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(e) => Ok(e.insert(topo.try_route(src, dst)?)),
-        }
+    ) -> Result<(&[LinkId], Time), FabricError> {
+        let (start, end, latency) = match self.spans.entry((src, dst)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let start = self.links.len();
+                let latency = topo.walk(src, dst, &mut self.links)?;
+                *e.insert((start, self.links.len(), latency))
+            }
+        };
+        Ok((&self.links[start..end], latency))
     }
 }
 
@@ -425,7 +493,7 @@ impl fmt::Display for Topology {
                 "{:indent$}{:?} {}{}",
                 "",
                 n.kind,
-                n.label,
+                n,
                 link,
                 indent = indent
             )?;
@@ -453,11 +521,11 @@ mod tests {
         let up = LinkSpec::new(Gen::Gen3, Lanes::X8);
         let down = LinkSpec::new(Gen::Gen3, Lanes::X16);
         let root = t.root();
-        let sw0 = t.add_node(NodeKind::Switch, "sw0", root, up);
-        let sw1 = t.add_node(NodeKind::Switch, "sw1", root, up);
-        let a0 = t.add_node(NodeKind::Device, "a0", sw0, down);
-        let a1 = t.add_node(NodeKind::Device, "a1", sw0, down);
-        let b0 = t.add_node(NodeKind::Device, "b0", sw1, down);
+        let sw0 = t.add_node(NodeKind::Switch, "sw", &[0], root, up);
+        let sw1 = t.add_node(NodeKind::Switch, "sw", &[1], root, up);
+        let a0 = t.add_node(NodeKind::Device, "a", &[0], sw0, down);
+        let a1 = t.add_node(NodeKind::Device, "a", &[1], sw0, down);
+        let b0 = t.add_node(NodeKind::Device, "b", &[0], sw1, down);
         (t, root, sw0, sw1, a0, a1, b0)
     }
 
@@ -523,6 +591,7 @@ mod tests {
         t.add_node(
             NodeKind::Device,
             "bad",
+            &[],
             a0,
             LinkSpec::new(Gen::Gen3, Lanes::X1),
         );
@@ -546,33 +615,47 @@ mod tests {
         t.route(a0, NodeId(999));
     }
 
+    /// A memo's answer as owned parts.
+    fn parts(
+        r: Result<(&[LinkId], Time), FabricError>,
+    ) -> Result<(Vec<LinkId>, Time), FabricError> {
+        r.map(|(links, latency)| (links.to_vec(), latency))
+    }
+
+    /// The parts of a walked route a memo answers with.
+    fn walked(r: &Route) -> Result<(Vec<LinkId>, Time), FabricError> {
+        Ok((r.links.clone(), r.latency))
+    }
+
     #[test]
     fn memoized_routes_match_fresh_walks_after_growth() {
         let (mut t, root, _, _, a0, _, b0) = two_switch_topo();
         let mut memo = RouteMemo::default();
-        let first = memo.route(&t, a0, b0).unwrap().clone();
-        assert_eq!(first, t.route(a0, b0));
+        let first = t.route(a0, b0);
+        assert_eq!(parts(memo.route(&t, a0, b0)), walked(&first));
         // Growing the tree must not invalidate memoized routes (nodes
         // are never re-parented).
         let sw2 = t.add_node(
             NodeKind::Switch,
-            "sw2",
+            "sw",
+            &[2],
             root,
             LinkSpec::new(Gen::Gen3, Lanes::X8),
         );
         let c0 = t.add_node(
             NodeKind::Device,
-            "c0",
+            "c",
+            &[0],
             sw2,
             LinkSpec::new(Gen::Gen3, Lanes::X16),
         );
-        assert_eq!(memo.route(&t, a0, b0), Ok(&first));
+        assert_eq!(parts(memo.route(&t, a0, b0)), walked(&first));
         assert_eq!(t.route(a0, b0), first);
         assert_eq!(t.route(a0, b0), t.clone().route(a0, b0));
         // A route to the new subtree computes and memoizes fine.
         let r = t.route(a0, c0);
-        assert_eq!(memo.route(&t, a0, c0), Ok(&r));
-        assert_eq!(memo.route(&t, a0, c0), Ok(&r));
+        assert_eq!(parts(memo.route(&t, a0, c0)), walked(&r));
+        assert_eq!(parts(memo.route(&t, a0, c0)), walked(&r));
         assert_eq!(r.via, vec![NodeId(1), root, sw2]);
     }
 
@@ -608,5 +691,15 @@ mod tests {
         assert!(s.contains("root"));
         assert!(s.contains("sw0"));
         assert!(s.contains("a1"));
+    }
+
+    #[test]
+    fn labels_join_their_index_parts() {
+        let (mut t, root, sw0, ..) = two_switch_topo();
+        let link = LinkSpec::new(Gen::Gen3, Lanes::X16);
+        let mux = t.add_node(NodeKind::Mux, "mux", &[3, 14], sw0, link);
+        assert_eq!(t.label(root), "root");
+        assert_eq!(t.label(sw0), "sw0");
+        assert_eq!(t.label(mux), "mux3.14");
     }
 }

@@ -24,9 +24,9 @@ fn random_tree(switch_sizes: &[usize]) -> (Topology, Vec<NodeId>) {
     let down = LinkSpec::new(PcieGen::Gen3, Lanes::X16);
     let mut devices = Vec::new();
     for (i, &n) in switch_sizes.iter().enumerate() {
-        let sw = topo.add_node(NodeKind::Switch, format!("sw{i}"), topo.root(), up);
+        let sw = topo.add_node(NodeKind::Switch, "sw", &[i], topo.root(), up);
         for j in 0..n {
-            devices.push(topo.add_node(NodeKind::Device, format!("d{i}.{j}"), sw, down));
+            devices.push(topo.add_node(NodeKind::Device, "d", &[i, j], sw, down));
         }
     }
     (topo, devices)
@@ -86,8 +86,13 @@ fn route_memo_returns_the_walked_route() {
                 let a = *g.pick(&nodes);
                 let b = *g.pick(&nodes);
                 let walked = topo.try_route(a, b);
-                assert_eq!(memo.route(&topo, a, b).cloned(), walked);
-                assert_eq!(memo.route(&topo, a, b).cloned(), walked, "repeated lookup");
+                let parts = walked.clone().map(|r| (r.links, r.latency));
+                let memo_parts = |memo: &mut RouteMemo| {
+                    memo.route(&topo, a, b)
+                        .map(|(links, latency)| (links.to_vec(), latency))
+                };
+                assert_eq!(memo_parts(&mut memo), parts);
+                assert_eq!(memo_parts(&mut memo), parts, "repeated lookup");
                 if a == unknown || b == unknown {
                     assert_eq!(walked, Err(FabricError::UnknownNode(unknown)));
                 } else if a == b {

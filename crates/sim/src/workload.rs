@@ -20,7 +20,7 @@
 use crate::rng::SplitMix64;
 use crate::stats::{Summary, TimeWeighted};
 use crate::time::Time;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// A request arrival process, in requests per second of simulated time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,8 +149,10 @@ impl ArrivalGen {
 #[derive(Debug, Clone)]
 pub struct BoundedQueue<T> {
     cap: usize,
-    items: BTreeMap<(u64, u64), (T, Time)>,
-    seq: u64,
+    /// `(key, item, enqueued at)`, ascending by key and FIFO among
+    /// equal keys. The buffer is reused, so a queue that drains and
+    /// refills allocates nothing once it has held its peak.
+    items: VecDeque<(u64, T, Time)>,
     occupancy: TimeWeighted,
     wait: Summary,
     rejected: u64,
@@ -167,8 +169,7 @@ impl<T> BoundedQueue<T> {
         assert!(cap > 0, "queue capacity must be nonzero");
         BoundedQueue {
             cap,
-            items: BTreeMap::new(),
-            seq: 0,
+            items: VecDeque::new(),
             occupancy: TimeWeighted::new(0.0),
             wait: Summary::new(),
             rejected: 0,
@@ -203,8 +204,10 @@ impl<T> BoundedQueue<T> {
             self.rejected += 1;
             return false;
         }
-        self.seq += 1;
-        self.items.insert((key, self.seq), (item, now));
+        // After every item with an equal key: FIFO among ties. EDF
+        // deadlines mostly ascend, so this lands at or near the back.
+        let at = self.items.partition_point(|e| e.0 <= key);
+        self.items.insert(at, (key, item, now));
         self.peak = self.peak.max(self.items.len());
         self.occupancy.set(now, self.items.len() as f64);
         true
@@ -213,11 +216,7 @@ impl<T> BoundedQueue<T> {
     /// Removes the smallest-key item (FIFO among ties), returning its
     /// key, the item, and how long it waited.
     pub fn pop_min(&mut self, now: Time) -> Option<(u64, T, Time)> {
-        let (&(key, seq), _) = self.items.iter().next()?;
-        let (item, enqueued) = self
-            .items
-            .remove(&(key, seq))
-            .expect("EDF queue entry vanished between peek and remove: map corrupted");
+        let (key, item, enqueued) = self.items.pop_front()?;
         let waited = now.saturating_sub(enqueued);
         self.wait.record_time(waited);
         self.occupancy.set(now, self.items.len() as f64);

@@ -21,7 +21,13 @@ cover a whole run, but it slows both runs of a pair alike, so each
 pair's change/parent ratio cancels it where a comparison of unpaired
 medians does not. Per workload and end-to-end metric it prints each
 side's median, the parent's interquartile range, the pairs the change
-won and the median change/parent pair ratio.
+won, the median change/parent pair ratio, and a verdict on a gain:
+
+  gain        the change won at least 9 of 10 pairs and its median
+              beats the parent's by more than the parent's IQR;
+  unresolved  no gain, and the parent's IQR is wider than the metric's
+              bound, so the runs cannot tell a change from noise;
+  no gain     otherwise.
 
 Exits 1 when a run fails, when a run is not `"correct": true` with
 `"failed": 0`, or when a metric's median pair ratio is worse than that
@@ -84,6 +90,14 @@ def value(result, name):
     return result["metrics"][name]["value"]
 
 
+def verdict(won, pairs, gap, iqr, iqr_share, bound):
+    """The gain rule: at least 9 of 10 pairs won and a median gap, in the
+    better direction, wider than the parent's IQR."""
+    if won * 10 >= 9 * pairs and gap > iqr:
+        return "gain"
+    return "unresolved" if iqr_share > bound else "no gain"
+
+
 def judge(workload, metric, runs):
     """Prints one metric's row; returns a failure message or None."""
     name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
@@ -92,13 +106,15 @@ def judge(workload, metric, runs):
     ratios = [c / p for p, c in zip(parent, change)]
     won = sum(r > 1 if higher else r < 1 for r in ratios)
     ratio = statistics.median(ratios)
-    p_med = statistics.median(parent)
+    p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4)
     limit = f"{'>=' if higher else '<='} {1 - bound if higher else 1 + bound:.2f}"
     worse = ratio < 1 - bound if higher else ratio > 1 + bound
-    print(f"  {name:<20} {p_med:>14.6g} {statistics.median(change):>14.6g} "
+    gap = c_med - p_med if higher else p_med - c_med
+    gain = verdict(won, len(runs), gap, q3 - q1, (q3 - q1) / p_med, bound)
+    print(f"  {name:<20} {p_med:>14.6g} {c_med:>14.6g} "
           f"{q3 - q1:>11.4g} {(q3 - q1) / p_med:>6.1%} {won:>4}/{len(runs):<3} "
-          f"{ratio:>7.3f}  {limit}  {'WORSE' if worse else 'ok'}")
+          f"{ratio:>7.3f}  {limit}  {'WORSE' if worse else 'ok':<5}  {gain}")
     if worse:
         return f"{workload} {name}: median pair ratio {ratio:.3f}, bound {limit}"
     return None
@@ -144,7 +160,7 @@ def main():
             print(f"  {w} pair {i + 1}/{PAIRS}, {order[0]} first, change/parent: {ratios}",
                   flush=True)
         print(f"{w}:\n  {'metric':<20} {'parent median':>14} {'change median':>14} "
-              f"{'parent IQR':>18}  {'won':>7} {'ratio':>7}  bound")
+              f"{'parent IQR':>18}  {'won':>7} {'ratio':>7}  bound          verdict")
         for metric in spec["end_to_end"]:
             msg = judge(w, metric, runs)
             if msg:
